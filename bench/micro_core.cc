@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks for the hot paths underneath every
-// experiment: R-tree operations, pyramid maintenance, cloaking, the
+// experiment: packed R-tree and epoch-index operations, pyramid maintenance, cloaking, the
 // Algorithm 2 geometry, and the moving-object simulator.
 
 #include <benchmark/benchmark.h>
@@ -19,9 +19,8 @@
 #include "src/processor/private_nn.h"
 #include "src/processor/public_nn_private.h"
 #include "src/processor/query_cache.h"
+#include "src/spatial/epoch_index.h"
 #include "src/spatial/flat_rtree.h"
-#include "src/spatial/grid_index.h"
-#include "src/spatial/rtree.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/disk_storage.h"
 #include "src/storage/memory_storage.h"
@@ -29,74 +28,27 @@
 namespace casper {
 namespace {
 
-spatial::RTree BuildTree(size_t n, uint64_t seed) {
+std::vector<spatial::Entry> RandomEntries(size_t n, uint64_t seed) {
   Rng rng(seed);
-  std::vector<spatial::RTree::Entry> entries;
-  for (uint64_t i = 0; i < n; ++i) {
-    entries.push_back({Rect::FromPoint(rng.PointIn(Rect(0, 0, 1, 1))), i});
-  }
-  return spatial::RTree::BulkLoad(std::move(entries));
-}
-
-void BM_RTreeBulkLoad(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(1);
-  std::vector<spatial::RTree::Entry> entries;
-  for (uint64_t i = 0; i < n; ++i) {
-    entries.push_back({Rect::FromPoint(rng.PointIn(Rect(0, 0, 1, 1))), i});
-  }
-  for (auto _ : state) {
-    auto copy = entries;
-    benchmark::DoNotOptimize(spatial::RTree::BulkLoad(std::move(copy)));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_RTreeBulkLoad)->Arg(1000)->Arg(10000);
-
-void BM_RTreeInsert(benchmark::State& state) {
-  Rng rng(2);
-  spatial::RTree tree;
-  uint64_t id = 0;
-  for (auto _ : state) {
-    tree.Insert(Rect::FromPoint(rng.PointIn(Rect(0, 0, 1, 1))), id++);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RTreeInsert);
-
-void BM_RTreeNearest(benchmark::State& state) {
-  const auto tree = BuildTree(static_cast<size_t>(state.range(0)), 3);
-  Rng rng(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Nearest(rng.PointIn(Rect(0, 0, 1, 1))));
-  }
-}
-BENCHMARK(BM_RTreeNearest)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_RTreeRange1Pct(benchmark::State& state) {
-  const auto tree = BuildTree(static_cast<size_t>(state.range(0)), 5);
-  Rng rng(6);
-  std::vector<spatial::RTree::Entry> out;
-  for (auto _ : state) {
-    out.clear();
-    const Point c = rng.PointIn(Rect(0, 0, 0.9, 0.9));
-    tree.RangeQuery(Rect(c.x, c.y, c.x + 0.1, c.y + 0.1), &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_RTreeRange1Pct)->Arg(10000)->Arg(100000);
-
-std::vector<spatial::RTree::Entry> RandomEntries(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<spatial::RTree::Entry> entries;
+  std::vector<spatial::Entry> entries;
   for (uint64_t i = 0; i < n; ++i) {
     entries.push_back({Rect::FromPoint(rng.PointIn(Rect(0, 0, 1, 1))), i});
   }
   return entries;
 }
 
-/// Scalar MinDist over an array of rectangles — the per-box cost the
-/// pointer tree pays at every node visit.
+void BM_FlatBuild(benchmark::State& state) {
+  const auto entries = RandomEntries(static_cast<size_t>(state.range(0)), 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spatial::FlatRTree::Build(entries));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(entries.size()));
+}
+BENCHMARK(BM_FlatBuild)->Arg(1000)->Arg(10000);
+
+/// Scalar MinDist over an array of rectangles — the per-box cost of a
+/// node visit without the batched kernel.
 void BM_MinDistScalar(benchmark::State& state) {
   const auto entries = RandomEntries(static_cast<size_t>(state.range(0)), 23);
   Rng rng(24);
@@ -137,19 +89,6 @@ void BM_MinDistBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_MinDistBatched)->Arg(16)->Arg(256)->Arg(4096);
 
-/// Pointer-chasing Guttman k-NN — baseline for the flat traversal.
-void BM_PointerKnn(benchmark::State& state) {
-  const auto tree = BuildTree(static_cast<size_t>(state.range(0)), 25);
-  Rng rng(26);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.KNearest(rng.PointIn(Rect(0, 0, 1, 1)), 8));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PointerKnn)->Arg(10000)->Arg(100000);
-
-/// Flat STR-packed k-NN over the identical entry set. Acceptance wants
-/// this >= 1.3x the pointer traversal at 100K entries.
 void BM_FlatKnn(benchmark::State& state) {
   const spatial::FlatRTree tree = spatial::FlatRTree::Build(
       RandomEntries(static_cast<size_t>(state.range(0)), 25));
@@ -161,13 +100,11 @@ void BM_FlatKnn(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatKnn)->Arg(10000)->Arg(100000);
 
-/// Flat STR-packed range query vs. the Guttman baseline above
-/// (BM_RTreeRange1Pct uses the same 1% window workload).
 void BM_FlatRange1Pct(benchmark::State& state) {
   const spatial::FlatRTree tree = spatial::FlatRTree::Build(
       RandomEntries(static_cast<size_t>(state.range(0)), 5));
   Rng rng(6);
-  std::vector<spatial::RTree::Entry> out;
+  std::vector<spatial::Entry> out;
   for (auto _ : state) {
     out.clear();
     const Point c = rng.PointIn(Rect(0, 0, 0.9, 0.9));
@@ -177,17 +114,26 @@ void BM_FlatRange1Pct(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatRange1Pct)->Arg(10000)->Arg(100000);
 
-void BM_GridNearest(benchmark::State& state) {
-  Rng rng(7);
-  spatial::GridIndex grid(Rect(0, 0, 1, 1), 64);
-  for (uint64_t i = 0; i < 10000; ++i) {
-    (void)grid.Insert(rng.PointIn(Rect(0, 0, 1, 1)), i);
-  }
+/// One moving-object upsert on the epoch index (Remove the old point,
+/// Insert the new one, each publishing a snapshot), amortizing the
+/// periodic base repack. Arg = entries.
+void BM_EpochIndexMove(benchmark::State& state) {
+  std::vector<spatial::Entry> entries =
+      RandomEntries(static_cast<size_t>(state.range(0)), 27);
+  spatial::EpochIndex index = spatial::EpochIndex::BulkLoad(entries);
+  Rng rng(28);
+  size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(grid.Nearest(rng.PointIn(Rect(0, 0, 1, 1))));
+    spatial::Entry& e = entries[next];
+    next = (next + 1) % entries.size();
+    const Rect moved = Rect::FromPoint(rng.PointIn(Rect(0, 0, 1, 1)));
+    benchmark::DoNotOptimize(index.Remove(e.box, e.id));
+    index.Insert(moved, e.id);
+    e.box = moved;
   }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_GridNearest);
+BENCHMARK(BM_EpochIndexMove)->Arg(10000)->Arg(100000);
 
 template <typename Anonymizer>
 std::unique_ptr<Anonymizer> BuildAnon(size_t users, int height,
@@ -344,12 +290,7 @@ BENCHMARK(BM_SimulatorTick)->Arg(1000)->Arg(10000);
 // --- Storage tier: page codec and buffer pool ------------------------------
 
 spatial::FlatRTree BuildFlatTree(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<spatial::FlatRTree::Entry> entries;
-  for (uint64_t i = 0; i < n; ++i) {
-    entries.push_back({Rect::FromPoint(rng.PointIn(Rect(0, 0, 1, 1))), i});
-  }
-  return spatial::FlatRTree::Build(std::move(entries));
+  return spatial::FlatRTree::Build(RandomEntries(n, seed));
 }
 
 void BM_FlatTreeSerialize(benchmark::State& state) {

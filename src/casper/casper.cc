@@ -178,26 +178,10 @@ Result<PublicNNResponse> CasperService::QueryNearestPublic(
   return std::get<PublicNNResponse>(std::move(response));
 }
 
-Result<PublicNNResponse> CasperService::EvaluateNearestPublic(
-    anonymizer::UserId uid, const anonymizer::CloakingResult& cloak,
-    processor::ConcurrentQueryCache* cache) const {
-  CASPER_ASSIGN_OR_RETURN(
-      response, Evaluate(QueryRequest(NearestPublicQ{uid}), cloak, cache));
-  return std::get<PublicNNResponse>(std::move(response));
-}
-
 Result<PublicKnnResponse> CasperService::QueryKNearestPublic(
     anonymizer::UserId uid, size_t k) {
   CASPER_ASSIGN_OR_RETURN(response,
                           Execute(QueryRequest(KNearestPublicQ{uid, k})));
-  return std::get<PublicKnnResponse>(std::move(response));
-}
-
-Result<PublicKnnResponse> CasperService::EvaluateKNearestPublic(
-    anonymizer::UserId uid, const anonymizer::CloakingResult& cloak,
-    size_t k) const {
-  CASPER_ASSIGN_OR_RETURN(
-      response, Evaluate(QueryRequest(KNearestPublicQ{uid, k}), cloak));
   return std::get<PublicKnnResponse>(std::move(response));
 }
 
@@ -221,13 +205,6 @@ Result<PrivateNNResponse> CasperService::QueryNearestPrivate(
   return std::get<PrivateNNResponse>(std::move(response));
 }
 
-Result<PrivateNNResponse> CasperService::EvaluateNearestPrivate(
-    anonymizer::UserId uid, const anonymizer::CloakingResult& cloak) const {
-  CASPER_ASSIGN_OR_RETURN(response,
-                          Evaluate(QueryRequest(NearestPrivateQ{uid}), cloak));
-  return std::get<PrivateNNResponse>(std::move(response));
-}
-
 Result<processor::RangeCountResult> CasperService::QueryPublicRange(
     const Rect& region) {
   CASPER_ASSIGN_OR_RETURN(response, Execute(QueryRequest(PublicRangeQ{region})));
@@ -239,14 +216,6 @@ Result<processor::PublicRangeCandidates> CasperService::QueryRangePublic(
   CASPER_ASSIGN_OR_RETURN(response,
                           Execute(QueryRequest(RangePublicQ{uid, radius})));
   return std::move(std::get<PublicRangeResponse>(response).server_answer);
-}
-
-Result<PublicRangeResponse> CasperService::EvaluateRangePublic(
-    anonymizer::UserId uid, const anonymizer::CloakingResult& cloak,
-    double radius) const {
-  CASPER_ASSIGN_OR_RETURN(
-      response, Evaluate(QueryRequest(RangePublicQ{uid, radius}), cloak));
-  return std::get<PublicRangeResponse>(std::move(response));
 }
 
 }  // namespace casper

@@ -192,23 +192,6 @@ class CasperService {
   Result<processor::PublicRangeCandidates> QueryRangePublic(
       anonymizer::UserId uid, double radius);
 
-  // --- Read-only evaluation over a pre-computed cloak (legacy) ----------
-
-  Result<PublicNNResponse> EvaluateNearestPublic(
-      anonymizer::UserId uid, const anonymizer::CloakingResult& cloak,
-      processor::ConcurrentQueryCache* cache = nullptr) const;
-
-  Result<PublicKnnResponse> EvaluateKNearestPublic(
-      anonymizer::UserId uid, const anonymizer::CloakingResult& cloak,
-      size_t k) const;
-
-  Result<PublicRangeResponse> EvaluateRangePublic(
-      anonymizer::UserId uid, const anonymizer::CloakingResult& cloak,
-      double radius) const;
-
-  Result<PrivateNNResponse> EvaluateNearestPrivate(
-      anonymizer::UserId uid, const anonymizer::CloakingResult& cloak) const;
-
   // --- Persistence ------------------------------------------------------
 
   /// Checkpoint the server tier (public targets + stored cloaked

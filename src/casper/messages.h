@@ -29,7 +29,7 @@
 ///
 /// Every message has a lossless binary encoding (little-endian,
 /// length-prefixed containers, leading type tag), so an in-process
-/// deployment and a future multi-process/multi-shard deployment speak
+/// deployment and a multi-process deployment speak
 /// the same protocol. In-process, the tiers hand the decoded structs to
 /// each other directly; the byte codec is exercised by a round-trip
 /// property test and by the facade parity test.

@@ -1,5 +1,7 @@
 #include "src/obs/span.h"
 
+#include <vector>
+
 namespace casper::obs {
 namespace {
 
@@ -27,8 +29,7 @@ const char* PhaseName(Phase phase) {
   return "unknown";
 }
 
-QueryTracer::QueryTracer(MetricsRegistry* registry, size_t ring_capacity)
-    : capacity_(ring_capacity > 0 ? ring_capacity : 1) {
+QueryTracer::QueryTracer(MetricsRegistry* registry) {
   for (size_t i = 0; i < kPhaseCount; ++i) {
     phase_seconds_[i] = registry->GetHistogram(
         "casper_query_phase_seconds",
@@ -37,7 +38,6 @@ QueryTracer::QueryTracer(MetricsRegistry* registry, size_t ring_capacity)
   }
   traces_total_ = registry->GetCounter("casper_query_traces_total",
                                        "Query spans finished.");
-  ring_.reserve(capacity_);
 }
 
 QuerySpan QueryTracer::Start(const char* kind) {
@@ -58,25 +58,6 @@ void QueryTracer::Finish(const QuerySpan& span) {
     }
   }
   traces_total_->Increment();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(span);
-  } else {
-    ring_[next_slot_] = span;
-    wrapped_ = true;
-  }
-  next_slot_ = (next_slot_ + 1) % capacity_;
-}
-
-std::vector<QuerySpan> QueryTracer::Recent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!wrapped_) return ring_;
-  std::vector<QuerySpan> ordered;
-  ordered.reserve(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    ordered.push_back(ring_[(next_slot_ + i) % ring_.size()]);
-  }
-  return ordered;
 }
 
 uint64_t QueryTracer::finished_count() const { return traces_total_->Value(); }

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
-#include <vector>
 
 #include "src/obs/metrics.h"
 
@@ -19,11 +17,11 @@
 ///   refine       client-side refinement of the candidate list
 ///
 /// — and the tracer folds finished spans into per-phase latency
-/// histograms (`casper_query_phase_seconds{phase=...}`) plus a small
-/// ring of recent spans for inspection. A span is built on whichever
-/// threads run its phases (the batch engine cloaks on the caller and
-/// evaluates on a worker); it is handed off by value, never shared, so
-/// only Start() and Finish() touch tracer state.
+/// histograms (`casper_query_phase_seconds{phase=...}`). A span is built
+/// on whichever threads run its phases (the batch engine cloaks on the
+/// caller and evaluates on a worker); it is handed off by value, never
+/// shared, so only Start() and Finish() touch tracer state, and both are
+/// lock-free.
 
 namespace casper::obs {
 
@@ -78,8 +76,7 @@ class ScopedPhase {
 class QueryTracer {
  public:
   /// Registers the phase histograms and trace counter on `registry`.
-  /// `ring_capacity` bounds the recent-span buffer.
-  explicit QueryTracer(MetricsRegistry* registry, size_t ring_capacity = 256);
+  explicit QueryTracer(MetricsRegistry* registry);
   QueryTracer(const QueryTracer&) = delete;
   QueryTracer& operator=(const QueryTracer&) = delete;
 
@@ -91,11 +88,8 @@ class QueryTracer {
   /// phase is timed before its span exists, e.g. standalone cloaks).
   void RecordPhase(Phase phase, double seconds);
 
-  /// Folds a finished span into the phase histograms and the ring.
+  /// Folds a finished span into the phase histograms.
   void Finish(const QuerySpan& span);
-
-  /// Copy of the recent-span ring, oldest first.
-  std::vector<QuerySpan> Recent() const;
 
   uint64_t finished_count() const;
 
@@ -103,12 +97,6 @@ class QueryTracer {
   Histogram* phase_seconds_[kPhaseCount];
   Counter* traces_total_;
   std::atomic<uint64_t> next_id_{1};
-
-  const size_t capacity_;
-  mutable std::mutex mu_;  ///< Ring only.
-  std::vector<QuerySpan> ring_;
-  size_t next_slot_ = 0;
-  bool wrapped_ = false;
 };
 
 }  // namespace casper::obs

@@ -39,15 +39,18 @@ Rect DensityMap::CellRect(int col, int row) const {
   return Rect(x0, y0, x0 + w, y0 + h);
 }
 
-Result<DensityMap> ExpectedDensityFromTargets(
-    const std::vector<PrivateTarget>& targets, const Rect& extent, int cols,
-    int rows) {
+Result<DensityMap> ExpectedDensity(const PrivateTargetStore& store,
+                                   const Rect& extent, int cols, int rows) {
   if (extent.is_empty()) {
     return Status::InvalidArgument("extent must be non-empty");
   }
   if (cols < 1 || rows < 1) {
     return Status::InvalidArgument("grid must be at least 1x1");
   }
+  // Canonical order first: floating-point accumulation follows the
+  // list order, so the map is a function of the stored set alone.
+  std::vector<PrivateTarget> targets = store.Overlapping(extent);
+  CanonicalizePrivateTargets(&targets);
 
   DensityMap map(extent, cols, rows);
   const double cell_w = extent.width() / cols;
@@ -92,13 +95,6 @@ Result<DensityMap> ExpectedDensityFromTargets(
     }
   }
   return map;
-}
-
-Result<DensityMap> ExpectedDensity(const PrivateTargetStore& store,
-                                   const Rect& extent, int cols, int rows) {
-  std::vector<PrivateTarget> overlapping = store.Overlapping(extent);
-  CanonicalizePrivateTargets(&overlapping);
-  return ExpectedDensityFromTargets(overlapping, extent, cols, rows);
 }
 
 }  // namespace casper::processor

@@ -49,22 +49,14 @@ class DensityMap {
   }
 
  private:
-  friend Result<DensityMap> ExpectedDensityFromTargets(
-      const std::vector<PrivateTarget>&, const Rect&, int, int);
+  friend Result<DensityMap> ExpectedDensity(const PrivateTargetStore&,
+                                            const Rect&, int, int);
 
   Rect extent_;
   int cols_;
   int rows_;
   std::vector<double> cells_;
 };
-
-/// Accumulates an already-canonicalized (id-sorted) target list into a
-/// density map. Floating-point accumulation follows the list order, so
-/// a sharded router feeding the merged union through this helper
-/// reproduces the single-server map bit for bit.
-Result<DensityMap> ExpectedDensityFromTargets(
-    const std::vector<PrivateTarget>& targets, const Rect& extent, int cols,
-    int rows);
 
 /// Builds the expected-density map of `store` over `extent`.
 /// InvalidArgument on a degenerate extent or non-positive grid.

@@ -5,11 +5,17 @@
 #include "src/processor/private_nn.h"
 
 namespace casper::processor {
+namespace {
 
+/// Maximum over an edge of length `length` of the per-point k-NN radius
+/// bound min(d_i + |p - v_i|, d_j + |p - v_j|) — the per-side extension
+/// distance of the filter step (see the header's file comment).
 double KnnEdgeExtension(double d_i, double d_j, double length) {
   if (std::abs(d_i - d_j) >= length) return std::max(d_i, d_j);
   return (d_i + d_j + length) / 2.0;
 }
+
+}  // namespace
 
 Result<KnnCandidateList> PrivateKNearestNeighbors(
     const PublicTargetStore& store, const Rect& cloak, size_t k) {

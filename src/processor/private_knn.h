@@ -37,14 +37,6 @@ struct KnnCandidateList {
   }
 };
 
-/// Maximum over an edge of length `length` of the per-point k-NN radius
-/// bound min(d_i + |p - v_i|, d_j + |p - v_j|) — the per-side extension
-/// distance of the filter step (see file comment). Shared with the
-/// shard router, which re-derives the same extension from the per-shard
-/// filter minima so a cross-shard merge reproduces the single-server
-/// extended area exactly.
-double KnnEdgeExtension(double d_i, double d_j, double length);
-
 /// Candidate list for a private k-NN query over public data.
 /// InvalidArgument for k == 0 or empty cloak; NotFound when the store
 /// holds fewer than k targets.

@@ -34,7 +34,7 @@ Result<PublicCandidateList> PrivateNearestNeighbor(
 
   // Step 4: the candidate list is a range query over A_EXT. Canonical
   // (id-sorted) order keeps the encoded answer independent of tree
-  // shape, so a sharded merge can reproduce it byte for byte.
+  // shape.
   result.candidates = store.RangeQuery(result.area.a_ext);
   CanonicalizeCandidates(&result.candidates);
   return result;

@@ -35,7 +35,7 @@ struct PublicCandidateList {
 /// Sorts a candidate list into its canonical (ascending-id) wire order.
 /// Every processor emits candidates in this order so that answers are a
 /// pure function of the stored *set* of targets — independent of tree
-/// shape, insertion order, or which shard held which target.
+/// shape or insertion order.
 void CanonicalizeCandidates(std::vector<PublicTarget>* candidates);
 
 /// Executes Algorithm 2 against `store` for the cloaked region `cloak`.

@@ -25,7 +25,7 @@ Result<PublicNNCandidates> PublicNearestNeighborOverPrivate(
     }
   }
   // Canonical order: ascending MinDist, target id as the tie-break so
-  // the encoded answer is independent of tree shape / shard layout.
+  // the encoded answer is independent of tree shape.
   std::sort(result.candidates.begin(), result.candidates.end(),
             [](const PublicNNCandidates::Candidate& a,
                const PublicNNCandidates::Candidate& b) {

@@ -11,10 +11,16 @@ void CanonicalizePrivateTargets(std::vector<PrivateTarget>* targets) {
             });
 }
 
-RangeCountResult AccumulateRangeCounts(
-    const std::vector<PrivateTarget>& overlapping, const Rect& query) {
+Result<RangeCountResult> PublicRangeCount(const PrivateTargetStore& store,
+                                          const Rect& query) {
+  if (query.is_empty()) {
+    return Status::InvalidArgument("query region must be non-empty");
+  }
   RangeCountResult result;
-  result.overlapping = overlapping;
+  result.overlapping = store.Overlapping(query);
+  // Canonical order first: floating-point accumulation follows the
+  // list order, so `expected` is a function of the stored set alone.
+  CanonicalizePrivateTargets(&result.overlapping);
   result.possible = result.overlapping.size();
   for (const PrivateTarget& t : result.overlapping) {
     const double area = t.region.Area();
@@ -30,16 +36,6 @@ RangeCountResult AccumulateRangeCounts(
     if (query.Contains(t.region)) ++result.certain;
   }
   return result;
-}
-
-Result<RangeCountResult> PublicRangeCount(const PrivateTargetStore& store,
-                                          const Rect& query) {
-  if (query.is_empty()) {
-    return Status::InvalidArgument("query region must be non-empty");
-  }
-  std::vector<PrivateTarget> overlapping = store.Overlapping(query);
-  CanonicalizePrivateTargets(&overlapping);
-  return AccumulateRangeCounts(overlapping, query);
 }
 
 }  // namespace casper::processor

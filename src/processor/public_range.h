@@ -41,13 +41,6 @@ struct RangeCountResult {
 /// CanonicalizeCandidates in private_nn.h for why.
 void CanonicalizePrivateTargets(std::vector<PrivateTarget>* targets);
 
-/// Folds an already-canonicalized overlap list into the count result.
-/// Floating-point accumulation follows the list order, so a sharded
-/// router that feeds the merged (id-sorted) union through this helper
-/// reproduces `expected` bit for bit.
-RangeCountResult AccumulateRangeCounts(
-    const std::vector<PrivateTarget>& overlapping, const Rect& query);
-
 /// Evaluates a public range-count query over cloaked regions.
 Result<RangeCountResult> PublicRangeCount(const PrivateTargetStore& store,
                                           const Rect& query);

@@ -4,9 +4,9 @@ namespace casper::processor {
 
 namespace {
 
-std::vector<spatial::RTree::Entry> ToEntries(
+std::vector<spatial::Entry> ToEntries(
     const std::vector<PublicTarget>& targets) {
-  std::vector<spatial::RTree::Entry> entries;
+  std::vector<spatial::Entry> entries;
   entries.reserve(targets.size());
   for (const PublicTarget& t : targets) {
     entries.push_back({Rect::FromPoint(t.position), t.id});
@@ -14,9 +14,9 @@ std::vector<spatial::RTree::Entry> ToEntries(
   return entries;
 }
 
-std::vector<spatial::RTree::Entry> ToEntries(
+std::vector<spatial::Entry> ToEntries(
     const std::vector<PrivateTarget>& targets) {
-  std::vector<spatial::RTree::Entry> entries;
+  std::vector<spatial::Entry> entries;
   entries.reserve(targets.size());
   for (const PrivateTarget& t : targets) {
     CASPER_DCHECK(!t.region.is_empty());
@@ -40,7 +40,7 @@ bool PublicTargetStore::Remove(const PublicTarget& target) {
 
 Result<PublicTarget> PublicTargetStore::Nearest(const Point& q) const {
   const auto snapshot = index_.Acquire();
-  const auto nn = snapshot->Nearest(q, spatial::RTree::Metric::kMinDist);
+  const auto nn = snapshot->Nearest(q, spatial::Metric::kMinDist);
   if (!nn.found) return Status::NotFound("target store is empty");
   return PublicTarget{nn.neighbor.id, nn.neighbor.box.min};
 }
@@ -50,7 +50,7 @@ std::vector<PublicTarget> PublicTargetStore::KNearest(const Point& q,
   const auto snapshot = index_.Acquire();
   std::vector<PublicTarget> out;
   for (const auto& n :
-       snapshot->KNearest(q, k, spatial::RTree::Metric::kMinDist)) {
+       snapshot->KNearest(q, k, spatial::Metric::kMinDist)) {
     out.push_back(PublicTarget{n.id, n.box.min});
   }
   return out;
@@ -60,7 +60,7 @@ std::vector<PublicTarget> PublicTargetStore::RangeQuery(
     const Rect& window) const {
   const auto snapshot = index_.Acquire();
   std::vector<PublicTarget> out;
-  snapshot->RangeQuery(window, [&out](const spatial::RTree::Entry& e) {
+  snapshot->RangeQuery(window, [&out](const spatial::Entry& e) {
     out.push_back(PublicTarget{e.id, e.box.min});
     return true;
   });
@@ -89,7 +89,7 @@ Result<PrivateTarget> PrivateTargetStore::NearestByMaxDist(
   const auto snapshot = index_.Acquire();
   const size_t want = exclude.has_value() ? 2 : 1;
   for (const auto& n :
-       snapshot->KNearest(q, want, spatial::RTree::Metric::kMaxDist)) {
+       snapshot->KNearest(q, want, spatial::Metric::kMaxDist)) {
     if (exclude.has_value() && n.id == *exclude) continue;
     return PrivateTarget{n.id, n.box};
   }
@@ -100,7 +100,7 @@ std::vector<PrivateTarget> PrivateTargetStore::Overlapping(
     const Rect& window) const {
   const auto snapshot = index_.Acquire();
   std::vector<PrivateTarget> out;
-  snapshot->RangeQuery(window, [&out](const spatial::RTree::Entry& e) {
+  snapshot->RangeQuery(window, [&out](const spatial::Entry& e) {
     out.push_back(PrivateTarget{e.id, e.box});
     return true;
   });
@@ -112,7 +112,7 @@ std::vector<PrivateTarget> PrivateTargetStore::OverlappingAtLeast(
   CASPER_DCHECK(min_overlap_fraction >= 0.0 && min_overlap_fraction <= 1.0);
   const auto snapshot = index_.Acquire();
   std::vector<PrivateTarget> out;
-  snapshot->RangeQuery(window, [&](const spatial::RTree::Entry& e) {
+  snapshot->RangeQuery(window, [&](const spatial::Entry& e) {
     const double area = e.box.Area();
     const double overlap = e.box.IntersectionArea(window);
     // Degenerate (zero-area) regions count as fully overlapped.

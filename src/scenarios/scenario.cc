@@ -262,7 +262,7 @@ Result<ScenarioReport> RunScenario(const ScenarioScript& script,
 
   ScenarioReport report;
   report.scenario = script.name;
-  report.stack = stack->Label();
+  report.stack = StackKindName(stack->kind());
   report.users = options.users;
   report.targets = options.targets;
   report.ticks = options.ticks;

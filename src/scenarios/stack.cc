@@ -45,8 +45,6 @@ const char* StackKindName(StackKind kind) {
       return "facade";
     case StackKind::kSocket:
       return "socket";
-    case StackKind::kShards:
-      return "shards";
     case StackKind::kConnect:
       return "connect";
   }
@@ -111,33 +109,6 @@ Result<std::unique_ptr<ScenarioStack>> ScenarioStack::Create(
       };
       break;
     }
-    case StackKind::kShards: {
-      sharding::ShardRouterOptions router_options;
-      router_options.num_shards = options.shards;
-      router_options.partition_level = 4;
-      router_options.space = options.pyramid.space;
-      router_options.server.density_extent = options.pyramid.space;
-      router_options.server.idempotency_window = options.idempotency_window;
-      router_options.server.metrics = options.metrics;
-      if (chaos.CombinedRate() > 0.0) {
-        router_options.channel_decorator =
-            [chaos, chaos_seed](transport::Channel* inner, size_t shard)
-            -> std::unique_ptr<transport::Channel> {
-          return std::make_unique<transport::FaultInjectingChannel>(
-              inner, chaos, chaos_seed + shard);
-        };
-      }
-      stack->router_ = std::make_unique<sharding::ShardRouter>(router_options);
-      stack->shard_endpoint_ =
-          std::make_unique<sharding::ShardEndpoint>(stack->router_.get());
-      sharding::ShardEndpoint* shard_endpoint = stack->shard_endpoint_.get();
-      service_options.channel_decorator =
-          [shard_endpoint](transport::Channel*)
-          -> std::unique_ptr<transport::Channel> {
-        return std::make_unique<sharding::ShardChannel>(shard_endpoint);
-      };
-      break;
-    }
     case StackKind::kConnect: {
       if (options.connect.empty()) {
         return Status::InvalidArgument("kConnect needs an address");
@@ -163,8 +134,8 @@ Result<std::unique_ptr<ScenarioStack>> ScenarioStack::Create(
 }
 
 ScenarioStack::~ScenarioStack() {
-  // The service's resilient client holds the channel into the listener
-  // or router; drop it before the backend it talks to.
+  // The service's resilient client holds the channel into the
+  // listener; drop it before the backend it talks to.
   service_.reset();
   if (listener_ != nullptr) listener_->Shutdown();
 }
@@ -179,23 +150,12 @@ void ScenarioStack::ProvisionTargets(
     case StackKind::kSocket:
       socket_server_->SetPublicTargets(targets);
       break;
-    case StackKind::kShards:
-      router_->SetPublicTargets(targets);
-      break;
     case StackKind::kConnect:
       // Server-side provisioning happened at `casper_cli serve
       // --targets=N --targets-seed=S`; the local copy is the oracle's
       // ground truth only.
       break;
   }
-}
-
-std::string ScenarioStack::Label() const {
-  if (options_.kind == StackKind::kShards) {
-    return std::string(StackKindName(options_.kind)) + ":" +
-           std::to_string(options_.shards);
-  }
-  return StackKindName(options_.kind);
 }
 
 }  // namespace casper::scenarios

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "src/casper/casper.h"
-#include "src/sharding/shard_endpoint.h"
-#include "src/sharding/shard_router.h"
 #include "src/transport/fault_injection.h"
 #include "src/transport/listener.h"
 #include "src/transport/socket_channel.h"
@@ -15,9 +13,9 @@
 /// \file
 /// Stack configurations a scenario can run against. A scenario is a
 /// workload, not a deployment: the same tick loop must drive the
-/// in-process facade, a real-socket two-tier split, or a sharded fleet
-/// unchanged. ScenarioStack owns whatever the chosen configuration
-/// needs (listener, router, fault injectors) and exposes the one
+/// in-process facade, a real-socket two-tier split, or an external
+/// server unchanged. ScenarioStack owns whatever the chosen
+/// configuration needs (listener, fault injectors) and exposes the one
 /// CasperService the engine talks to, plus target provisioning that
 /// reaches the backend the wire traffic actually lands on (the facade's
 /// SetPublicTargets writes to its in-process server, which a decorated
@@ -28,7 +26,6 @@ namespace casper::scenarios {
 enum class StackKind {
   kFacade,   ///< Classic in-process three-tier service.
   kSocket,   ///< Server tier behind an in-process SocketListener (UDS).
-  kShards,   ///< ShardRouter fleet behind a ShardChannel.
   kConnect,  ///< External server reached over --connect=ADDR.
 };
 
@@ -36,13 +33,12 @@ const char* StackKindName(StackKind kind);
 
 struct StackOptions {
   StackKind kind = StackKind::kFacade;
-  size_t shards = 4;          ///< kShards only.
   std::string connect;        ///< kConnect only: `unix:/path` or host:port.
   anonymizer::PyramidConfig pyramid;
   size_t idempotency_window = 8192;
 
-  /// Chaos faults injected into the tier channel (per shard for
-  /// kShards). Zero rates = no injection.
+  /// Chaos faults injected into the tier channel. Zero rates = no
+  /// injection.
   transport::FaultProfile chaos;
   uint64_t chaos_seed = 0xC4A05;
 
@@ -66,8 +62,7 @@ class ScenarioStack {
   CasperService& service() { return *service_; }
 
   /// Install public targets on the backend the service's wire traffic
-  /// reaches (in-process server, socket-side server, or the shard
-  /// fleet). For kConnect the remote side must have been provisioned
+  /// reaches (in-process server or socket-side server). For kConnect the remote side must have been provisioned
   /// with the same (count, seed) via `casper_cli serve --targets=N
   /// --targets-seed=S`; this call only records the local oracle copy.
   void ProvisionTargets(const std::vector<processor::PublicTarget>& targets);
@@ -80,9 +75,6 @@ class ScenarioStack {
   StackKind kind() const { return options_.kind; }
   const StackOptions& options() const { return options_; }
 
-  /// Human-readable stack label for reports: "facade", "socket",
-  /// "shards:4", "connect".
-  std::string Label() const;
 
  private:
   explicit ScenarioStack(const StackOptions& options) : options_(options) {}
@@ -95,10 +87,6 @@ class ScenarioStack {
   std::unique_ptr<transport::ServerEndpoint> socket_endpoint_;
   std::unique_ptr<transport::SocketListener> listener_;
   std::string socket_address_;
-
-  // kShards backend.
-  std::unique_ptr<sharding::ShardRouter> router_;
-  std::unique_ptr<sharding::ShardEndpoint> shard_endpoint_;
 
   std::unique_ptr<CasperService> service_;
 };

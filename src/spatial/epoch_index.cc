@@ -10,7 +10,7 @@ namespace casper::spatial {
 
 namespace {
 
-bool SameEntry(const RTree::Entry& a, const Rect& box, uint64_t id) {
+bool SameEntry(const Entry& a, const Rect& box, uint64_t id) {
   return a.id == id && a.box == box;
 }
 
@@ -19,25 +19,54 @@ constexpr uint32_t kCheckpointMagic = 0x31585045u;
 
 constexpr size_t kEntryBytes = 4 * 8 + 8;  // Rect + id.
 
-void PutEntries(wire::Writer& w, const std::vector<RTree::Entry>& entries) {
+void PutEntries(wire::Writer& w, const std::vector<Entry>& entries) {
   w.Count(entries.size());
-  for (const RTree::Entry& e : entries) {
+  for (const Entry& e : entries) {
     w.R(e.box);
     w.U64(e.id);
   }
 }
 
-std::vector<RTree::Entry> GetEntries(wire::Reader& r) {
+std::vector<Entry> GetEntries(wire::Reader& r) {
   const size_t n = r.Count(kEntryBytes);
-  std::vector<RTree::Entry> entries;
+  std::vector<Entry> entries;
   entries.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    RTree::Entry e;
+    Entry e;
     e.box = r.R();
     e.id = r.U64();
     entries.push_back(e);
   }
   return entries;
+}
+
+/// The live entry set: base rows minus tombstones plus delta. Each
+/// tombstone hides one base copy of its (box, id), found by exact-match
+/// lookup; a tombstone with no unhidden copy left fails.
+Result<std::vector<Entry>> LiveEntries(const FlatRTree* base,
+                                       const std::vector<Entry>& delta,
+                                       const std::vector<Entry>& dead) {
+  const size_t base_size = base != nullptr ? base->size() : 0;
+  std::vector<bool> hidden(base_size, false);
+  std::vector<size_t> rows;
+  for (const Entry& d : dead) {
+    rows.clear();
+    if (base != nullptr) base->FindExact(d.box, d.id, &rows);
+    const auto row = std::find_if(rows.begin(), rows.end(),
+                                  [&](size_t r) { return !hidden[r]; });
+    if (row == rows.end()) {
+      return Status::InvalidArgument(
+          "epoch-index checkpoint tombstone has no base entry");
+    }
+    hidden[*row] = true;
+  }
+  std::vector<Entry> live;
+  live.reserve(base_size - dead.size() + delta.size());
+  for (size_t i = 0; i < base_size; ++i) {
+    if (!hidden[i]) live.push_back(base->entry(i));
+  }
+  live.insert(live.end(), delta.begin(), delta.end());
+  return live;
 }
 
 }  // namespace
@@ -152,8 +181,7 @@ Rect EpochIndex::Snapshot::bounds() const {
 // --- EpochIndex -------------------------------------------------------
 
 EpochIndex::EpochIndex(int max_entries, size_t rebuild_threshold)
-    : tree_(max_entries),
-      max_entries_(max_entries),
+    : max_entries_(max_entries),
       rebuild_threshold_(std::max<size_t>(rebuild_threshold, 1)),
       reclaimed_(std::make_shared<std::atomic<uint64_t>>(0)) {
   Publish();
@@ -162,21 +190,21 @@ EpochIndex::EpochIndex(int max_entries, size_t rebuild_threshold)
 EpochIndex EpochIndex::BulkLoad(std::vector<Entry> entries, int max_entries,
                                 size_t rebuild_threshold) {
   EpochIndex index(max_entries, rebuild_threshold);
+  index.size_ = entries.size();
   index.base_ = std::make_shared<const FlatRTree>(
-      FlatRTree::Build(entries, max_entries));
-  index.tree_ = RTree::BulkLoad(std::move(entries), max_entries);
+      FlatRTree::Build(std::move(entries), max_entries));
   ++index.rebuilds_;
   index.Publish();
   return index;
 }
 
 EpochIndex::EpochIndex(EpochIndex&& other) noexcept
-    : tree_(std::move(other.tree_)),
-      max_entries_(other.max_entries_),
+    : max_entries_(other.max_entries_),
       rebuild_threshold_(other.rebuild_threshold_),
       base_(std::move(other.base_)),
       delta_(std::move(other.delta_)),
       dead_(std::move(other.dead_)),
+      size_(other.size_),
       published_(other.published_.Load()),
       reclaimed_(std::move(other.reclaimed_)),
       published_count_(other.published_count_),
@@ -184,12 +212,12 @@ EpochIndex::EpochIndex(EpochIndex&& other) noexcept
 
 EpochIndex& EpochIndex::operator=(EpochIndex&& other) noexcept {
   if (this != &other) {
-    tree_ = std::move(other.tree_);
     max_entries_ = other.max_entries_;
     rebuild_threshold_ = other.rebuild_threshold_;
     base_ = std::move(other.base_);
     delta_ = std::move(other.delta_);
     dead_ = std::move(other.dead_);
+    size_ = other.size_;
     published_.Store(other.published_.Load());
     reclaimed_ = std::move(other.reclaimed_);
     published_count_ = other.published_count_;
@@ -199,32 +227,42 @@ EpochIndex& EpochIndex::operator=(EpochIndex&& other) noexcept {
 }
 
 void EpochIndex::Insert(const Rect& box, uint64_t id) {
-  tree_.Insert(box, id);
   delta_.push_back(Entry{box, id});
+  ++size_;
   if (delta_.size() + dead_.size() >= rebuild_threshold_) RebuildBase();
   Publish();
 }
 
 bool EpochIndex::Remove(const Rect& box, uint64_t id) {
-  if (!tree_.Remove(box, id)) return false;
   // Prefer cancelling a pending delta insert; only entries already in
-  // the packed base need a tombstone.
+  // the packed base need a tombstone, and only while the base still
+  // holds a copy that no earlier tombstone hides.
   auto it = std::find_if(delta_.rbegin(), delta_.rend(), [&](const Entry& e) {
     return SameEntry(e, box, id);
   });
   if (it != delta_.rend()) {
     delta_.erase(std::next(it).base());
   } else {
+    const size_t copies = base_ ? base_->FindExact(box, id) : 0;
+    const auto hidden = static_cast<size_t>(std::count_if(
+        dead_.begin(), dead_.end(),
+        [&](const Entry& e) { return SameEntry(e, box, id); }));
+    if (copies <= hidden) return false;
     dead_.push_back(Entry{box, id});
   }
+  --size_;
   if (delta_.size() + dead_.size() >= rebuild_threshold_) RebuildBase();
   Publish();
   return true;
 }
 
 void EpochIndex::RebuildBase() {
+  // Remove tombstones only a base copy that no earlier tombstone hides,
+  // so the merge cannot fail here.
+  Result<std::vector<Entry>> live = LiveEntries(base_.get(), delta_, dead_);
+  CASPER_DCHECK(live.ok());
   base_ = std::make_shared<const FlatRTree>(
-      FlatRTree::Build(tree_.AllEntries(), max_entries_));
+      FlatRTree::Build(std::move(live).value(), max_entries_));
   delta_.clear();
   dead_.clear();
   ++rebuilds_;
@@ -235,7 +273,7 @@ void EpochIndex::Publish() {
   snapshot->base_ = base_;
   snapshot->delta_ = delta_;
   snapshot->dead_ = dead_;
-  snapshot->size_ = tree_.size();
+  snapshot->size_ = size_;
   snapshot->epoch_ = ++published_count_;
   snapshot->reclaimed_ = reclaimed_;
   published_.Store(std::shared_ptr<const Snapshot>(std::move(snapshot)));
@@ -284,28 +322,12 @@ Result<EpochIndex> EpochIndex::Restore(storage::IStorageManager* sm,
   EpochIndex index(max_entries,
                    static_cast<size_t>(std::max<uint64_t>(
                        rebuild_threshold, 1)));
-  std::vector<Entry> merged;
   if (base_root != storage::kNoPage) {
     CASPER_ASSIGN_OR_RETURN(base, FlatRTree::LoadFrom(sm, base_root));
-    merged.reserve(base.size() + delta.size());
-    for (size_t i = 0; i < base.size(); ++i) merged.push_back(base.entry(i));
     index.base_ = std::make_shared<const FlatRTree>(std::move(base));
   }
-  // The authoritative tree holds base - tombstones + delta; tombstones
-  // are a multiset, so each one cancels exactly one occurrence.
-  for (const Entry& d : dead) {
-    const auto it = std::find_if(merged.begin(), merged.end(),
-                                 [&](const Entry& e) {
-                                   return SameEntry(e, d.box, d.id);
-                                 });
-    if (it == merged.end()) {
-      return Status::InvalidArgument(
-          "epoch-index checkpoint tombstone has no base entry");
-    }
-    merged.erase(it);
-  }
-  merged.insert(merged.end(), delta.begin(), delta.end());
-  index.tree_ = RTree::BulkLoad(std::move(merged), max_entries);
+  CASPER_ASSIGN_OR_RETURN(live, LiveEntries(index.base_.get(), delta, dead));
+  index.size_ = live.size();
   index.delta_ = std::move(delta);
   index.dead_ = std::move(dead);
   if (index.base_) ++index.rebuilds_;

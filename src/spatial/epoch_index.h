@@ -10,25 +10,29 @@
 #include "src/common/geometry.h"
 #include "src/common/result.h"
 #include "src/spatial/flat_rtree.h"
-#include "src/spatial/rtree.h"
 #include "src/storage/storage_manager.h"
 
 /// \file
-/// Epoch-published read snapshots over a mutable R-tree. The writer
-/// keeps the authoritative Guttman RTree for upserts; every mutation
-/// publishes a new immutable Snapshot into an atomically swapped
-/// shared_ptr slot, and readers grab the current snapshot with one
-/// pointer copy (a few-instruction spin slot — see PublishedSlot).
-/// Readers never block on a query in flight, and a reader holds its
-/// snapshot alive for as long as it wants regardless of later writes
-/// (RCU-style reclamation via shared_ptr: the last holder frees the
-/// epoch, counted in Stats::reclaimed).
+/// Epoch-published read snapshots over a mutable spatial index. The
+/// index is a packed FlatRTree base (cache-friendly, built with STR)
+/// plus a small overlay: entries inserted since the base was packed
+/// (the delta) and tombstones for base entries removed since. There is
+/// no other copy of the entry set; base minus tombstones plus delta *is*
+/// the index, a multiset of (box, id) pairs.
 ///
-/// A snapshot is a packed FlatRTree base (cache-friendly, built with
-/// STR) plus a small delta: entries inserted since the base was packed
-/// and tombstones for base entries removed since. When the delta grows
-/// past `rebuild_threshold`, the writer repacks a fresh base from the
-/// authoritative tree and the delta resets to empty.
+/// Every mutation publishes a new immutable Snapshot of that state into
+/// an atomically swapped shared_ptr slot, and readers grab the current
+/// snapshot with one pointer copy (a few-instruction spin slot — see
+/// PublishedSlot). Readers never block on a query in flight, and a
+/// reader holds its snapshot alive for as long as it wants regardless
+/// of later writes (RCU-style reclamation via shared_ptr: the last
+/// holder frees the epoch, counted in Stats::reclaimed).
+///
+/// Insert appends to the delta. Remove cancels a matching delta entry
+/// if there is one, and otherwise tombstones a base copy, located with
+/// FlatRTree::FindExact. When the overlay grows past
+/// `rebuild_threshold`, the writer repacks a fresh base from base rows
+/// minus tombstones plus delta, and the overlay resets to empty.
 ///
 /// Threading contract: mutations are single-writer (same as the target
 /// stores); Acquire() and all Snapshot queries are safe from any number
@@ -38,10 +42,10 @@ namespace casper::spatial {
 
 class EpochIndex {
  public:
-  using Entry = RTree::Entry;
-  using Metric = RTree::Metric;
-  using Neighbor = RTree::Neighbor;
-  using NNResult = RTree::NNResult;
+  using Entry = spatial::Entry;
+  using Metric = spatial::Metric;
+  using Neighbor = spatial::Neighbor;
+  using NNResult = spatial::NNResult;
 
   /// Writer-side counters, exported through obs by the owning tier.
   struct Stats {
@@ -52,8 +56,8 @@ class EpochIndex {
     size_t tombstones = 0;
   };
 
-  /// One immutable epoch. Queries return exactly what the authoritative
-  /// tree would have returned at publication time.
+  /// One immutable epoch: the index's base, delta and tombstones as
+  /// they stood at publication time.
   class Snapshot {
    public:
     ~Snapshot();
@@ -87,8 +91,7 @@ class EpochIndex {
 
   explicit EpochIndex(int max_entries = 16, size_t rebuild_threshold = 128);
 
-  /// Build a packed index from `entries` (STR bulk load on both the
-  /// authoritative tree and the flat base).
+  /// Build a packed index from `entries` (STR bulk load of the base).
   static EpochIndex BulkLoad(std::vector<Entry> entries, int max_entries = 16,
                              size_t rebuild_threshold = 128);
 
@@ -98,16 +101,16 @@ class EpochIndex {
   EpochIndex& operator=(const EpochIndex&) = delete;
 
   void Insert(const Rect& box, uint64_t id);
+
+  /// Remove one copy of exactly (box, id). Returns false, changing
+  /// nothing, when the index holds no such entry.
   bool Remove(const Rect& box, uint64_t id);
 
   /// The current epoch; one atomic acquire-load, never null.
   std::shared_ptr<const Snapshot> Acquire() const;
 
-  size_t size() const { return tree_.size(); }
-  bool empty() const { return tree_.empty(); }
-
-  /// The authoritative mutable tree (tests, invariant checks).
-  const RTree& tree() const { return tree_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   Stats stats() const;
 
@@ -120,8 +123,8 @@ class EpochIndex {
 
   /// Rebuild an index from a Checkpoint root page. The restored index
   /// publishes a snapshot with the same base/delta/tombstone overlay
-  /// the checkpointed one had, so queries answer identically; the
-  /// authoritative tree is re-bulk-loaded from the merged entry set.
+  /// the checkpointed one had, so queries answer identically. A
+  /// tombstone with no base copy to hide fails kInvalidArgument.
   static Result<EpochIndex> Restore(storage::IStorageManager* sm,
                                     storage::PageId root);
 
@@ -168,13 +171,13 @@ class EpochIndex {
   void RebuildBase();
   void Publish();
 
-  RTree tree_;
   int max_entries_;
   size_t rebuild_threshold_;
 
   std::shared_ptr<const FlatRTree> base_;
   std::vector<Entry> delta_;
   std::vector<Entry> dead_;
+  size_t size_ = 0;  ///< Live entries: base - tombstones + delta.
 
   PublishedSlot published_;
   std::shared_ptr<std::atomic<uint64_t>> reclaimed_;

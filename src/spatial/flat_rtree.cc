@@ -15,8 +15,7 @@ namespace {
 /// One node of the in-flight STR hierarchy before flattening: an MBR
 /// plus a contiguous [begin, end) run — of entry rows for leaves, of the
 /// next-lower temp level for internal nodes. Runs are contiguous because
-/// each level is sorted in place *before* its parents are cut, exactly
-/// like RTree::BulkLoad sorts each level before packing.
+/// each level is sorted in place *before* its parents are cut.
 struct Temp {
   Rect mbr;
   int32_t begin = 0;
@@ -35,9 +34,8 @@ FlatRTree FlatRTree::Build(std::vector<Entry> entries, int max_entries) {
   const size_t fanout = static_cast<size_t>(tree.max_entries_);
   const size_t n = entries.size();
 
-  // Leaf level: the same Sort-Tile-Recursive pass as RTree::BulkLoad
-  // (sort by center x, cut into sqrt(num_leaves) slabs, sort each slab
-  // by center y, chunk at the fan-out).
+  // Leaf level: sort by center x, cut into sqrt(num_leaves) slabs, sort
+  // each slab by center y, chunk at the fan-out.
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) {
               return CenterX(a.box) < CenterX(b.box);
@@ -192,6 +190,31 @@ size_t FlatRTree::RangeCount(const Rect& window) const {
   return count;
 }
 
+size_t FlatRTree::FindExact(const Rect& box, uint64_t id,
+                            std::vector<size_t>* rows) const {
+  if (nodes_.empty()) return 0;
+  size_t count = 0;
+  std::vector<int32_t> stack{0};
+  while (!stack.empty()) {
+    const int32_t i = stack.back();
+    stack.pop_back();
+    if (!NodeBox(i).Contains(box)) continue;
+    const Node& node = nodes_[i];
+    const int32_t end = node.first + node.count;
+    if (node.level == 0) {
+      for (int32_t j = node.first; j < end; ++j) {
+        if (entry_ids_[j] == id && EntryBox(j) == box) {
+          ++count;
+          if (rows != nullptr) rows->push_back(static_cast<size_t>(j));
+        }
+      }
+    } else {
+      for (int32_t j = node.first; j < end; ++j) stack.push_back(j);
+    }
+  }
+  return count;
+}
+
 std::vector<FlatRTree::Neighbor> FlatRTree::KNearest(const Point& q, size_t k,
                                                      Metric metric) const {
   return KNearestFiltered(q, k, metric, nullptr);
@@ -212,9 +235,8 @@ std::vector<FlatRTree::Neighbor> FlatRTree::KNearestFiltered(
     const FlatRTree* tree;
     bool operator()(const Item& a, const Item& b) const {
       // Min-heap on key; equal keys pop nodes before entries, then
-      // entries ascending by id — the same canonical tie order as
-      // RTree::KNearest, so every index (and the sharded router's
-      // min-id merge) returns identical answers on distance ties.
+      // entries ascending by id — a canonical tie order, so the answer
+      // on distance ties does not depend on the packing.
       if (a.key != b.key) return a.key > b.key;
       if (a.is_entry != b.is_entry) return a.is_entry;
       if (a.is_entry) {

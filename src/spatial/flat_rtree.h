@@ -7,40 +7,71 @@
 
 #include "src/common/geometry.h"
 #include "src/common/result.h"
-#include "src/spatial/rtree.h"
 #include "src/storage/storage_manager.h"
 
 /// \file
-/// An immutable, cache-friendly companion of the Guttman RTree: the same
-/// STR packing, but laid out as contiguous arrays instead of
-/// pointer-linked nodes. Children of a node occupy a contiguous run of
-/// the node array addressed by an int32 offset, and every MBR lives in
-/// struct-of-arrays coordinate blocks so search scores a whole node's
-/// children with the batched MinDist/MaxDist kernels in one linear pass.
+/// The spatial index under the query processor: the "traditional
+/// location-based database server" index the paper's privacy-aware
+/// processor plugs into (§5.1.1: "it can be employed using R-tree or any
+/// other methods"). Point data is stored as degenerate rectangles.
 ///
-/// Queries return exactly the results the Guttman tree returns over the
-/// same entry set (the differential test in tests/flat_rtree_test.cc
-/// enforces this): the tree shape differs, the answer set does not.
+/// FlatRTree is an immutable R-tree packed with Sort-Tile-Recursive and
+/// laid out as contiguous arrays instead of pointer-linked nodes.
+/// Children of a node occupy a contiguous run of the node array
+/// addressed by an int32 offset, and every MBR lives in struct-of-arrays
+/// coordinate blocks so search scores a whole node's children with the
+/// batched MinDist/MaxDist kernels in one linear pass.
 ///
-/// The intended use is a read-mostly index: mutate the authoritative
-/// RTree, and rebuild a FlatRTree from RTree::AllEntries() when enough
-/// deltas accumulate (see spatial::EpochIndex).
+/// The tree is never mutated in place. spatial::EpochIndex puts a small
+/// insert delta and a tombstone list over a packed base and repacks a
+/// fresh FlatRTree when the overlay grows (see epoch_index.h). The
+/// differential tests in tests/flat_rtree_test.cc check every query
+/// against a linear scan of the same entries.
 
 namespace casper::spatial {
 
+/// One stored object.
+struct Entry {
+  Rect box;
+  uint64_t id = 0;
+};
+
+/// Distance used to rank *entries* in NN search. Interior nodes are
+/// always ranked by MinDist to their MBR, which lower-bounds both
+/// metrics and keeps the search correct.
+///  - kMinDist: distance to the closest point of the entry rectangle
+///    (ordinary NN; exact for point entries)
+///  - kMaxDist: distance to the farthest corner of the entry rectangle
+///    (the metric the private-data filter step needs, §5.2.1)
+enum class Metric { kMinDist, kMaxDist };
+
+/// Result of a (k-)NN probe.
+struct Neighbor {
+  Rect box;
+  uint64_t id = 0;
+  double distance = 0.0;
+};
+
+/// Single-NN result. `found` is false only on an empty index.
+struct NNResult {
+  bool found = false;
+  Neighbor neighbor;
+};
+
 class FlatRTree {
  public:
-  using Entry = RTree::Entry;
-  using Metric = RTree::Metric;
-  using Neighbor = RTree::Neighbor;
-  using NNResult = RTree::NNResult;
+  using Entry = spatial::Entry;
+  using Metric = spatial::Metric;
+  using Neighbor = spatial::Neighbor;
+  using NNResult = spatial::NNResult;
 
   /// Empty tree; all queries return nothing.
   FlatRTree() = default;
 
-  /// Build a packed tree from `entries` with Sort-Tile-Recursive, the
-  /// same packing policy as RTree::BulkLoad. `max_entries` is the
-  /// fan-out M (clamped to >= 4 like RTree).
+  /// Build a packed tree from `entries` with Sort-Tile-Recursive (sort
+  /// by center x, cut into sqrt(leaves) slabs, sort each slab by center
+  /// y, chunk at the fan-out; repeat per level). `max_entries` is the
+  /// fan-out M (clamped to >= 4).
   static FlatRTree Build(std::vector<Entry> entries, int max_entries = 16);
 
   /// Append every entry whose rectangle intersects `window` to `*out`.
@@ -53,6 +84,16 @@ class FlatRTree {
   /// Number of entries intersecting `window`.
   size_t RangeCount(const Rect& window) const;
 
+  /// Number of stored copies of exactly (box, id); when `rows` is
+  /// non-null their storage rows (see entry()) are appended to it. The
+  /// descent enters only nodes whose MBR contains `box` — Guttman's
+  /// FindLeaf pruning — so a large `box` narrows the search instead of
+  /// widening it the way an intersection probe would.
+  size_t FindExact(const Rect& box, uint64_t id,
+                   std::vector<size_t>* rows = nullptr) const;
+
+  /// Nearest entries to `q` under `metric`, closest first; equal
+  /// distances come back in ascending id order.
   std::vector<Neighbor> KNearest(const Point& q, size_t k,
                                  Metric metric = Metric::kMinDist) const;
 

@@ -52,8 +52,8 @@ DiskStorageManager::~DiskStorageManager() {
 
 namespace {
 
-/// The directory that will hold `base`'s .dat/.idx files. "shard0" and
-/// "./shard0" live in the current directory.
+/// The directory that will hold `base`'s .dat/.idx files. "ckpt" and
+/// "./ckpt" live in the current directory.
 std::string ParentDirOf(const std::string& base) {
   const size_t slash = base.find_last_of('/');
   if (slash == std::string::npos) return ".";
@@ -66,7 +66,7 @@ std::string ParentDirOf(const std::string& base) {
 Result<std::unique_ptr<DiskStorageManager>> DiskStorageManager::Create(
     const std::string& base_path, const DiskStorageOptions& options) {
   // fopen("wb+") on a path with a missing parent fails with an opaque
-  // errno; callers handing off shard checkpoints need a typed answer
+  // errno; callers writing checkpoints need a typed answer
   // they can branch on, so check the directory explicitly first.
   struct stat st;
   const std::string parent = ParentDirOf(base_path);

@@ -25,9 +25,8 @@
 /// The server half of the real transport: a poll()-driven event loop
 /// that accepts N client connections on one TCP/Unix-domain address,
 /// reassembles length-prefixed frames, and dispatches each request
-/// payload to a handler (a ServerEndpoint, a ShardEndpoint fronting a
-/// fleet, or anything else with the bytes-in/bytes-out contract) on a
-/// bounded worker pool.
+/// payload to a handler (a ServerEndpoint, or anything else with the
+/// bytes-in/bytes-out contract) on a bounded worker pool.
 ///
 /// Admission control and supervision, in the order a frame meets them:
 ///

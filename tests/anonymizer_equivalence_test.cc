@@ -101,13 +101,15 @@ TEST_P(EquivalenceTest, IdenticalCloaksThroughoutHistory) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Scenarios, EquivalenceTest,
-    ::testing::Values(Scenario{4, 60, 8, 0.0, 1}, Scenario{5, 120, 20, 0.0, 2},
-                      Scenario{6, 200, 30, 0.001, 3},
-                      Scenario{7, 150, 10, 0.01, 4},
-                      Scenario{5, 80, 60, 0.0005, 5},
-                      Scenario{8, 250, 40, 0.0001, 6}));
+// gtest names each case by dumping the parameter's bytes, padding
+// included. A static array has zero padding, so the names stay the same
+// from build to build; temporaries would leak stack contents into them.
+const Scenario kScenarios[] = {
+    {4, 60, 8, 0.0, 1},      {5, 120, 20, 0.0, 2},    {6, 200, 30, 0.001, 3},
+    {7, 150, 10, 0.01, 4},   {5, 80, 60, 0.0005, 5},  {8, 250, 40, 0.0001, 6}};
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, EquivalenceTest,
+                         ::testing::ValuesIn(kScenarios));
 
 }  // namespace
 }  // namespace casper::anonymizer

@@ -129,14 +129,16 @@ TEST_P(AnonymizerStressTest, AdaptiveSurvivesChurnWithInvariants) {
   EXPECT_TRUE(anon.CheckInvariants());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, AnonymizerStressTest,
-    ::testing::Values(StressParams{4, 50, 10, 0.0, 800, 1},
-                      StressParams{6, 150, 30, 0.001, 1000, 2},
-                      StressParams{8, 300, 60, 0.0005, 1200, 3},
-                      StressParams{9, 200, 20, 0.01, 800, 4},
-                      StressParams{5, 30, 40, 0.0, 600, 5},
-                      StressParams{7, 500, 5, 0.0001, 1500, 6}));
+// gtest names each case by dumping the parameter's bytes, padding
+// included. A static array has zero padding, so the names stay the same
+// from build to build; temporaries would leak stack contents into them.
+const StressParams kSweep[] = {
+    {4, 50, 10, 0.0, 800, 1},     {6, 150, 30, 0.001, 1000, 2},
+    {8, 300, 60, 0.0005, 1200, 3}, {9, 200, 20, 0.01, 800, 4},
+    {5, 30, 40, 0.0, 600, 5},     {7, 500, 5, 0.0001, 1500, 6}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, AnonymizerStressTest,
+                         ::testing::ValuesIn(kSweep));
 
 }  // namespace
 }  // namespace casper::anonymizer

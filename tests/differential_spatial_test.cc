@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "src/common/rng.h"
-#include "src/spatial/grid_index.h"
-#include "src/spatial/rtree.h"
+#include "src/spatial/epoch_index.h"
+#include "src/storage/memory_storage.h"
+#include "tests/spatial_oracle.h"
 
-/// Differential testing of the two spatial indexes: driven through the
-/// same randomized point workload, the R-tree and the grid index must
-/// agree on every range query and (by distance) every NN probe. Each is
-/// the other's oracle — a disagreement pinpoints a bug in one of them.
+/// Differential testing of the epoch index against a brute-force
+/// linear scan: driven through a randomized insert / remove / move
+/// workload over points and rectangles of every size, every snapshot
+/// must answer range and k-NN queries exactly as a scan of the live
+/// multiset does. The workload includes duplicate (box, id) pairs,
+/// removals of absent entries, points on window edges, and a
+/// Checkpoint / Restore round trip in the middle of the churn.
 
 namespace casper::spatial {
 namespace {
@@ -17,8 +22,8 @@ namespace {
 struct WorkloadParams {
   size_t initial;
   int rounds;
-  int grid_cells;
-  int rtree_fanout;
+  int fanout;
+  size_t rebuild_threshold;
   uint64_t seed;
 };
 
@@ -30,78 +35,139 @@ TEST_P(DifferentialSpatialTest, IndexesAgreeUnderChurn) {
   Rng rng(params.seed);
   const Rect space(0, 0, 1, 1);
 
-  RTree tree(params.rtree_fanout);
-  GridIndex grid(space, params.grid_cells);
-  std::unordered_map<uint64_t, Point> live;
+  std::vector<Entry> live;
+  std::vector<Entry> gone;  // Removed or moved-away entries.
   uint64_t next_id = 0;
 
-  auto insert = [&]() {
+  // Mostly points; some rectangles up to a quarter of the space.
+  auto random_box = [&]() {
     const Point p = rng.PointIn(space);
-    const uint64_t id = next_id++;
-    tree.Insert(Rect::FromPoint(p), id);
-    ASSERT_TRUE(grid.Insert(p, id).ok());
-    live[id] = p;
+    if (rng.NextDouble() < 0.6) return Rect::FromPoint(p);
+    const double extent = rng.NextDouble() < 0.2 ? 0.5 : 0.05;
+    return Rect(p.x, p.y, p.x + rng.Uniform(0, extent),
+                p.y + rng.Uniform(0, extent));
   };
-  for (size_t i = 0; i < params.initial; ++i) insert();
+  auto pick = [&]() {
+    return static_cast<size_t>(rng.UniformInt(0, live.size() - 1));
+  };
+
+  std::vector<Entry> initial;
+  for (size_t i = 0; i < params.initial; ++i) {
+    initial.push_back({random_box(), next_id++});
+  }
+  live = initial;
+  EpochIndex index = EpochIndex::BulkLoad(std::move(initial), params.fanout,
+                                          params.rebuild_threshold);
+
+  auto check = [&](int round) {
+    const auto snap = index.Acquire();
+    ASSERT_EQ(snap->size(), live.size()) << "round " << round;
+    ASSERT_EQ(index.size(), live.size()) << "round " << round;
+
+    std::vector<Rect> windows;
+    const Point c = rng.PointIn(space);
+    windows.emplace_back(c.x, c.y, std::min(c.x + rng.Uniform(0, 0.3), 1.0),
+                         std::min(c.y + rng.Uniform(0, 0.3), 1.0));
+    windows.emplace_back(0.1, 0.1, 0.9, 0.9);  // A large region.
+    if (!live.empty()) {
+      // Closed boundaries: an entry whose corner sits exactly on a
+      // window edge is inside it.
+      const Rect& b = live[pick()].box;
+      windows.emplace_back(b.max.x, b.max.y, b.max.x + 0.1, b.max.y + 0.1);
+      windows.emplace_back(b.min.x - 0.1, b.min.y - 0.1, b.min.x, b.min.y);
+    }
+    for (const Rect& window : windows) {
+      std::vector<Entry> hits;
+      snap->RangeQuery(window, &hits);
+      const std::vector<uint64_t> want = oracle::RangeIds(live, window);
+      ASSERT_EQ(oracle::SortedIds(hits), want) << "round " << round;
+      ASSERT_EQ(snap->RangeCount(window), want.size()) << "round " << round;
+    }
+
+    const Point q = rng.PointIn(space);
+    for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
+      for (size_t k : {1u, 7u}) {
+        ASSERT_EQ(
+            oracle::Distances(oracle::Ranks(snap->KNearest(q, k, metric))),
+            oracle::Distances(oracle::Knn(live, q, k, metric)))
+            << "round " << round << " metric=" << static_cast<int>(metric)
+            << " k=" << k;
+      }
+    }
+  };
 
   for (int round = 0; round < params.rounds; ++round) {
     const double action = rng.NextDouble();
-    if (action < 0.4 || live.size() < 5) {
-      insert();
+    if (action < 0.3 || live.size() < 5) {
+      const Entry e{random_box(), next_id++};
+      index.Insert(e.box, e.id);
+      live.push_back(e);
+    } else if (action < 0.4) {
+      // A twin of a live entry; removing one copy must leave the other.
+      const Entry e = live[pick()];
+      index.Insert(e.box, e.id);
+      live.push_back(e);
+    } else if (action < 0.55) {
+      const size_t victim = pick();
+      ASSERT_TRUE(index.Remove(live[victim].box, live[victim].id))
+          << "round " << round;
+      gone.push_back(live[victim]);
+      live.erase(live.begin() + static_cast<ptrdiff_t>(victim));
     } else if (action < 0.6) {
-      // Remove a random live id.
-      auto it = live.begin();
-      std::advance(it, static_cast<long>(rng.UniformInt(0, live.size() - 1)));
-      ASSERT_TRUE(tree.Remove(Rect::FromPoint(it->second), it->first));
-      ASSERT_TRUE(grid.Remove(it->first).ok());
-      live.erase(it);
-    } else if (action < 0.8) {
-      // Move a random live id.
-      auto it = live.begin();
-      std::advance(it, static_cast<long>(rng.UniformInt(0, live.size() - 1)));
-      const Point p = rng.PointIn(space);
-      ASSERT_TRUE(tree.Remove(Rect::FromPoint(it->second), it->first));
-      tree.Insert(Rect::FromPoint(p), it->first);
-      ASSERT_TRUE(grid.Update(p, it->first).ok());
-      it->second = p;
-    } else {
-      // Cross-check queries.
-      const Point c = rng.PointIn(space);
-      const Rect window(c.x, c.y, std::min(c.x + rng.Uniform(0, 0.3), 1.0),
-                        std::min(c.y + rng.Uniform(0, 0.3), 1.0));
-      std::vector<uint64_t> from_tree;
-      tree.RangeQuery(window, [&](const RTree::Entry& e) {
-        from_tree.push_back(e.id);
-        return true;
-      });
-      std::vector<uint64_t> from_grid;
-      grid.RangeQuery(window, &from_grid);
-      std::sort(from_tree.begin(), from_tree.end());
-      std::sort(from_grid.begin(), from_grid.end());
-      ASSERT_EQ(from_tree, from_grid) << "round " << round;
-
-      const Point q = rng.PointIn(space);
-      const auto tree_nn = tree.Nearest(q);
-      const auto grid_nn = grid.Nearest(q);
-      ASSERT_EQ(tree_nn.found, grid_nn.found);
-      if (tree_nn.found) {
-        ASSERT_NEAR(tree_nn.neighbor.distance, grid_nn.distance, 1e-12)
-            << "round " << round;
+      // Absent entries: an unused id, a live id with a box it does not
+      // have, and an entry already removed (its base copy may still sit
+      // under a tombstone).
+      auto absent = [&](const Entry& e) {
+        return std::none_of(live.begin(), live.end(), [&](const Entry& l) {
+          return l.id == e.id && l.box == e.box;
+        });
+      };
+      ASSERT_FALSE(index.Remove(random_box(), next_id + 1000));
+      const Entry& e = live[pick()];
+      const Entry shifted{Rect(e.box.min.x + 1e-7, e.box.min.y,
+                               e.box.max.x + 1e-7, e.box.max.y),
+                          e.id};
+      if (absent(shifted)) {
+        ASSERT_FALSE(index.Remove(shifted.box, shifted.id));
       }
+      if (!gone.empty()) {
+        const Entry& old = gone[rng.UniformInt(0, gone.size() - 1)];
+        if (absent(old)) {
+          ASSERT_FALSE(index.Remove(old.box, old.id)) << "round " << round;
+        }
+      }
+    } else if (action < 0.8) {
+      // Move: the stores' upsert is Remove(old) + Insert(new).
+      Entry& e = live[pick()];
+      ASSERT_TRUE(index.Remove(e.box, e.id)) << "round " << round;
+      gone.push_back(e);
+      e.box = random_box();
+      index.Insert(e.box, e.id);
+    } else {
+      check(round);
+    }
+    if (round == params.rounds / 2) {
+      storage::MemoryStorageManager sm;
+      auto root = index.Checkpoint(&sm);
+      ASSERT_TRUE(root.ok()) << root.status().message();
+      auto restored = EpochIndex::Restore(&sm, *root);
+      ASSERT_TRUE(restored.ok()) << restored.status().message();
+      EXPECT_EQ(restored->stats().delta_entries, index.stats().delta_entries);
+      EXPECT_EQ(restored->stats().tombstones, index.stats().tombstones);
+      index = std::move(restored).value();
+      check(round);
     }
   }
-  EXPECT_EQ(tree.size(), live.size());
-  EXPECT_EQ(grid.size(), live.size());
-  EXPECT_TRUE(tree.CheckInvariants());
+  check(params.rounds);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, DifferentialSpatialTest,
-    ::testing::Values(WorkloadParams{50, 400, 8, 4, 1},
-                      WorkloadParams{200, 400, 16, 8, 2},
-                      WorkloadParams{500, 300, 32, 16, 3},
-                      WorkloadParams{5, 500, 4, 4, 4},
-                      WorkloadParams{1000, 200, 64, 12, 5}));
+    ::testing::Values(WorkloadParams{50, 400, 4, 16, 1},
+                      WorkloadParams{200, 400, 8, 128, 2},
+                      WorkloadParams{500, 300, 16, 64, 3},
+                      WorkloadParams{5, 500, 4, 1, 4},
+                      WorkloadParams{1000, 200, 12, 100000, 5}));
 
 }  // namespace
 }  // namespace casper::spatial

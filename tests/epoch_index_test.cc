@@ -8,16 +8,17 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "tests/spatial_oracle.h"
 
 namespace casper::spatial {
 namespace {
 
 const Rect kSpace(0.0, 0.0, 1.0, 1.0);
 
-std::vector<RTree::Entry> RandomRectEntries(size_t n, Rng* rng,
+std::vector<Entry> RandomRectEntries(size_t n, Rng* rng,
                                             double max_extent,
                                             uint64_t first_id = 0) {
-  std::vector<RTree::Entry> entries;
+  std::vector<Entry> entries;
   for (size_t i = 0; i < n; ++i) {
     const Point c = rng->PointIn(kSpace);
     const double w = rng->Uniform(0.0, max_extent);
@@ -25,14 +26,6 @@ std::vector<RTree::Entry> RandomRectEntries(size_t n, Rng* rng,
     entries.push_back({Rect(c.x, c.y, c.x + w, c.y + h), first_id + i});
   }
   return entries;
-}
-
-std::vector<uint64_t> SortedIds(const std::vector<RTree::Entry>& entries) {
-  std::vector<uint64_t> ids;
-  ids.reserve(entries.size());
-  for (const auto& e : entries) ids.push_back(e.id);
-  std::sort(ids.begin(), ids.end());
-  return ids;
 }
 
 TEST(EpochIndexTest, EmptyIndexPublishesUsableSnapshot) {
@@ -45,14 +38,14 @@ TEST(EpochIndexTest, EmptyIndexPublishesUsableSnapshot) {
 }
 
 /// Every mutation publishes a new epoch, and queries on the current
-/// snapshot always match the authoritative Guttman tree.
-TEST(EpochIndexTest, SnapshotMatchesAuthoritativeTreeAfterEachMutation) {
+/// snapshot always match a linear scan of the live entries.
+TEST(EpochIndexTest, SnapshotMatchesBruteForceAfterEachMutation) {
   Rng rng(1);
   EpochIndex index(8, /*rebuild_threshold=*/16);
-  std::vector<RTree::Entry> alive;
+  std::vector<Entry> alive;
   for (size_t step = 0; step < 300; ++step) {
     if (alive.empty() || rng.Uniform(0.0, 1.0) < 0.65) {
-      RTree::Entry e = RandomRectEntries(1, &rng, 0.05, step)[0];
+      Entry e = RandomRectEntries(1, &rng, 0.05, step)[0];
       index.Insert(e.box, e.id);
       alive.push_back(e);
     } else {
@@ -64,27 +57,55 @@ TEST(EpochIndexTest, SnapshotMatchesAuthoritativeTreeAfterEachMutation) {
     if (step % 10 != 0) continue;  // Deep-compare every 10th step.
     auto snap = index.Acquire();
     ASSERT_EQ(snap->size(), alive.size());
+    ASSERT_EQ(index.size(), alive.size());
     const Point a = rng.PointIn(kSpace);
     const Point b = rng.PointIn(kSpace);
     const Rect window(std::min(a.x, b.x), std::min(a.y, b.y),
                       std::max(a.x, b.x), std::max(a.y, b.y));
-    std::vector<RTree::Entry> from_tree;
-    index.tree().RangeQuery(window, &from_tree);
-    std::vector<RTree::Entry> from_snap;
+    std::vector<Entry> from_snap;
     snap->RangeQuery(window, &from_snap);
-    EXPECT_EQ(SortedIds(from_tree), SortedIds(from_snap));
-    EXPECT_EQ(index.tree().RangeCount(window), snap->RangeCount(window));
+    const std::vector<uint64_t> want = oracle::RangeIds(alive, window);
+    EXPECT_EQ(oracle::SortedIds(from_snap), want);
+    EXPECT_EQ(snap->RangeCount(window), want.size());
 
     const Point q = rng.PointIn(kSpace);
-    for (auto metric : {RTree::Metric::kMinDist, RTree::Metric::kMaxDist}) {
-      auto exact = index.tree().KNearest(q, 5, metric);
-      auto approx = snap->KNearest(q, 5, metric);
-      ASSERT_EQ(exact.size(), approx.size());
-      for (size_t i = 0; i < exact.size(); ++i) {
-        EXPECT_DOUBLE_EQ(exact[i].distance, approx[i].distance);
-      }
+    for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
+      EXPECT_EQ(oracle::Distances(oracle::Ranks(snap->KNearest(q, 5, metric))),
+                oracle::Distances(oracle::Knn(alive, q, 5, metric)));
     }
   }
+}
+
+/// The index is a multiset of (box, id): each Remove takes away one
+/// copy, from the delta first and then from the packed base, and
+/// reports false — changing nothing — once no copy is left.
+TEST(EpochIndexTest, RemoveTakesOneCopyAtATime) {
+  const Rect box(0.1, 0.1, 0.3, 0.3);
+  EpochIndex index = EpochIndex::BulkLoad(
+      {{box, 7}, {box, 7}, {Rect(0.5, 0.5, 0.6, 0.6), 8}}, 16,
+      /*rebuild_threshold=*/100);
+  EXPECT_FALSE(index.Remove(box, 9));                    // Wrong id.
+  EXPECT_FALSE(index.Remove(Rect(0.1, 0.1, 0.3, 0.31), 7));  // Wrong box.
+  index.Insert(box, 7);  // A third copy, in the delta.
+  EXPECT_EQ(index.size(), 4u);
+
+  EXPECT_TRUE(index.Remove(box, 7));  // Cancels the delta copy.
+  EXPECT_EQ(index.stats().delta_entries, 0u);
+  EXPECT_EQ(index.stats().tombstones, 0u);
+  EXPECT_TRUE(index.Remove(box, 7));  // Tombstones one base copy...
+  EXPECT_EQ(index.Acquire()->RangeCount(box), 1u);  // ...its twin stays.
+  EXPECT_TRUE(index.Remove(box, 7));
+  EXPECT_FALSE(index.Remove(box, 7));  // Both base copies are hidden.
+  EXPECT_EQ(index.stats().tombstones, 2u);
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(index.Acquire()->size(), 1u);
+  EXPECT_EQ(index.Acquire()->RangeCount(kSpace), 1u);
+
+  // Re-inserting after a tombstone is a fresh copy.
+  index.Insert(box, 7);
+  EXPECT_TRUE(index.Remove(box, 7));
+  EXPECT_FALSE(index.Remove(box, 7));
+  EXPECT_EQ(index.size(), 1u);
 }
 
 /// A reader's snapshot is frozen at acquisition: later writes neither
@@ -144,7 +165,7 @@ TEST(EpochIndexTest, StatsCountPublicationsRebuildsAndReclamation) {
 /// TSan-labeled guarantee that the read path is safe without locks.
 TEST(EpochIndexTest, ConcurrentReadersSeeConsistentSnapshots) {
   Rng rng(4);
-  std::vector<RTree::Entry> alive = RandomRectEntries(200, &rng, 0.05);
+  std::vector<Entry> alive = RandomRectEntries(200, &rng, 0.05);
   EpochIndex index = EpochIndex::BulkLoad(alive, 16, 32);
   std::atomic<bool> stop{false};
   std::atomic<size_t> reads{0};
@@ -160,7 +181,7 @@ TEST(EpochIndexTest, ConcurrentReadersSeeConsistentSnapshots) {
         // equals its size no matter what the writer does meanwhile.
         ASSERT_EQ(snap->RangeCount(kSpace), snapshot_size);
         const Point q = reader_rng.PointIn(kSpace);
-        auto nn = snap->KNearest(q, 3, RTree::Metric::kMaxDist);
+        auto nn = snap->KNearest(q, 3, Metric::kMaxDist);
         ASSERT_LE(nn.size(), std::min<size_t>(3, snapshot_size));
         reads.fetch_add(1, std::memory_order_relaxed);
       }
@@ -168,7 +189,7 @@ TEST(EpochIndexTest, ConcurrentReadersSeeConsistentSnapshots) {
   }
 
   for (int round = 0; round < 50; ++round) {
-    RTree::Entry e = RandomRectEntries(1, &rng, 0.05, 5000 + round)[0];
+    Entry e = RandomRectEntries(1, &rng, 0.05, 5000 + round)[0];
     index.Insert(e.box, e.id);
     const size_t victim = static_cast<size_t>(
         rng.Uniform(0.0, static_cast<double>(alive.size())));

@@ -6,16 +6,16 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/spatial/rtree.h"
+#include "tests/spatial_oracle.h"
 
 namespace casper::spatial {
 namespace {
 
 const Rect kSpace(0.0, 0.0, 1.0, 1.0);
 
-std::vector<RTree::Entry> RandomRectEntries(size_t n, Rng* rng,
+std::vector<Entry> RandomRectEntries(size_t n, Rng* rng,
                                             double max_extent) {
-  std::vector<RTree::Entry> entries;
+  std::vector<Entry> entries;
   for (size_t i = 0; i < n; ++i) {
     const Point c = rng->PointIn(kSpace);
     const double w = rng->Uniform(0.0, max_extent);
@@ -25,42 +25,14 @@ std::vector<RTree::Entry> RandomRectEntries(size_t n, Rng* rng,
   return entries;
 }
 
-std::vector<uint64_t> SortedIds(std::vector<RTree::Entry> entries) {
-  std::vector<uint64_t> ids;
-  ids.reserve(entries.size());
-  for (const auto& e : entries) ids.push_back(e.id);
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-/// Sorted distance multiset of a k-NN answer. Rect entries tie exactly
-/// (MinDist is 0 for every rectangle containing the query point), so
-/// two correct trees may return different ids at a tie — but the k
-/// smallest distances are uniquely determined.
-std::vector<double> Distances(const std::vector<RTree::Neighbor>& neighbors) {
-  std::vector<double> out;
-  out.reserve(neighbors.size());
-  for (const auto& n : neighbors) out.push_back(n.distance);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// (distance, id) pairs in deterministic order — exact comparison for
-/// point entries, where distance ties have probability zero.
-std::vector<std::pair<double, uint64_t>> Canonical(
-    const std::vector<RTree::Neighbor>& neighbors) {
-  std::vector<std::pair<double, uint64_t>> out;
-  out.reserve(neighbors.size());
-  for (const auto& n : neighbors) out.emplace_back(n.distance, n.id);
-  std::sort(out.begin(), out.end());
-  return out;
-}
+using oracle::Distances;
+using oracle::Ranks;
 
 TEST(FlatRTreeTest, EmptyTree) {
   FlatRTree tree;
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.size(), 0u);
-  std::vector<RTree::Entry> hits;
+  std::vector<Entry> hits;
   tree.RangeQuery(kSpace, &hits);
   EXPECT_TRUE(hits.empty());
   EXPECT_EQ(tree.RangeCount(kSpace), 0u);
@@ -92,88 +64,107 @@ TEST(FlatRTreeTest, InvariantsAcrossSizesAndFanouts) {
   }
 }
 
-/// The tentpole contract: after randomized inserts (and some removes)
-/// into the mutable Guttman tree, a flat rebuild from AllEntries()
-/// answers every range and k-NN query — under both metrics — with the
-/// identical result set.
-TEST(FlatRTreeTest, DifferentialAgainstGuttmanAfterRandomizedMutations) {
+/// Every range and k-NN query — under both metrics and several
+/// fan-outs — answers exactly what a linear scan of the entries does.
+TEST(FlatRTreeTest, DifferentialAgainstBruteForce) {
   Rng rng(42);
-  RTree mutable_tree(8);
-  std::vector<RTree::Entry> alive;
-  for (size_t i = 0; i < 600; ++i) {
-    RTree::Entry e = RandomRectEntries(1, &rng, 0.08)[0];
-    e.id = i;
-    mutable_tree.Insert(e.box, e.id);
-    alive.push_back(e);
-  }
-  // Remove a random third so the Guttman tree has seen condense-tree.
-  for (size_t i = 0; i < 200; ++i) {
-    const size_t victim = static_cast<size_t>(
-        rng.Uniform(0.0, static_cast<double>(alive.size())));
-    ASSERT_TRUE(mutable_tree.Remove(alive[victim].box, alive[victim].id));
-    alive.erase(alive.begin() + static_cast<ptrdiff_t>(victim));
-  }
+  std::vector<Entry> entries = RandomRectEntries(600, &rng, 0.08);
+  // Twins: duplicate (box, id) pairs are stored once per copy.
+  for (size_t i = 0; i < 20; ++i) entries.push_back(entries[i * 7]);
 
-  FlatRTree flat = FlatRTree::Build(mutable_tree.AllEntries(), 8);
-  ASSERT_EQ(flat.size(), alive.size());
-  ASSERT_TRUE(flat.CheckInvariants());
+  for (int fanout : {4, 8, 16}) {
+    FlatRTree flat = FlatRTree::Build(entries, fanout);
+    ASSERT_EQ(flat.size(), entries.size());
+    ASSERT_TRUE(flat.CheckInvariants());
 
-  for (int trial = 0; trial < 50; ++trial) {
-    const Point a = rng.PointIn(kSpace);
-    const Point b = rng.PointIn(kSpace);
-    const Rect window(std::min(a.x, b.x), std::min(a.y, b.y),
-                      std::max(a.x, b.x), std::max(a.y, b.y));
-    std::vector<RTree::Entry> guttman_hits;
-    mutable_tree.RangeQuery(window, &guttman_hits);
-    std::vector<RTree::Entry> flat_hits;
-    flat.RangeQuery(window, &flat_hits);
-    EXPECT_EQ(SortedIds(guttman_hits), SortedIds(flat_hits));
-    EXPECT_EQ(mutable_tree.RangeCount(window), flat.RangeCount(window));
+    for (int trial = 0; trial < 50; ++trial) {
+      const Point a = rng.PointIn(kSpace);
+      const Point b = rng.PointIn(kSpace);
+      const Rect window(std::min(a.x, b.x), std::min(a.y, b.y),
+                        std::max(a.x, b.x), std::max(a.y, b.y));
+      std::vector<Entry> flat_hits;
+      flat.RangeQuery(window, &flat_hits);
+      const std::vector<uint64_t> want = oracle::RangeIds(entries, window);
+      EXPECT_EQ(oracle::SortedIds(flat_hits), want);
+      EXPECT_EQ(flat.RangeCount(window), want.size());
 
-    const Point q = rng.PointIn(kSpace);
-    for (auto metric : {RTree::Metric::kMinDist, RTree::Metric::kMaxDist}) {
-      for (size_t k : {1u, 5u, 23u}) {
-        EXPECT_EQ(Distances(mutable_tree.KNearest(q, k, metric)),
-                  Distances(flat.KNearest(q, k, metric)))
-            << "metric=" << static_cast<int>(metric) << " k=" << k;
+      const Point q = rng.PointIn(kSpace);
+      for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
+        for (size_t k : {1u, 5u, 23u}) {
+          EXPECT_EQ(Distances(Ranks(flat.KNearest(q, k, metric))),
+                    Distances(oracle::Knn(entries, q, k, metric)))
+              << "M=" << fanout << " metric=" << static_cast<int>(metric)
+              << " k=" << k;
+        }
+        const auto packed = flat.Nearest(q, metric);
+        ASSERT_TRUE(packed.found);
+        EXPECT_EQ(packed.neighbor.distance,
+                  oracle::Knn(entries, q, 1, metric)[0].first);
       }
-      const auto exact = mutable_tree.Nearest(q, metric);
-      const auto packed = flat.Nearest(q, metric);
-      ASSERT_EQ(exact.found, packed.found);
-      EXPECT_DOUBLE_EQ(exact.neighbor.distance, packed.neighbor.distance);
     }
   }
 }
 
-/// Point entries never tie, so the k-NN id sequences must match
-/// exactly, under both metrics (which coincide for points).
+/// Point entries: the k-NN answer must match the oracle's canonical
+/// (distance, id) sequence exactly, under both metrics (which coincide
+/// for points).
 TEST(FlatRTreeTest, DifferentialPointEntriesExactIds) {
   Rng rng(1234);
-  std::vector<RTree::Entry> entries;
-  RTree mutable_tree(16);
+  std::vector<Entry> entries;
   for (size_t i = 0; i < 500; ++i) {
-    const Point p = rng.PointIn(kSpace);
-    entries.push_back({Rect::FromPoint(p), i});
-    mutable_tree.Insert(entries.back().box, i);
+    entries.push_back({Rect::FromPoint(rng.PointIn(kSpace)), i});
   }
   FlatRTree flat = FlatRTree::Build(entries, 16);
   ASSERT_TRUE(flat.CheckInvariants());
   for (int trial = 0; trial < 40; ++trial) {
     const Point q = rng.PointIn(kSpace);
-    for (auto metric : {RTree::Metric::kMinDist, RTree::Metric::kMaxDist}) {
+    for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
       for (size_t k : {1u, 10u}) {
-        EXPECT_EQ(Canonical(mutable_tree.KNearest(q, k, metric)),
-                  Canonical(flat.KNearest(q, k, metric)));
+        EXPECT_EQ(Ranks(flat.KNearest(q, k, metric)),
+                  oracle::Knn(entries, q, k, metric));
       }
     }
   }
+}
+
+/// FindExact counts copies of exactly (box, id) — twins included, near
+/// misses and other ids excluded — and reports the rows that hold them,
+/// for boxes from a point up to the whole space.
+TEST(FlatRTreeTest, FindExactCountsCopies) {
+  Rng rng(77);
+  std::vector<Entry> entries = RandomRectEntries(400, &rng, 0.3);
+  for (size_t i = 0; i < 50; ++i) {
+    entries.push_back({Rect::FromPoint(rng.PointIn(kSpace)), 1000 + i});
+  }
+  entries.push_back({kSpace, 5000});
+  for (size_t i = 0; i < 30; ++i) entries.push_back(entries[i * 13]);
+  const FlatRTree flat = FlatRTree::Build(entries, 8);
+
+  for (const Entry& e : entries) {
+    const auto copies = static_cast<size_t>(std::count_if(
+        entries.begin(), entries.end(), [&](const Entry& other) {
+          return other.id == e.id && other.box == e.box;
+        }));
+    std::vector<size_t> rows;
+    ASSERT_EQ(flat.FindExact(e.box, e.id, &rows), copies) << e.id;
+    ASSERT_EQ(rows.size(), copies);
+    for (size_t row : rows) {
+      EXPECT_EQ(flat.entry(row).id, e.id);
+      EXPECT_TRUE(flat.entry(row).box == e.box);
+    }
+    EXPECT_EQ(flat.FindExact(e.box, e.id + 100000), 0u);
+    const Rect nudged(e.box.min.x, e.box.min.y, e.box.max.x + 1e-9,
+                      e.box.max.y);
+    EXPECT_EQ(flat.FindExact(nudged, e.id), 0u);
+  }
+  EXPECT_EQ(FlatRTree().FindExact(kSpace, 1), 0u);
 }
 
 TEST(FlatRTreeTest, VisitorEarlyStopAndFilteredKnn) {
   Rng rng(7);
   FlatRTree tree = FlatRTree::Build(RandomRectEntries(200, &rng, 0.05), 8);
   size_t seen = 0;
-  tree.RangeQuery(kSpace, [&seen](const RTree::Entry&) {
+  tree.RangeQuery(kSpace, [&seen](const Entry&) {
     ++seen;
     return seen < 10;
   });
@@ -182,8 +173,8 @@ TEST(FlatRTreeTest, VisitorEarlyStopAndFilteredKnn) {
   // Filtering away even ids must yield the odd-id k-NN answer.
   const Point q{0.5, 0.5};
   auto odd_only = tree.KNearestFiltered(
-      q, 8, RTree::Metric::kMinDist,
-      [](const RTree::Entry& e) { return e.id % 2 == 1; });
+      q, 8, Metric::kMinDist,
+      [](const Entry& e) { return e.id % 2 == 1; });
   ASSERT_EQ(odd_only.size(), 8u);
   for (const auto& n : odd_only) EXPECT_EQ(n.id % 2, 1u);
   // Ascending distance, and no unfiltered entry closer than the last.
@@ -194,7 +185,7 @@ TEST(FlatRTreeTest, VisitorEarlyStopAndFilteredKnn) {
 
 TEST(FlatRTreeTest, BatchedKernelsMatchScalar) {
   Rng rng(99);
-  std::vector<RTree::Entry> entries = RandomRectEntries(100, &rng, 0.1);
+  std::vector<Entry> entries = RandomRectEntries(100, &rng, 0.1);
   std::vector<double> xlo, ylo, xhi, yhi;
   for (const auto& e : entries) {
     xlo.push_back(e.box.min.x);

@@ -80,7 +80,7 @@ TEST(MetricsConcurrencyTest, ConcurrentRegistrationReturnsOneInstrument) {
 
 TEST(MetricsConcurrencyTest, TracerFinishFromManyThreads) {
   MetricsRegistry registry;
-  QueryTracer tracer(&registry, /*ring_capacity=*/32);
+  QueryTracer tracer(&registry);
   constexpr size_t kThreads = 4;
   constexpr size_t kPerThread = 500;
   std::vector<std::thread> threads;
@@ -98,7 +98,17 @@ TEST(MetricsConcurrencyTest, TracerFinishFromManyThreads) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(tracer.finished_count(), kThreads * kPerThread);
-  EXPECT_EQ(tracer.Recent().size(), 32u);  // Ring stays bounded.
+  // Every span's evaluate phase landed in its histogram exactly once.
+  uint64_t evaluated = 0;
+  for (const MetricFamily& family : registry.Scrape().families) {
+    if (family.name != "casper_query_phase_seconds") continue;
+    for (const MetricSample& sample : family.samples) {
+      if (sample.labels[0].second == "evaluate") {
+        evaluated = sample.histogram.count;
+      }
+    }
+  }
+  EXPECT_EQ(evaluated, kThreads * kPerThread);
 }
 
 }  // namespace

@@ -1,29 +1,36 @@
-#include "src/spatial/rtree.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "src/common/rng.h"
+#include "src/spatial/epoch_index.h"
+#include "src/spatial/flat_rtree.h"
+#include "tests/spatial_oracle.h"
+
+/// The R-tree contract the spatial layer offers, checked against
+/// brute force: bulk loading, range and NN / k-NN search under both
+/// metrics, and multiset insert / remove. Static-query cases run on the
+/// packed FlatRTree; mutation cases run on EpochIndex, the layer's one
+/// mutable R-tree (a FlatRTree base plus its delta and tombstones).
 
 namespace casper::spatial {
 namespace {
 
-std::vector<RTree::Entry> RandomPointEntries(size_t n, Rng* rng,
-                                             const Rect& space) {
-  std::vector<RTree::Entry> entries;
+const Rect kSpace(0.0, 0.0, 1.0, 1.0);
+
+std::vector<Entry> RandomPointEntries(size_t n, Rng* rng) {
+  std::vector<Entry> entries;
   for (size_t i = 0; i < n; ++i) {
-    entries.push_back({Rect::FromPoint(rng->PointIn(space)), i});
+    entries.push_back({Rect::FromPoint(rng->PointIn(kSpace)), i});
   }
   return entries;
 }
 
-std::vector<RTree::Entry> RandomRectEntries(size_t n, Rng* rng,
-                                            const Rect& space,
-                                            double max_extent) {
-  std::vector<RTree::Entry> entries;
+std::vector<Entry> RandomRectEntries(size_t n, Rng* rng, double max_extent) {
+  std::vector<Entry> entries;
   for (size_t i = 0; i < n; ++i) {
-    const Point c = rng->PointIn(space);
+    const Point c = rng->PointIn(kSpace);
     const double w = rng->Uniform(0.0, max_extent);
     const double h = rng->Uniform(0.0, max_extent);
     entries.push_back({Rect(c.x, c.y, c.x + w, c.y + h), i});
@@ -31,136 +38,112 @@ std::vector<RTree::Entry> RandomRectEntries(size_t n, Rng* rng,
   return entries;
 }
 
-/// Brute-force oracle for range queries.
-std::vector<uint64_t> BruteRange(const std::vector<RTree::Entry>& entries,
-                                 const Rect& window) {
-  std::vector<uint64_t> ids;
-  for (const auto& e : entries) {
-    if (e.box.Intersects(window)) ids.push_back(e.id);
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
+std::vector<uint64_t> RangeIds(const EpochIndex& index, const Rect& window) {
+  std::vector<Entry> hits;
+  index.Acquire()->RangeQuery(window, &hits);
+  return oracle::SortedIds(hits);
 }
 
-/// Brute-force oracle for NN under a metric.
-uint64_t BruteNearest(const std::vector<RTree::Entry>& entries, const Point& q,
-                      RTree::Metric metric) {
-  uint64_t best = 0;
-  double best_d = 1e300;
-  for (const auto& e : entries) {
-    const double d = metric == RTree::Metric::kMinDist ? MinDist(q, e.box)
-                                                       : MaxDist(q, e.box);
-    if (d < best_d) {
-      best_d = d;
-      best = e.id;
-    }
-  }
-  return best;
+/// The index holds exactly `live`: same size, and every entry is found
+/// by a whole-space range query.
+void ExpectHolds(const EpochIndex& index, const std::vector<Entry>& live) {
+  EXPECT_EQ(index.size(), live.size());
+  EXPECT_EQ(index.Acquire()->size(), live.size());
+  EXPECT_EQ(RangeIds(index, kSpace), oracle::SortedIds(live));
 }
 
 TEST(RTreeTest, EmptyTree) {
-  RTree tree;
-  EXPECT_TRUE(tree.empty());
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_FALSE(tree.Nearest({0, 0}).found);
-  std::vector<RTree::Entry> out;
-  tree.RangeQuery(Rect(0, 0, 1, 1), &out);
+  EpochIndex index;
+  EXPECT_TRUE(index.empty());
+  EXPECT_EQ(index.size(), 0u);
+  const auto snap = index.Acquire();
+  EXPECT_FALSE(snap->Nearest({0, 0}).found);
+  std::vector<Entry> out;
+  snap->RangeQuery(kSpace, &out);
   EXPECT_TRUE(out.empty());
-  EXPECT_TRUE(tree.CheckInvariants());
+  EXPECT_TRUE(FlatRTree::Build({}).CheckInvariants());
 }
 
 TEST(RTreeTest, SingleEntry) {
-  RTree tree;
-  tree.Insert(Rect::FromPoint({0.5, 0.5}), 42);
-  EXPECT_EQ(tree.size(), 1u);
-  const auto nn = tree.Nearest({0, 0});
+  EpochIndex index;
+  index.Insert(Rect::FromPoint({0.5, 0.5}), 42);
+  EXPECT_EQ(index.size(), 1u);
+  const auto nn = index.Acquire()->Nearest({0, 0});
   ASSERT_TRUE(nn.found);
   EXPECT_EQ(nn.neighbor.id, 42u);
   EXPECT_NEAR(nn.neighbor.distance, Distance({0, 0}, {0.5, 0.5}), 1e-12);
-  EXPECT_TRUE(tree.CheckInvariants());
 }
 
 TEST(RTreeTest, InsertManyMaintainsInvariants) {
   Rng rng(3);
-  const Rect space(0, 0, 1, 1);
-  RTree tree(8);
+  EpochIndex index(8, /*rebuild_threshold=*/64);
+  std::vector<Entry> live;
   for (size_t i = 0; i < 500; ++i) {
-    tree.Insert(Rect::FromPoint(rng.PointIn(space)), i);
-    if (i % 50 == 0) {
-      ASSERT_TRUE(tree.CheckInvariants()) << "at " << i;
-    }
+    live.push_back({Rect::FromPoint(rng.PointIn(kSpace)), i});
+    index.Insert(live.back().box, live.back().id);
+    if (i % 50 == 0) ExpectHolds(index, live);
   }
-  EXPECT_EQ(tree.size(), 500u);
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_GT(tree.height(), 1);
+  ExpectHolds(index, live);
+  // The delta outgrew the threshold, so inserts were packed into the
+  // base more than once.
+  EXPECT_GT(index.stats().rebuilds, 1u);
+  EXPECT_LE(index.stats().delta_entries, 64u);
 }
 
 TEST(RTreeTest, RangeQueryMatchesBruteForce) {
   Rng rng(5);
-  const Rect space(0, 0, 1, 1);
-  auto entries = RandomRectEntries(300, &rng, space, 0.05);
-  RTree tree(8);
-  for (const auto& e : entries) tree.Insert(e.box, e.id);
+  auto entries = RandomRectEntries(300, &rng, 0.05);
+  EpochIndex index(8);
+  for (const auto& e : entries) index.Insert(e.box, e.id);
 
   for (int i = 0; i < 50; ++i) {
-    const Point c = rng.PointIn(space);
+    const Point c = rng.PointIn(kSpace);
     const Rect window(c.x, c.y, c.x + rng.Uniform(0, 0.3),
                       c.y + rng.Uniform(0, 0.3));
-    std::vector<RTree::Entry> out;
-    tree.RangeQuery(window, &out);
-    std::vector<uint64_t> got;
-    for (const auto& e : out) got.push_back(e.id);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, BruteRange(entries, window));
+    EXPECT_EQ(RangeIds(index, window), oracle::RangeIds(entries, window));
   }
 }
 
 TEST(RTreeTest, RangeCountMatchesQuery) {
   Rng rng(6);
-  const Rect space(0, 0, 1, 1);
-  auto entries = RandomPointEntries(200, &rng, space);
-  RTree tree = RTree::BulkLoad(entries);
+  FlatRTree tree = FlatRTree::Build(RandomPointEntries(200, &rng));
   const Rect window(0.2, 0.2, 0.7, 0.6);
-  std::vector<RTree::Entry> out;
+  std::vector<Entry> out;
   tree.RangeQuery(window, &out);
   EXPECT_EQ(tree.RangeCount(window), out.size());
 }
 
 TEST(RTreeTest, NearestMatchesBruteForceMinDist) {
   Rng rng(7);
-  const Rect space(0, 0, 1, 1);
-  auto entries = RandomPointEntries(400, &rng, space);
-  RTree tree = RTree::BulkLoad(entries);
+  auto entries = RandomPointEntries(400, &rng);
+  FlatRTree tree = FlatRTree::Build(entries);
   for (int i = 0; i < 100; ++i) {
-    const Point q = rng.PointIn(space);
-    const auto nn = tree.Nearest(q, RTree::Metric::kMinDist);
+    const Point q = rng.PointIn(kSpace);
+    const auto nn = tree.Nearest(q, Metric::kMinDist);
     ASSERT_TRUE(nn.found);
-    const uint64_t expect = BruteNearest(entries, q, RTree::Metric::kMinDist);
     // Compare by distance (ties possible).
     EXPECT_NEAR(nn.neighbor.distance,
-                MinDist(q, entries[expect].box), 1e-12);
+                oracle::Knn(entries, q, 1, Metric::kMinDist)[0].first, 1e-12);
   }
 }
 
 TEST(RTreeTest, NearestMatchesBruteForceMaxDist) {
   Rng rng(8);
-  const Rect space(0, 0, 1, 1);
-  auto entries = RandomRectEntries(300, &rng, space, 0.1);
-  RTree tree = RTree::BulkLoad(entries);
+  auto entries = RandomRectEntries(300, &rng, 0.1);
+  FlatRTree tree = FlatRTree::Build(entries);
   for (int i = 0; i < 100; ++i) {
-    const Point q = rng.PointIn(space);
-    const auto nn = tree.Nearest(q, RTree::Metric::kMaxDist);
+    const Point q = rng.PointIn(kSpace);
+    const auto nn = tree.Nearest(q, Metric::kMaxDist);
     ASSERT_TRUE(nn.found);
-    const uint64_t expect = BruteNearest(entries, q, RTree::Metric::kMaxDist);
-    EXPECT_NEAR(nn.neighbor.distance, MaxDist(q, entries[expect].box), 1e-12);
+    EXPECT_NEAR(nn.neighbor.distance,
+                oracle::Knn(entries, q, 1, Metric::kMaxDist)[0].first, 1e-12);
   }
 }
 
 TEST(RTreeTest, KNearestSortedAndComplete) {
   Rng rng(9);
-  const Rect space(0, 0, 1, 1);
-  auto entries = RandomPointEntries(100, &rng, space);
-  RTree tree = RTree::BulkLoad(entries);
+  auto entries = RandomPointEntries(100, &rng);
+  FlatRTree tree = FlatRTree::Build(entries);
 
   const Point q{0.4, 0.6};
   const auto knn = tree.KNearest(q, 10);
@@ -168,97 +151,90 @@ TEST(RTreeTest, KNearestSortedAndComplete) {
   for (size_t i = 1; i < knn.size(); ++i) {
     EXPECT_LE(knn[i - 1].distance, knn[i].distance);
   }
-  // Compare distances against a sorted brute-force list.
-  std::vector<double> brute;
-  for (const auto& e : entries) brute.push_back(MinDist(q, e.box));
-  std::sort(brute.begin(), brute.end());
+  const auto brute = oracle::Knn(entries, q, 10, Metric::kMinDist);
   for (size_t i = 0; i < knn.size(); ++i) {
-    EXPECT_NEAR(knn[i].distance, brute[i], 1e-12);
+    EXPECT_NEAR(knn[i].distance, brute[i].first, 1e-12);
   }
 }
 
 TEST(RTreeTest, KNearestMoreThanSizeReturnsAll) {
   Rng rng(10);
-  auto entries = RandomPointEntries(7, &rng, Rect(0, 0, 1, 1));
-  RTree tree = RTree::BulkLoad(entries);
+  FlatRTree tree = FlatRTree::Build(RandomPointEntries(7, &rng));
   EXPECT_EQ(tree.KNearest({0.5, 0.5}, 100).size(), 7u);
 }
 
 TEST(RTreeTest, RemoveExistingAndMissing) {
   Rng rng(11);
-  const Rect space(0, 0, 1, 1);
-  auto entries = RandomPointEntries(200, &rng, space);
-  RTree tree(8);
-  for (const auto& e : entries) tree.Insert(e.box, e.id);
+  auto entries = RandomPointEntries(200, &rng);
+  EpochIndex index(8, /*rebuild_threshold=*/32);
+  for (const auto& e : entries) index.Insert(e.box, e.id);
 
-  // Remove half, verifying size and invariants.
+  // Remove half; the removals hit packed base entries (tombstones) as
+  // well as entries still in the delta.
   for (size_t i = 0; i < 100; ++i) {
-    EXPECT_TRUE(tree.Remove(entries[i].box, entries[i].id));
+    EXPECT_TRUE(index.Remove(entries[i].box, entries[i].id));
   }
-  EXPECT_EQ(tree.size(), 100u);
-  EXPECT_TRUE(tree.CheckInvariants());
+  const std::vector<Entry> rest(entries.begin() + 100, entries.end());
+  ExpectHolds(index, rest);
 
   // Removing again fails.
-  EXPECT_FALSE(tree.Remove(entries[0].box, entries[0].id));
+  EXPECT_FALSE(index.Remove(entries[0].box, entries[0].id));
   // Wrong box fails.
-  EXPECT_FALSE(tree.Remove(Rect(0.999, 0.999, 0.9999, 0.9999), entries[150].id));
+  EXPECT_FALSE(
+      index.Remove(Rect(0.999, 0.999, 0.9999, 0.9999), entries[150].id));
+  EXPECT_EQ(index.size(), 100u);
 
   // Remaining entries still query correctly.
-  std::vector<RTree::Entry> rest(entries.begin() + 100, entries.end());
+  const auto snap = index.Acquire();
   for (int i = 0; i < 20; ++i) {
-    const Point q = rng.PointIn(space);
-    const auto nn = tree.Nearest(q);
+    const Point q = rng.PointIn(kSpace);
+    const auto nn = snap->Nearest(q);
     ASSERT_TRUE(nn.found);
-    const uint64_t expect = BruteNearest(rest, q, RTree::Metric::kMinDist);
-    EXPECT_NEAR(nn.neighbor.distance, MinDist(q, rest[expect - 100].box),
-                1e-12);
+    EXPECT_NEAR(nn.neighbor.distance,
+                oracle::Knn(rest, q, 1, Metric::kMinDist)[0].first, 1e-12);
   }
 }
 
 TEST(RTreeTest, RemoveAllLeavesEmptyUsableTree) {
   Rng rng(12);
-  auto entries = RandomPointEntries(64, &rng, Rect(0, 0, 1, 1));
-  RTree tree(4);
-  for (const auto& e : entries) tree.Insert(e.box, e.id);
-  for (const auto& e : entries) ASSERT_TRUE(tree.Remove(e.box, e.id));
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.CheckInvariants());
-  tree.Insert(Rect::FromPoint({0.5, 0.5}), 1);
-  EXPECT_EQ(tree.size(), 1u);
+  auto entries = RandomPointEntries(64, &rng);
+  EpochIndex index(4, /*rebuild_threshold=*/8);
+  for (const auto& e : entries) index.Insert(e.box, e.id);
+  for (const auto& e : entries) ASSERT_TRUE(index.Remove(e.box, e.id));
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_TRUE(RangeIds(index, kSpace).empty());
+  EXPECT_FALSE(index.Acquire()->Nearest({0.5, 0.5}).found);
+  index.Insert(Rect::FromPoint({0.5, 0.5}), 1);
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_TRUE(index.Acquire()->Nearest({0, 0}).found);
 }
 
 TEST(RTreeTest, BulkLoadInvariantsAndQueries) {
   Rng rng(13);
-  const Rect space(0, 0, 1, 1);
   for (size_t n : {1u, 5u, 16u, 17u, 100u, 1000u}) {
-    auto entries = RandomPointEntries(n, &rng, space);
-    RTree tree = RTree::BulkLoad(entries, 16);
+    auto entries = RandomPointEntries(n, &rng);
+    FlatRTree tree = FlatRTree::Build(entries, 16);
     EXPECT_EQ(tree.size(), n);
     EXPECT_TRUE(tree.CheckInvariants()) << "n=" << n;
     const Rect window(0.25, 0.25, 0.75, 0.75);
-    std::vector<RTree::Entry> out;
+    std::vector<Entry> out;
     tree.RangeQuery(window, &out);
-    std::vector<uint64_t> got;
-    for (const auto& e : out) got.push_back(e.id);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, BruteRange(entries, window));
+    EXPECT_EQ(oracle::SortedIds(out), oracle::RangeIds(entries, window));
   }
 }
 
 TEST(RTreeTest, BulkLoadHeightIsLogarithmic) {
   Rng rng(14);
-  auto entries = RandomPointEntries(4096, &rng, Rect(0, 0, 1, 1));
-  RTree tree = RTree::BulkLoad(entries, 16);
+  FlatRTree tree = FlatRTree::Build(RandomPointEntries(4096, &rng), 16);
   // 4096 entries at fan-out 16: leaves 256, level2 16, level3 1 => height 3.
   EXPECT_LE(tree.height(), 4);
 }
 
 TEST(RTreeTest, VisitorEarlyStop) {
   Rng rng(15);
-  auto entries = RandomPointEntries(100, &rng, Rect(0, 0, 1, 1));
-  RTree tree = RTree::BulkLoad(entries);
+  EpochIndex index = EpochIndex::BulkLoad(RandomPointEntries(100, &rng));
   int visited = 0;
-  tree.RangeQuery(Rect(0, 0, 1, 1), [&visited](const RTree::Entry&) {
+  index.Acquire()->RangeQuery(kSpace, [&visited](const Entry&) {
     ++visited;
     return visited < 5;
   });
@@ -267,64 +243,57 @@ TEST(RTreeTest, VisitorEarlyStop) {
 
 TEST(RTreeTest, BoundsCoverAllEntries) {
   Rng rng(16);
-  auto entries = RandomRectEntries(50, &rng, Rect(0, 0, 1, 1), 0.2);
-  RTree tree = RTree::BulkLoad(entries);
+  auto entries = RandomRectEntries(50, &rng, 0.2);
+  FlatRTree tree = FlatRTree::Build(entries);
   const Rect b = tree.bounds();
   for (const auto& e : entries) EXPECT_TRUE(b.Contains(e.box));
 }
 
 TEST(RTreeTest, MoveSemantics) {
-  RTree a;
+  EpochIndex a;
   a.Insert(Rect::FromPoint({0.1, 0.1}), 1);
-  RTree b = std::move(a);
+  EpochIndex b = std::move(a);
   EXPECT_EQ(b.size(), 1u);
-  RTree c;
+  EpochIndex c;
   c = std::move(b);
   EXPECT_EQ(c.size(), 1u);
-  EXPECT_TRUE(c.Nearest({0, 0}).found);
+  EXPECT_TRUE(c.Acquire()->Nearest({0, 0}).found);
 }
 
 TEST(RTreeTest, DuplicatePositionsAllowed) {
-  RTree tree(4);
+  EpochIndex index(4, /*rebuild_threshold=*/8);
   for (uint64_t i = 0; i < 20; ++i) {
-    tree.Insert(Rect::FromPoint({0.5, 0.5}), i);
+    index.Insert(Rect::FromPoint({0.5, 0.5}), i);
   }
-  EXPECT_EQ(tree.size(), 20u);
-  EXPECT_TRUE(tree.CheckInvariants());
-  std::vector<RTree::Entry> out;
-  tree.RangeQuery(Rect(0.5, 0.5, 0.5, 0.5), &out);
-  EXPECT_EQ(out.size(), 20u);
+  EXPECT_EQ(index.size(), 20u);
+  EXPECT_EQ(RangeIds(index, Rect(0.5, 0.5, 0.5, 0.5)).size(), 20u);
   // Remove a specific duplicate by id.
-  EXPECT_TRUE(tree.Remove(Rect::FromPoint({0.5, 0.5}), 7));
-  EXPECT_EQ(tree.size(), 19u);
+  EXPECT_TRUE(index.Remove(Rect::FromPoint({0.5, 0.5}), 7));
+  EXPECT_EQ(index.size(), 19u);
+  const auto ids = RangeIds(index, Rect(0.5, 0.5, 0.5, 0.5));
+  EXPECT_EQ(ids.size(), 19u);
+  EXPECT_EQ(std::count(ids.begin(), ids.end(), 7u), 0);
 }
 
 TEST(RTreeTest, MixedInsertRemoveChurn) {
   Rng rng(17);
-  const Rect space(0, 0, 1, 1);
-  RTree tree(6);
-  std::vector<RTree::Entry> live;
+  EpochIndex index(6, /*rebuild_threshold=*/24);
+  std::vector<Entry> live;
   uint64_t next_id = 0;
   for (int round = 0; round < 1000; ++round) {
     if (live.empty() || rng.Bernoulli(0.6)) {
-      RTree::Entry e{Rect::FromPoint(rng.PointIn(space)), next_id++};
-      tree.Insert(e.box, e.id);
+      Entry e{Rect::FromPoint(rng.PointIn(kSpace)), next_id++};
+      index.Insert(e.box, e.id);
       live.push_back(e);
     } else {
       const size_t idx = rng.UniformInt(0, live.size() - 1);
-      ASSERT_TRUE(tree.Remove(live[idx].box, live[idx].id));
+      ASSERT_TRUE(index.Remove(live[idx].box, live[idx].id));
       live.erase(live.begin() + static_cast<ptrdiff_t>(idx));
     }
   }
-  EXPECT_EQ(tree.size(), live.size());
-  EXPECT_TRUE(tree.CheckInvariants());
+  ExpectHolds(index, live);
   const Rect window(0.1, 0.1, 0.9, 0.4);
-  std::vector<RTree::Entry> out;
-  tree.RangeQuery(window, &out);
-  std::vector<uint64_t> got;
-  for (const auto& e : out) got.push_back(e.id);
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, BruteRange(live, window));
+  EXPECT_EQ(RangeIds(index, window), oracle::RangeIds(live, window));
 }
 
 }  // namespace

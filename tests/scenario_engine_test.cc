@@ -55,19 +55,6 @@ TEST_P(AllScenariosTest, GreenOnSocket) {
   EXPECT_TRUE(report->Passed());
 }
 
-TEST_P(AllScenariosTest, GreenOnFourShards) {
-  auto script = ScriptFor(GetParam());
-  ASSERT_TRUE(script.ok());
-  ScenarioOptions options = TinyOptions();
-  options.ticks = 4;
-  options.stack.kind = StackKind::kShards;
-  options.stack.shards = 4;
-  auto report = RunScenario(*script, options);
-  ASSERT_TRUE(report.ok()) << report.status().message();
-  EXPECT_EQ(report->stack, "shards:4");
-  EXPECT_TRUE(report->Passed());
-}
-
 INSTANTIATE_TEST_SUITE_P(Named, AllScenariosTest,
                          ::testing::ValuesIn(ScenarioNames()),
                          [](const auto& info) { return info.param; });

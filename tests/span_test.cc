@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 /// Tests of the query-span tracer: phase accumulation, histogram
-/// fold-in, and the recent-span ring.
+/// fold-in, and the finished-span count.
 
 namespace casper::obs {
 namespace {
@@ -74,18 +74,24 @@ TEST(SpanTest, RecordPhaseBypassesSpans) {
   EXPECT_EQ(tracer.finished_count(), 0u);  // Not a finished span.
 }
 
-TEST(SpanTest, RingKeepsMostRecentSpansInOrder) {
+TEST(SpanTest, FinishCountsEverySpan) {
   MetricsRegistry registry;
-  QueryTracer tracer(&registry, /*ring_capacity=*/3);
+  QueryTracer tracer(&registry);
   for (int i = 0; i < 5; ++i) {
-    tracer.Finish(tracer.Start("density"));
+    QuerySpan span = tracer.Start("density");
+    EXPECT_EQ(span.trace_id, static_cast<uint64_t>(i + 1));
+    span.phase_seconds[static_cast<size_t>(Phase::kEvaluate)] = 0.001;
+    tracer.Finish(span);
   }
-  const std::vector<QuerySpan> recent = tracer.Recent();
-  ASSERT_EQ(recent.size(), 3u);
-  // Oldest first, and only the last three survive.
-  EXPECT_LT(recent[0].trace_id, recent[1].trace_id);
-  EXPECT_LT(recent[1].trace_id, recent[2].trace_id);
-  EXPECT_EQ(recent[2].trace_id, 5u);
+  EXPECT_EQ(tracer.finished_count(), 5u);
+  for (const MetricFamily& family : registry.Scrape().families) {
+    if (family.name != "casper_query_phase_seconds") continue;
+    for (const MetricSample& sample : family.samples) {
+      const uint64_t expected =
+          sample.labels[0].second == "evaluate" ? 5u : 0u;
+      EXPECT_EQ(sample.histogram.count, expected) << sample.labels[0].second;
+    }
+  }
 }
 
 TEST(SpanTest, PhaseNamesAreStable) {

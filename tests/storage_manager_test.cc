@@ -244,9 +244,9 @@ TEST_F(DiskReopenTest, MissingFilesAreNotFound) {
 }
 
 TEST_F(DiskReopenTest, CreateUnderMissingParentDirIsTypedNotFound) {
-  // Shard handoff writes per-shard checkpoint files under caller-chosen
-  // directories; a typo'd directory must surface as a typed error, not
-  // an opaque fopen failure.
+  // Checkpoints land under caller-chosen directories; a typo'd
+  // directory must surface as a typed error, not an opaque fopen
+  // failure.
   const std::string base =
       TestPath("no_such_dir") + "/deeper/checkpoint";
   const auto created = DiskStorageManager::Create(base);

@@ -24,8 +24,6 @@
 #include "src/obs/exporters.h"
 #include "src/scenarios/scenario.h"
 #include "src/server/query_server.h"
-#include "src/sharding/shard_endpoint.h"
-#include "src/sharding/shard_router.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/disk_storage.h"
 #include "src/transport/fault_injection.h"
@@ -68,29 +66,23 @@ struct ChaosFlags {
 
 void PrintUsage(const char* argv0) {
   std::printf(
-      "usage: %s [--shards=N] [--connect=ADDR] [--idempotency-window=N]\n"
+      "usage: %s [--connect=ADDR] [--idempotency-window=N]\n"
       "          [--chaos-drop=R] [--chaos-corrupt=R]\n"
       "          [--chaos-dup=R] [--chaos-delay=R] "
       "[--chaos-delay-micros=N]\n"
       "          [--chaos-seed=N]\n"
-      "       %s scenario <name> [--socket | --shards=N | "
-      "--connect=ADDR]\n"
+      "       %s scenario <name> [--socket | --connect=ADDR]\n"
       "          [--users=N] [--targets=N] [--ticks=N] "
       "[--queries-per-tick=N]\n"
       "          [--threads=N] [--seed=N] [--no-oracles] "
       "[--oracle-interval=N]\n"
       "          [--oracle-samples=N] [--out=PATH] [--chaos-*]\n"
-      "       %s serve <addr> [--shards=N] [--targets=N "
-      "[--targets-seed=S]]\n"
+      "       %s serve <addr> [--targets=N [--targets-seed=S]]\n"
       "          [--idempotency-window=N] [--net-workers=N] "
       "[--net-max-conns=N]\n"
       "          [--net-watermark=N] [--net-max-rps=N] "
       "[--net-max-bytes=N]\n"
       "          [--net-ban-seconds=F] [--net-idle-timeout=F]\n"
-      "  --shards=N replaces the single server tier with N QueryServer\n"
-      "  shards behind a sharding::ShardRouter; every query, upsert, and\n"
-      "  snapshot fans out over per-shard resilient channels (see the\n"
-      "  `shards` and `rebalance` commands).\n"
       "  --connect=ADDR sends the anonymizer's wire traffic to a remote\n"
       "  `%s serve` process over a real socket (`unix:/path` or\n"
       "  `host:port`) instead of the in-process server; chaos flags\n"
@@ -106,9 +98,7 @@ void PrintUsage(const char* argv0) {
       "  limits per the --net-* flags, SIGINT/SIGTERM drain.\n"
       "  R are per-call fault probabilities in [0, 1]; any non-zero rate\n"
       "  injects deterministic faults (seeded by --chaos-seed) into the\n"
-      "  anonymizer<->server channel — or, with --shards, independently\n"
-      "  into every shard's channel, so single-shard outages show up as\n"
-      "  degraded=true partial answers. The `transport` command shows the\n"
+      "  anonymizer<->server channel. The `transport` command shows the\n"
       "  breaker state and what was injected.\n",
       argv0, argv0, argv0, argv0);
 }
@@ -166,12 +156,6 @@ void PrintHelp() {
       "                                       saved checkpoint\n"
       "  metrics [json]                       scrape the metrics registry\n"
       "                                       (Prometheus text, or JSON)\n"
-      "  shards                               partition map, per-shard\n"
-      "                                       counts/breakers (--shards)\n"
-      "  rebalance <dir>                      recompute the partition from\n"
-      "                                       observed load and hand cells\n"
-      "                                       off via checkpoints under\n"
-      "                                       <dir> (--shards)\n"
       "  help                                 this text\n"
       "  quit                                 exit\n");
 }
@@ -180,17 +164,16 @@ volatile sig_atomic_t g_stop = 0;
 void StopSignal(int) { g_stop = 1; }
 
 /// `casper_cli serve <addr>`: run the untrusted server tier alone — a
-/// QueryServer (or, with --shards, a ShardRouter fleet) behind a
-/// SocketListener — until SIGINT/SIGTERM, then drain gracefully. The
-/// trusted anonymizer stays in the client process (`--connect=ADDR`),
-/// so exact user locations never enter this process at all.
+/// QueryServer behind a SocketListener — until SIGINT/SIGTERM, then
+/// drain gracefully. The trusted anonymizer stays in the client process
+/// (`--connect=ADDR`), so exact user locations never enter this process
+/// at all.
 int RunServe(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr, "usage: %s serve <addr> [flags]\n", argv[0]);
     return 2;
   }
   const std::string address = argv[2];
-  unsigned long long shards = 0;
   unsigned long long targets = 0, targets_seed = 7;
   unsigned long long idempotency_window = 8192;
   transport::ListenerOptions net;
@@ -203,14 +186,7 @@ int RunServe(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const char* arg = argv[i];
     unsigned long long* target_ull = nullptr;
-    if (std::strncmp(arg, "--shards=", 9) == 0) {
-      if (std::sscanf(arg + 9, "%llu", &shards) != 1 || shards < 1 ||
-          shards > 256) {
-        std::fprintf(stderr, "bad flag: %s (want 1..256 shards)\n", arg);
-        return 2;
-      }
-      continue;
-    } else if (std::strncmp(arg, "--targets=", 10) == 0) {
+    if (std::strncmp(arg, "--targets=", 10) == 0) {
       target_ull = &targets;
       arg += 10;
     } else if (std::strncmp(arg, "--targets-seed=", 15) == 0) {
@@ -287,47 +263,25 @@ int RunServe(int argc, char** argv) {
   // same (n, seed) pair).
   const Rect space = anonymizer::PyramidConfig{}.space;
 
-  std::unique_ptr<server::QueryServer> query_server;
-  std::unique_ptr<transport::ServerEndpoint> endpoint;
-  std::unique_ptr<sharding::ShardRouter> router;
-  std::unique_ptr<sharding::ShardEndpoint> shard_endpoint;
-  transport::SocketHandler raw_handler;
-  if (shards > 0) {
-    sharding::ShardRouterOptions router_options;
-    router_options.num_shards = shards;
-    router_options.partition_level = 4;
-    router_options.space = space;
-    router_options.server.idempotency_window = idempotency_window;
-    router = std::make_unique<sharding::ShardRouter>(router_options);
-    shard_endpoint = std::make_unique<sharding::ShardEndpoint>(router.get());
-    raw_handler = [&shard_endpoint](std::string_view request,
-                                    const transport::CallContext& context) {
-      return shard_endpoint->Handle(request, context);
-    };
-  } else {
-    server::QueryServerOptions server_options;
-    server_options.density_extent = space;
-    server_options.idempotency_window = idempotency_window;
-    query_server = std::make_unique<server::QueryServer>(server_options);
-    endpoint = std::make_unique<transport::ServerEndpoint>(query_server.get());
-    raw_handler = [&endpoint](std::string_view request,
-                              const transport::CallContext& context) {
-      return endpoint->Handle(request, context);
-    };
-  }
+  server::QueryServerOptions server_options;
+  server_options.density_extent = space;
+  server_options.idempotency_window = idempotency_window;
+  server::QueryServer query_server(server_options);
+  transport::ServerEndpoint endpoint(&query_server);
   if (targets > 0) {
     Rng target_rng(targets_seed);
-    auto generated =
-        workload::UniformPublicTargets(targets, space, &target_rng);
-    if (router != nullptr) {
-      router->SetPublicTargets(generated);
-    } else {
-      query_server->SetPublicTargets(generated);
-    }
+    query_server.SetPublicTargets(
+        workload::UniformPublicTargets(targets, space, &target_rng));
   }
 
   auto listener = transport::SocketListener::Start(
-      address, transport::SerializedHandler(std::move(raw_handler)), net);
+      address,
+      transport::SerializedHandler(
+          [&endpoint](std::string_view request,
+                      const transport::CallContext& context) {
+            return endpoint.Handle(request, context);
+          }),
+      net);
   if (!listener.ok()) {
     std::fprintf(stderr, "%s\n", listener.status().ToString().c_str());
     return 1;
@@ -336,10 +290,8 @@ int RunServe(int argc, char** argv) {
   signal(SIGTERM, StopSignal);
   // The readiness line clients and scripts wait for; flushed so it is
   // visible through a pipe immediately.
-  std::printf("serving on %s (%llu shard%s, %llu targets, "
-              "idempotency_window=%llu)\n",
-              (*listener)->bound_address().c_str(),
-              shards > 0 ? shards : 1ull, shards > 1 ? "s" : "", targets,
+  std::printf("serving on %s (%llu targets, idempotency_window=%llu)\n",
+              (*listener)->bound_address().c_str(), targets,
               idempotency_window);
   std::fflush(stdout);
   while (!g_stop) usleep(100 * 1000);
@@ -440,11 +392,6 @@ int RunScenarioCommand(int argc, char** argv) {
       options.out_path = arg + 6;
     } else if (std::strcmp(arg, "--socket") == 0) {
       options.stack.kind = scenarios::StackKind::kSocket;
-    } else if (std::strncmp(arg, "--shards=", 9) == 0 &&
-               std::sscanf(arg + 9, "%llu", &value) == 1 && value >= 1 &&
-               value <= 256) {
-      options.stack.kind = scenarios::StackKind::kShards;
-      options.stack.shards = value;
     } else if (std::strncmp(arg, "--connect=", 10) == 0 &&
                arg[10] != '\0') {
       options.stack.kind = scenarios::StackKind::kConnect;
@@ -514,23 +461,13 @@ int RunScenarioCommand(int argc, char** argv) {
 
 int Run(int argc, char** argv) {
   ChaosFlags chaos;
-  unsigned long long shards = 0;  // 0 = classic single-server tier.
-  std::string connect;            // Empty = in-process server tier.
+  std::string connect;  // Empty = in-process server tier.
   unsigned long long idempotency_window = 8192;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0 ||
         std::strcmp(argv[i], "-h") == 0) {
       PrintUsage(argv[0]);
       return 0;
-    }
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      if (std::sscanf(argv[i] + 9, "%llu", &shards) != 1 || shards < 1 ||
-          shards > 256) {
-        std::fprintf(stderr, "bad flag: %s (want 1..256 shards)\n", argv[i]);
-        PrintUsage(argv[0]);
-        return 2;
-      }
-      continue;
     }
     if (std::strncmp(argv[i], "--connect=", 10) == 0) {
       connect = argv[i] + 10;
@@ -553,54 +490,15 @@ int Run(int argc, char** argv) {
       return 2;
     }
   }
-  if (!connect.empty() && shards > 0) {
-    std::fprintf(stderr,
-                 "--connect and --shards are exclusive: sharding lives "
-                 "server-side (`casper_cli serve <addr> --shards=N`)\n");
-    return 2;
-  }
 
   CasperOptions options;
   options.pyramid.height = 8;
   options.server_idempotency_window = idempotency_window;
   transport::FaultInjectingChannel* fault = nullptr;
   transport::SocketChannel* socket = nullptr;
-  std::vector<transport::FaultInjectingChannel*> shard_faults;
   const transport::FaultProfile profile = chaos.ToProfile();
 
-  // Sharded mode: the service's wire traffic is redirected from its
-  // in-process server to a ShardRouter fleet. The router and its wire
-  // front must outlive the service, whose resilient client holds the
-  // returned channel.
-  std::unique_ptr<sharding::ShardRouter> router;
-  std::unique_ptr<sharding::ShardEndpoint> shard_endpoint;
-  if (shards > 0) {
-    sharding::ShardRouterOptions router_options;
-    router_options.num_shards = shards;
-    router_options.partition_level = 4;
-    router_options.space = options.pyramid.space;
-    if (chaos.enabled()) {
-      // Chaos composes per shard: each shard's channel gets its own
-      // deterministic fault stream, so one shard can trip its breaker
-      // while the rest keep answering (degraded=true partial answers).
-      router_options.channel_decorator =
-          [&shard_faults, &profile, &chaos](
-              transport::Channel* inner,
-              size_t shard) -> std::unique_ptr<transport::Channel> {
-        auto owned = std::make_unique<transport::FaultInjectingChannel>(
-            inner, profile, chaos.seed + shard);
-        shard_faults.push_back(owned.get());
-        return owned;
-      };
-    }
-    router = std::make_unique<sharding::ShardRouter>(router_options);
-    shard_endpoint = std::make_unique<sharding::ShardEndpoint>(router.get());
-    options.channel_decorator =
-        [&shard_endpoint](
-            transport::Channel*) -> std::unique_ptr<transport::Channel> {
-      return std::make_unique<sharding::ShardChannel>(shard_endpoint.get());
-    };
-  } else if (!connect.empty()) {
+  if (!connect.empty()) {
     // Remote server tier: replace the in-process direct channel with a
     // real socket channel; chaos (when enabled) composes *around* the
     // socket, exactly as it wrapped the direct channel.
@@ -647,14 +545,9 @@ int Run(int argc, char** argv) {
   if (!connect.empty()) {
     std::printf("connected to %s (remote server tier)\n", connect.c_str());
   }
-  if (shards > 0) {
-    std::printf("sharding: %llu shards over %s\n", shards,
-                router->partition().ToString().c_str());
-  }
   if (chaos.enabled()) {
-    std::printf("chaos: combined fault rate %.3f, seed %llu%s\n",
-                profile.CombinedRate(), chaos.seed,
-                shards > 0 ? " (independent per shard)" : "");
+    std::printf("chaos: combined fault rate %.3f, seed %llu\n",
+                profile.CombinedRate(), chaos.seed);
   }
   Rng rng(1);
   // Registered uids, in registration order — the batch command cycles
@@ -737,12 +630,6 @@ int Run(int argc, char** argv) {
                       "remote tier with `casper_cli serve <addr> "
                       "--targets=%llu --targets-seed=%llu`\n",
                       n, seed);
-        } else if (router != nullptr) {
-          // Server-side provisioning goes to the fleet the wire traffic
-          // reaches, not the bypassed in-process server.
-          router->SetPublicTargets(generated);
-          std::printf("OK: %llu public targets across %zu shards\n", n,
-                      router->num_shards());
         } else {
           service.SetPublicTargets(generated);
           std::printf("OK: %llu public targets\n", n);
@@ -983,8 +870,6 @@ int Run(int argc, char** argv) {
                     static_cast<unsigned long long>(s.corrupted_responses),
                     static_cast<unsigned long long>(s.delayed),
                     static_cast<unsigned long long>(s.late_deliveries));
-      } else if (!shard_faults.empty()) {
-        std::printf("chaos is per shard (see the `shards` command)\n");
       } else {
         std::printf("chaos off (see casper_cli --help)\n");
       }
@@ -993,10 +878,7 @@ int Run(int argc, char** argv) {
                   service.transport_client().Flush().ToString().c_str());
     } else if (c == "save") {
       char path[256] = {0};
-      if (router != nullptr) {
-        std::printf("save operates on the single-server tier; with "
-                    "--shards use `rebalance <dir>` checkpoints\n");
-      } else if (!connect.empty()) {
+      if (!connect.empty()) {
         std::printf("save operates on the in-process server tier; a "
                     "--connect server checkpoints on its own side\n");
       } else if (std::sscanf(line, "%*s %255s", path) != 1) {
@@ -1021,10 +903,7 @@ int Run(int argc, char** argv) {
       }
     } else if (c == "open") {
       char path[256] = {0};
-      if (router != nullptr) {
-        std::printf("open operates on the single-server tier; restart "
-                    "without --shards to reopen a checkpoint\n");
-      } else if (!connect.empty()) {
+      if (!connect.empty()) {
         std::printf("open operates on the in-process server tier; a "
                     "--connect server reopens on its own side\n");
       } else if (std::sscanf(line, "%*s %255s", path) != 1) {
@@ -1049,66 +928,6 @@ int Run(int argc, char** argv) {
           } else {
             std::printf("%s\n", opened.ToString().c_str());
           }
-        }
-      }
-    } else if (c == "shards") {
-      if (router == nullptr) {
-        std::printf("sharding off (run with --shards=N)\n");
-      } else {
-        const obs::ShardMetrics& m = router->metrics();
-        std::printf("shards=%zu public=%zu regions=%zu partition=%s\n",
-                    router->num_shards(), router->total_public(),
-                    router->total_regions(),
-                    router->partition().ToString().c_str());
-        for (size_t s = 0; s < router->num_shards(); ++s) {
-          std::printf("shard %zu: bounds=%s public=%zu regions=%zu "
-                      "breaker=%s requests=%llu errors=%llu\n",
-                      s, router->partition().ShardBounds(s).ToString().c_str(),
-                      router->public_count(s), router->region_count(s),
-                      BreakerStateName(router->breaker_state(s)),
-                      static_cast<unsigned long long>(
-                          m.requests_total[s]->Value()),
-                      static_cast<unsigned long long>(
-                          m.errors_total[s]->Value()));
-        }
-        std::printf("degraded_answers=%llu unavailable=%llu probes=%llu "
-                    "rebalances=%llu handoff_objects=%llu\n",
-                    static_cast<unsigned long long>(
-                        m.degraded_answers_total->Value()),
-                    static_cast<unsigned long long>(
-                        m.unavailable_total->Value()),
-                    static_cast<unsigned long long>(
-                        m.probe_calls_total->Value()),
-                    static_cast<unsigned long long>(
-                        m.rebalances_total->Value()),
-                    static_cast<unsigned long long>(
-                        m.handoff_objects_total->Value()));
-        for (size_t s = 0; s < shard_faults.size(); ++s) {
-          const transport::FaultStats fs = shard_faults[s]->stats();
-          std::printf("shard %zu chaos: calls=%llu injected=%llu\n", s,
-                      static_cast<unsigned long long>(fs.calls),
-                      static_cast<unsigned long long>(fs.TotalInjected()));
-        }
-      }
-    } else if (c == "rebalance") {
-      char dir[256] = {0};
-      if (router == nullptr) {
-        std::printf("sharding off (run with --shards=N)\n");
-      } else if (std::sscanf(line, "%*s %255s", dir) != 1) {
-        std::printf("usage: rebalance <dir>\n");
-      } else {
-        const Status st = router->Rebalance(dir);
-        if (!st.ok()) {
-          std::printf("%s\n", st.ToString().c_str());
-        } else {
-          const obs::ShardMetrics& m = router->metrics();
-          std::printf("OK: rebalances=%llu handoff_objects=%llu "
-                      "partition=%s\n",
-                      static_cast<unsigned long long>(
-                          m.rebalances_total->Value()),
-                      static_cast<unsigned long long>(
-                          m.handoff_objects_total->Value()),
-                      router->partition().ToString().c_str());
         }
       }
     } else if (c == "stats") {

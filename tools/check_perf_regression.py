@@ -21,15 +21,6 @@ only fires when BOTH files report `hardware_threads >= 2`, because on
 a single-core runner no dispatcher can beat the sequential loop and
 the rule would only measure scheduler overhead.
 
-With --sharding (a BENCH_sharding.json from bench/shard_scaling), the
-gate additionally enforces a shard-scaling floor: the 8-shard row's qps
-must beat the 1-shard row's by at least --shard-scaling-floor (default
-1.10x). Like the parallel-speedup rule it is hardware-aware — skipped
-(with a note) when the file reports fewer than --shard-min-threads
-hardware threads (default 8), because a machine that cannot run the
-shards in parallel measures only fan-out overhead. The sharding file is
-self-contained (current run only); it needs no checked-in baseline.
-
 `--compare` switches to a report-only mode: it prints the per-config
 before/after table (qps and p99 side by side) and always exits 0 after
 input validation — for PR descriptions and perf triage, not gating.
@@ -54,8 +45,6 @@ Usage:
   check_perf_regression.py --current BENCH_throughput.json \
       --baseline bench/BENCH_baseline.json [--max-drop 0.25] \
       [--min-parallel-speedup 1.10] [--compare] \
-      [--sharding BENCH_sharding.json] [--shard-scaling-floor 1.10] \
-      [--shard-min-threads 8] \
       [--baseline-metrics BENCH_metrics.json] \
       [--current-metrics BENCH_metrics.json]
 
@@ -162,78 +151,6 @@ def parallel_speedup_failures(meta_base, meta_cur, rows, min_speedup):
                 f"batch={batch}: parallel speedup {speedup:.3f}x below "
                 f"{min_speedup:.2f}x floor")
     return failures
-
-
-def load_shard_rows(path):
-    """Load and validate a BENCH_sharding.json; exits 2 when malformed.
-
-    Returns (meta, {shards: qps}). The shape is self-contained — the
-    shard-scaling rule compares rows of the same run, so no baseline
-    pairing happens here — but the same legibility bar applies: a
-    truncated or half-written file must fail with a one-line
-    diagnostic, not a traceback.
-    """
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
-        print(f"error: {path}: expected a JSON object with a 'rows' list",
-              file=sys.stderr)
-        sys.exit(2)
-    qps_by_shards = {}
-    for i, r in enumerate(data["rows"]):
-        if not isinstance(r, dict):
-            print(f"error: {path}: row {i} is not an object", file=sys.stderr)
-            sys.exit(2)
-        shards = r.get("shards")
-        qps = r.get("qps")
-        if not isinstance(shards, int) or isinstance(shards, bool):
-            print(f"error: {path}: row {i} missing integer 'shards'",
-                  file=sys.stderr)
-            sys.exit(2)
-        if not isinstance(qps, (int, float)) or isinstance(qps, bool) or \
-                qps <= 0.0:
-            print(f"error: {path}: row {i} qps is not a positive number: "
-                  f"{qps!r}", file=sys.stderr)
-            sys.exit(2)
-        if shards in qps_by_shards:
-            print(f"error: {path}: duplicate shard count {shards}",
-                  file=sys.stderr)
-            sys.exit(2)
-        qps_by_shards[shards] = float(qps)
-    for required in (1, 8):
-        if required not in qps_by_shards:
-            print(f"error: {path}: no row for shards={required}",
-                  file=sys.stderr)
-            sys.exit(2)
-    return data, qps_by_shards
-
-
-def shard_scaling_failures(meta, qps_by_shards, floor, min_threads):
-    """The shard-scaling floor: 8-shard qps >= floor * 1-shard qps.
-
-    Returns a list of failure strings; empty when the rule passes or is
-    skipped. Skipped when the run's machine has fewer than
-    `min_threads` hardware threads — with e.g. one core, eight shards
-    time-slice a single CPU and the ratio measures nothing but the
-    router's fan-out overhead.
-    """
-    hw = meta.get("hardware_threads")
-    if not (isinstance(hw, int) and hw >= min_threads):
-        print(f"note: shard-scaling rule skipped (hardware_threads={hw}; "
-              f"needs >= {min_threads})")
-        return []
-    ratio = qps_by_shards[8] / qps_by_shards[1]
-    verdict = "ok" if ratio >= floor else "FAIL"
-    print(f"shard scaling: {qps_by_shards[8]:.1f} / {qps_by_shards[1]:.1f} "
-          f"= {ratio:.3f}x (floor {floor:.2f}x) {verdict}")
-    if ratio < floor:
-        return [f"8-shard qps only {ratio:.3f}x of 1-shard "
-                f"(floor {floor:.2f}x)"]
-    return []
 
 
 STORAGE_METRIC_PREFIX = "casper_storage_"
@@ -408,17 +325,6 @@ def main():
                              "(threads>=2, cache off) row over sequential; "
                              "enforced only when both files report "
                              "hardware_threads >= 2")
-    parser.add_argument("--sharding",
-                        help="BENCH_sharding.json from bench/shard_scaling; "
-                             "enables the shard-scaling floor")
-    parser.add_argument("--shard-scaling-floor", type=float, default=1.10,
-                        help="required qps ratio of the 8-shard row over "
-                             "the 1-shard row in --sharding; enforced only "
-                             "when that run had >= --shard-min-threads "
-                             "hardware threads")
-    parser.add_argument("--shard-min-threads", type=int, default=8,
-                        help="minimum hardware_threads in the --sharding "
-                             "file for the shard-scaling rule to fire")
     parser.add_argument("--compare", action="store_true",
                         help="report-only: print the before/after qps and "
                              "p99 table, never fail")
@@ -491,14 +397,6 @@ def main():
     print(f"\nrows={len(common)} geomean_ratio={geomean:.3f} "
           f"floor={floor:.3f} worst={worst[0]} ({worst[1]:.3f})")
 
-    shard_meta, shard_rows = (None, None)
-    if args.sharding:
-        shard_meta, shard_rows = load_shard_rows(args.sharding)
-        print(f"\nshard scaling rows "
-              f"(hardware_threads={shard_meta.get('hardware_threads')}): " +
-              ", ".join(f"{s}=>{q:.1f}"
-                        for s, q in sorted(shard_rows.items())))
-
     if args.compare:
         if args.baseline_metrics or args.current_metrics:
             print_storage_comparison(args.baseline_metrics,
@@ -520,13 +418,6 @@ def main():
                                              args.min_parallel_speedup):
         print(f"FAIL: {failure}", file=sys.stderr)
         failed = True
-
-    if shard_rows is not None:
-        for failure in shard_scaling_failures(shard_meta, shard_rows,
-                                              args.shard_scaling_floor,
-                                              args.shard_min_threads):
-            print(f"FAIL: {failure}", file=sys.stderr)
-            failed = True
 
     if failed:
         return 1

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Run every named city-scale scenario against the facade, socket, and
-# 4-shard stacks with invariant oracles on, writing one
+# Run every named city-scale scenario against the facade and socket
+# stacks with invariant oracles on, writing one
 # BENCH_scenario_<name>[_<stack>].json per run into the current
 # directory. Any oracle violation fails the script (casper_cli exits 1).
 #
@@ -27,12 +27,11 @@ fi
 scenarios=$("$CLI" scenario list | awk '{print $1}')
 status=0
 for name in $scenarios; do
-  for stack in facade socket shards; do
+  for stack in facade socket; do
     out="BENCH_scenario_${name}"
     stack_args=()
     case "$stack" in
       socket) stack_args+=(--socket); out+="_socket" ;;
-      shards) stack_args+=(--shards=4); out+="_shards4" ;;
     esac
     echo "=== scenario $name on $stack ==="
     if ! "$CLI" scenario "$name" "${stack_args[@]}" "${tick_args[@]}" \

@@ -46,16 +46,6 @@ def speedup_bench(seq_qps, par_qps, hardware_threads=4):
         hardware_threads=hardware_threads)
 
 
-def sharding_bench(qps_by_shards, hardware_threads=8):
-    """A minimal BENCH_sharding.json payload."""
-    data = {"rows": [{"shards": s, "threads": 8, "queries": 1000,
-                      "wall_seconds": 1.0, "qps": q}
-                     for s, q in qps_by_shards.items()]}
-    if hardware_threads is not None:
-        data["hardware_threads"] = hardware_threads
-    return data
-
-
 class GateTest(unittest.TestCase):
     def run_gate(self, baseline, current, extra_args=()):
         """Write both payloads to temp files and run the gate."""
@@ -149,95 +139,6 @@ class GateTest(unittest.TestCase):
         self.assert_clean_exit(proc, 1)
         self.assertIn("no (batch_engine, threads>=2, cache=false) row",
                       proc.stderr)
-
-    # --- Shard-scaling floor ---------------------------------------------
-
-    def run_gate_with_sharding(self, sharding, extra_args=()):
-        """Healthy baseline/current pair plus a --sharding file."""
-        b = bench([row()])
-        with tempfile.TemporaryDirectory() as tmp:
-            base_path = os.path.join(tmp, "baseline.json")
-            cur_path = os.path.join(tmp, "current.json")
-            shard_path = os.path.join(tmp, "sharding.json")
-            for path, payload in ((base_path, b), (cur_path, b),
-                                  (shard_path, sharding)):
-                with open(path, "w") as f:
-                    if isinstance(payload, str):
-                        f.write(payload)
-                    else:
-                        json.dump(payload, f)
-            return subprocess.run(
-                [sys.executable, GATE, "--baseline", base_path,
-                 "--current", cur_path, "--sharding", shard_path,
-                 *extra_args],
-                capture_output=True, text=True)
-
-    def test_shard_scaling_met_passes(self):
-        proc = self.run_gate_with_sharding(
-            sharding_bench({1: 1000.0, 8: 1500.0}))
-        self.assert_clean_exit(proc, 0)
-        self.assertIn("shard scaling", proc.stdout)
-        self.assertIn("ok", proc.stdout)
-
-    def test_shard_scaling_below_floor_fails(self):
-        proc = self.run_gate_with_sharding(
-            sharding_bench({1: 1000.0, 8: 1050.0}))  # 1.05x < 1.10x
-        self.assert_clean_exit(proc, 1)
-        self.assertIn("8-shard qps only", proc.stderr)
-
-    def test_shard_scaling_floor_is_configurable(self):
-        proc = self.run_gate_with_sharding(
-            sharding_bench({1: 1000.0, 8: 1050.0}),
-            extra_args=("--shard-scaling-floor", "1.0"))
-        self.assert_clean_exit(proc, 0)
-
-    def test_shard_scaling_skipped_on_few_hardware_threads(self):
-        proc = self.run_gate_with_sharding(
-            sharding_bench({1: 1000.0, 8: 200.0}, hardware_threads=1))
-        self.assert_clean_exit(proc, 0)
-        self.assertIn("shard-scaling rule skipped", proc.stdout)
-
-    def test_shard_scaling_skipped_without_hardware_threads(self):
-        proc = self.run_gate_with_sharding(
-            sharding_bench({1: 1000.0, 8: 200.0}, hardware_threads=None))
-        self.assert_clean_exit(proc, 0)
-        self.assertIn("shard-scaling rule skipped", proc.stdout)
-
-    def test_shard_min_threads_is_configurable(self):
-        sharding = sharding_bench({1: 1000.0, 8: 200.0}, hardware_threads=2)
-        proc = self.run_gate_with_sharding(
-            sharding, extra_args=("--shard-min-threads", "2"))
-        self.assert_clean_exit(proc, 1)
-        self.assertIn("8-shard qps only", proc.stderr)
-
-    def test_sharding_file_missing_shard_row_exits_2(self):
-        proc = self.run_gate_with_sharding(sharding_bench({1: 1000.0}))
-        self.assert_clean_exit(proc, 2)
-        self.assertIn("no row for shards=8", proc.stderr)
-
-    def test_truncated_sharding_file_exits_2(self):
-        proc = self.run_gate_with_sharding('{"rows": [')
-        self.assert_clean_exit(proc, 2)
-        self.assertIn("cannot read", proc.stderr)
-
-    def test_sharding_zero_qps_exits_2(self):
-        proc = self.run_gate_with_sharding(
-            sharding_bench({1: 0.0, 8: 1000.0}))
-        self.assert_clean_exit(proc, 2)
-        self.assertIn("not a positive number", proc.stderr)
-
-    def test_sharding_duplicate_shard_count_exits_2(self):
-        sharding = sharding_bench({1: 1000.0, 8: 1500.0})
-        sharding["rows"].append({"shards": 8, "qps": 2000.0})
-        proc = self.run_gate_with_sharding(sharding)
-        self.assert_clean_exit(proc, 2)
-        self.assertIn("duplicate shard count", proc.stderr)
-
-    def test_gate_without_sharding_flag_ignores_rule(self):
-        b = bench([row()])
-        proc = self.run_gate(b, b)
-        self.assert_clean_exit(proc, 0)
-        self.assertNotIn("shard scaling", proc.stdout)
 
     # --- Compare mode ----------------------------------------------------
 
