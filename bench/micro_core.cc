@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the hot paths underneath every
 // experiment: packed R-tree and epoch-index operations, pyramid maintenance, cloaking, the
-// Algorithm 2 geometry, and the moving-object simulator.
+// Algorithm 2 geometry, the wire codec, and the moving-object simulator.
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -11,6 +11,7 @@
 
 #include "src/anonymizer/adaptive_anonymizer.h"
 #include "src/anonymizer/basic_anonymizer.h"
+#include "src/casper/messages.h"
 #include "src/casper/workload.h"
 #include "src/common/rng.h"
 #include "src/network/network_generator.h"
@@ -270,6 +271,56 @@ void BM_CachedQueryHit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CachedQueryHit);
+
+// --- Wire codec --------------------------------------------------------------
+//
+// A private-NN answer (the big_lists shape) with state.range(0) candidate
+// records. items_per_second counts records, so ns/record = 1e9 / it.
+
+CandidateListMsg NearestPublicAnswer(size_t records) {
+  Rng rng(31);
+  processor::PublicCandidateList list;
+  list.candidates = workload::UniformPublicTargets(records, Rect(0, 0, 1, 1),
+                                                   &rng);
+  list.area.a_ext = Rect(0.25, 0.25, 0.75, 0.75);
+  CandidateListMsg msg;
+  msg.kind = QueryKind::kNearestPublic;
+  msg.request_id = 7;
+  msg.payload = std::move(list);
+  return msg;
+}
+
+/// Encode + seal, as the server endpoint does per answer.
+void BM_WireEncode(benchmark::State& state) {
+  const CandidateListMsg msg =
+      NearestPublicAnswer(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(Encode(msg));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_WireEncode)->Arg(10)->Arg(100)->Arg(1000)->Arg(4000);
+
+/// Unseal + validate, records left in the frame.
+void BM_WireViewDecode(benchmark::State& state) {
+  const std::string frame =
+      Encode(NearestPublicAnswer(static_cast<size_t>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecodeCandidateListView(frame));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_WireViewDecode)->Arg(10)->Arg(100)->Arg(1000)->Arg(4000);
+
+/// View decode + Materialize() (DecodeCandidateList): what the resilient
+/// client pays per response.
+void BM_WireDecodeMaterialize(benchmark::State& state) {
+  const std::string frame =
+      Encode(NearestPublicAnswer(static_cast<size_t>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecodeCandidateList(frame));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_WireDecodeMaterialize)->Arg(10)->Arg(100)->Arg(1000)->Arg(4000);
 
 void BM_SimulatorTick(benchmark::State& state) {
   network::NetworkGeneratorOptions opt;

@@ -46,10 +46,6 @@ BatchQueryEngine::BatchQueryEngine(CasperService* service,
   }
 }
 
-void BatchQueryEngine::InvalidatePublicCache() {
-  if (cache_) cache_->InvalidateAll();
-}
-
 void BatchQueryEngine::EvaluateOne(const BatchQueryRequest& request,
                                    const anonymizer::CloakingResult& cloak,
                                    double anonymizer_seconds,

@@ -221,10 +221,6 @@ class BatchQueryEngine {
   /// in the slot's status and never abort the rest of the batch.
   BatchResult Execute(const std::vector<BatchQueryRequest>& requests);
 
-  /// Must be called after any public-target mutation when the cache is
-  /// enabled (mirrors CachingQueryProcessor::InvalidateAll).
-  void InvalidatePublicCache();
-
   const BatchEngineOptions& options() const { return options_; }
   const processor::ConcurrentQueryCache* cache() const {
     return cache_.get();

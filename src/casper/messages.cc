@@ -43,30 +43,6 @@ bool ValidPolicy(uint8_t policy) {
   return policy == 1 || policy == 2 || policy == 4;
 }
 
-void Put(Writer& w, const processor::PublicTarget& t) {
-  w.U64(t.id);
-  w.P(t.position);
-}
-
-void Put(Writer& w, const processor::PrivateTarget& t) {
-  w.U64(t.id);
-  w.R(t.region);
-}
-
-processor::PublicTarget GetPublicTarget(Reader& r) {
-  processor::PublicTarget t;
-  t.id = r.U64();
-  t.position = r.P();
-  return t;
-}
-
-processor::PrivateTarget GetPrivateTarget(Reader& r) {
-  processor::PrivateTarget t;
-  t.id = r.U64();
-  t.region = r.R();
-  return t;
-}
-
 void Put(Writer& w, const processor::ExtendedArea& area) {
   w.R(area.a_ext);
   for (const processor::EdgeExtension& e : area.edges) {
@@ -87,215 +63,92 @@ processor::ExtendedArea GetExtendedArea(Reader& r) {
   return area;
 }
 
-constexpr size_t kPublicTargetBytes = 8 + 16;
-constexpr size_t kPrivateTargetBytes = 8 + 32;
+Result<processor::FilterPolicy> GetPolicy(Reader& r) {
+  const uint8_t policy = r.U8();
+  if (r.failed()) return Status::InvalidArgument("truncated payload");
+  if (!ValidPolicy(policy)) {
+    return Status::InvalidArgument("bad filter policy");
+  }
+  return static_cast<processor::FilterPolicy>(policy);
+}
 
 void PutPayload(Writer& w, const ServerPayload& payload) {
   w.U8(static_cast<uint8_t>(payload.index()));
   if (const auto* p = std::get_if<processor::PublicCandidateList>(&payload)) {
-    w.Count(p->candidates.size());
-    for (const auto& t : p->candidates) Put(w, t);
+    WriteList(w, p->candidates);
     Put(w, p->area);
     w.U8(static_cast<uint8_t>(p->policy));
   } else if (const auto* p =
                  std::get_if<processor::KnnCandidateList>(&payload)) {
-    w.Count(p->candidates.size());
-    for (const auto& t : p->candidates) Put(w, t);
+    WriteList(w, p->candidates);
     w.R(p->a_ext);
     w.U64(p->k);
   } else if (const auto* p =
                  std::get_if<processor::PublicRangeCandidates>(&payload)) {
-    w.Count(p->candidates.size());
-    for (const auto& t : p->candidates) Put(w, t);
+    WriteList(w, p->candidates);
     w.R(p->search_window);
   } else if (const auto* p =
                  std::get_if<processor::PrivateCandidateList>(&payload)) {
-    w.Count(p->candidates.size());
-    for (const auto& t : p->candidates) Put(w, t);
+    WriteList(w, p->candidates);
     Put(w, p->area);
     w.U8(static_cast<uint8_t>(p->policy));
   } else if (const auto* p =
                  std::get_if<processor::PublicNNCandidates>(&payload)) {
-    w.Count(p->candidates.size());
-    for (const auto& c : p->candidates) {
-      Put(w, c.target);
-      w.F64(c.min_dist);
-      w.F64(c.max_dist);
-    }
+    WriteList(w, p->candidates);
     w.F64(p->minimax_bound);
   } else if (const auto* p =
                  std::get_if<processor::RangeCountResult>(&payload)) {
     w.U64(p->certain);
     w.U64(p->possible);
     w.F64(p->expected);
-    w.Count(p->overlapping.size());
-    for (const auto& t : p->overlapping) Put(w, t);
+    WriteList(w, p->overlapping);
   } else if (const auto* p = std::get_if<processor::DensityMap>(&payload)) {
     w.R(p->extent());
     w.I32(p->cols());
     w.I32(p->rows());
-    for (int row = 0; row < p->rows(); ++row) {
-      for (int col = 0; col < p->cols(); ++col) {
-        w.F64(p->At(col, row));
-      }
-    }
+    WriteRecords(w, p->cells());  // Count implied by cols * rows.
   }
 }
 
-Result<ServerPayload> GetPayload(Reader& r) {
-  const uint8_t index = r.U8();
-  if (r.failed()) return Status::InvalidArgument("truncated payload");
-  switch (index) {
-    case 0: {
-      processor::PublicCandidateList list;
-      const size_t n = r.Count(kPublicTargetBytes);
-      list.candidates.reserve(n);
-      for (size_t i = 0; i < n; ++i) list.candidates.push_back(GetPublicTarget(r));
-      list.area = GetExtendedArea(r);
-      const uint8_t policy = r.U8();
-      if (!ValidPolicy(policy)) {
-        return Status::InvalidArgument("bad filter policy");
-      }
-      list.policy = static_cast<processor::FilterPolicy>(policy);
-      return ServerPayload(std::move(list));
-    }
-    case 1: {
-      processor::KnnCandidateList list;
-      const size_t n = r.Count(kPublicTargetBytes);
-      list.candidates.reserve(n);
-      for (size_t i = 0; i < n; ++i) list.candidates.push_back(GetPublicTarget(r));
-      list.a_ext = r.R();
-      list.k = static_cast<size_t>(r.U64());
-      return ServerPayload(std::move(list));
-    }
-    case 2: {
-      processor::PublicRangeCandidates list;
-      const size_t n = r.Count(kPublicTargetBytes);
-      list.candidates.reserve(n);
-      for (size_t i = 0; i < n; ++i) list.candidates.push_back(GetPublicTarget(r));
-      list.search_window = r.R();
-      return ServerPayload(std::move(list));
-    }
-    case 3: {
-      processor::PrivateCandidateList list;
-      const size_t n = r.Count(kPrivateTargetBytes);
-      list.candidates.reserve(n);
-      for (size_t i = 0; i < n; ++i) list.candidates.push_back(GetPrivateTarget(r));
-      list.area = GetExtendedArea(r);
-      const uint8_t policy = r.U8();
-      if (!ValidPolicy(policy)) {
-        return Status::InvalidArgument("bad filter policy");
-      }
-      list.policy = static_cast<processor::FilterPolicy>(policy);
-      return ServerPayload(std::move(list));
-    }
-    case 4: {
-      processor::PublicNNCandidates list;
-      const size_t n = r.Count(kPrivateTargetBytes + 16);
-      list.candidates.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        processor::PublicNNCandidates::Candidate c;
-        c.target = GetPrivateTarget(r);
-        c.min_dist = r.F64();
-        c.max_dist = r.F64();
-        list.candidates.push_back(c);
-      }
-      list.minimax_bound = r.F64();
-      return ServerPayload(std::move(list));
-    }
-    case 5: {
-      processor::RangeCountResult result;
-      result.certain = static_cast<size_t>(r.U64());
-      result.possible = static_cast<size_t>(r.U64());
-      result.expected = r.F64();
-      const size_t n = r.Count(kPrivateTargetBytes);
-      result.overlapping.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        result.overlapping.push_back(GetPrivateTarget(r));
-      }
-      return ServerPayload(std::move(result));
-    }
-    case 6: {
-      const Rect extent = r.R();
-      const int32_t cols = r.I32();
-      const int32_t rows = r.I32();
-      if (r.failed() || cols < 1 || rows < 1 ||
-          static_cast<uint64_t>(cols) * static_cast<uint64_t>(rows) >
-              r.Remaining() / 8) {
-        return Status::InvalidArgument("bad density grid");
-      }
-      std::vector<double> cells;
-      cells.reserve(static_cast<size_t>(cols) * static_cast<size_t>(rows));
-      for (int64_t i = 0; i < int64_t{cols} * rows; ++i) cells.push_back(r.F64());
-      CASPER_ASSIGN_OR_RETURN(
-          map, processor::DensityMap::FromCells(extent, cols, rows,
-                                                std::move(cells)));
-      return ServerPayload(std::move(map));
-    }
-    default:
-      return Status::InvalidArgument("unknown payload kind");
-  }
-}
-
-/// Zero-copy mirror of GetPayload: identical validation order and
-/// identical failure conditions (the codec fuzz test asserts acceptance
-/// parity between the two), but the record blocks are skipped in place
-/// and wrapped in WireSpans instead of being copied out.
+/// The one parser of every payload layout. Record blocks are skipped in
+/// place and wrapped in WireSpans; the small fixed trailers are decoded
+/// eagerly.
 Result<ServerPayloadView> GetPayloadView(Reader& r) {
   const uint8_t index = r.U8();
   if (r.failed()) return Status::InvalidArgument("truncated payload");
   switch (index) {
     case 0: {
       PublicCandidateListView view;
-      const size_t n = r.Count(kPublicTargetBytes);
-      const char* data = r.Skip(n * kPublicTargetBytes);
-      view.candidates = WireSpan<processor::PublicTarget>(data, n);
+      view.candidates = ReadList<processor::PublicTarget>(r);
       view.area = GetExtendedArea(r);
-      const uint8_t policy = r.U8();
-      if (r.failed()) return Status::InvalidArgument("truncated payload");
-      if (!ValidPolicy(policy)) {
-        return Status::InvalidArgument("bad filter policy");
-      }
-      view.policy = static_cast<processor::FilterPolicy>(policy);
+      CASPER_ASSIGN_OR_RETURN(policy, GetPolicy(r));
+      view.policy = policy;
       return ServerPayloadView(view);
     }
     case 1: {
       KnnCandidateListView view;
-      const size_t n = r.Count(kPublicTargetBytes);
-      const char* data = r.Skip(n * kPublicTargetBytes);
-      view.candidates = WireSpan<processor::PublicTarget>(data, n);
+      view.candidates = ReadList<processor::PublicTarget>(r);
       view.a_ext = r.R();
       view.k = r.U64();
       return ServerPayloadView(view);
     }
     case 2: {
       PublicRangeCandidatesView view;
-      const size_t n = r.Count(kPublicTargetBytes);
-      const char* data = r.Skip(n * kPublicTargetBytes);
-      view.candidates = WireSpan<processor::PublicTarget>(data, n);
+      view.candidates = ReadList<processor::PublicTarget>(r);
       view.search_window = r.R();
       return ServerPayloadView(view);
     }
     case 3: {
       PrivateCandidateListView view;
-      const size_t n = r.Count(kPrivateTargetBytes);
-      const char* data = r.Skip(n * kPrivateTargetBytes);
-      view.candidates = WireSpan<processor::PrivateTarget>(data, n);
+      view.candidates = ReadList<processor::PrivateTarget>(r);
       view.area = GetExtendedArea(r);
-      const uint8_t policy = r.U8();
-      if (r.failed()) return Status::InvalidArgument("truncated payload");
-      if (!ValidPolicy(policy)) {
-        return Status::InvalidArgument("bad filter policy");
-      }
-      view.policy = static_cast<processor::FilterPolicy>(policy);
+      CASPER_ASSIGN_OR_RETURN(policy, GetPolicy(r));
+      view.policy = policy;
       return ServerPayloadView(view);
     }
     case 4: {
       PublicNNCandidatesView view;
-      const size_t n = r.Count(kPrivateTargetBytes + 16);
-      const char* data = r.Skip(n * (kPrivateTargetBytes + 16));
-      view.candidates =
-          WireSpan<processor::PublicNNCandidates::Candidate>(data, n);
+      view.candidates = ReadList<processor::PublicNNCandidates::Candidate>(r);
       view.minimax_bound = r.F64();
       return ServerPayloadView(view);
     }
@@ -304,9 +157,7 @@ Result<ServerPayloadView> GetPayloadView(Reader& r) {
       view.certain = r.U64();
       view.possible = r.U64();
       view.expected = r.F64();
-      const size_t n = r.Count(kPrivateTargetBytes);
-      const char* data = r.Skip(n * kPrivateTargetBytes);
-      view.overlapping = WireSpan<processor::PrivateTarget>(data, n);
+      view.overlapping = ReadList<processor::PrivateTarget>(r);
       return ServerPayloadView(view);
     }
     case 6: {
@@ -314,15 +165,14 @@ Result<ServerPayloadView> GetPayloadView(Reader& r) {
       view.extent = r.R();
       view.cols = r.I32();
       view.rows = r.I32();
+      // DensityMap::FromCells' preconditions, so Materialize cannot fail.
       if (r.failed() || view.cols < 1 || view.rows < 1 ||
           static_cast<uint64_t>(view.cols) * static_cast<uint64_t>(view.rows) >
-              r.Remaining() / 8) {
+              r.Remaining() / WireRecord<double>::kBytes) {
         return Status::InvalidArgument("bad density grid");
       }
-      const size_t n =
-          static_cast<size_t>(view.cols) * static_cast<size_t>(view.rows);
-      const char* data = r.Skip(n * 8);
-      view.cells = WireSpan<double>(data, n);
+      view.cells = ReadRecords<double>(
+          r, static_cast<size_t>(view.cols) * static_cast<size_t>(view.rows));
       return ServerPayloadView(view);
     }
     default:
@@ -446,23 +296,8 @@ Result<RegionRemoveMsg> DecodeRegionRemove(std::string_view bytes) {
 std::string Encode(const SnapshotMsg& msg) {
   Writer w;
   w.U8(kTagSnapshot);
-  w.Count(msg.regions.size());
-  for (const auto& t : msg.regions) Put(w, t);
+  WriteList(w, msg.regions);
   return Seal(w.Take());
-}
-
-Result<SnapshotMsg> DecodeSnapshot(std::string_view bytes) {
-  CASPER_ASSIGN_OR_RETURN(body, Unseal(bytes, "Snapshot"));
-  Reader r(body);
-  if (!r.Tag(kTagSnapshot)) {
-    return Status::InvalidArgument("not a SnapshotMsg");
-  }
-  SnapshotMsg msg;
-  const size_t n = r.Count(kPrivateTargetBytes);
-  msg.regions.reserve(n);
-  for (size_t i = 0; i < n; ++i) msg.regions.push_back(GetPrivateTarget(r));
-  CASPER_RETURN_IF_ERROR(r.Finish("Snapshot"));
-  return msg;
 }
 
 std::string Encode(const CandidateListMsg& msg) {
@@ -477,27 +312,8 @@ std::string Encode(const CandidateListMsg& msg) {
 }
 
 Result<CandidateListMsg> DecodeCandidateList(std::string_view bytes) {
-  CASPER_ASSIGN_OR_RETURN(body, Unseal(bytes, "CandidateList"));
-  Reader r(body);
-  if (!r.Tag(kTagCandidateList)) {
-    return Status::InvalidArgument("not a CandidateListMsg");
-  }
-  const uint8_t kind = r.U8();
-  if (r.failed() || !ValidKind(kind)) {
-    return Status::InvalidArgument("bad query kind");
-  }
-  const uint64_t request_id = r.U64();
-  const bool degraded = r.Bool();
-  const double processor_seconds = r.F64();
-  CASPER_ASSIGN_OR_RETURN(payload, GetPayload(r));
-  CASPER_RETURN_IF_ERROR(r.Finish("CandidateList"));
-  CandidateListMsg msg;
-  msg.kind = static_cast<QueryKind>(kind);
-  msg.request_id = request_id;
-  msg.degraded = degraded;
-  msg.processor_seconds = processor_seconds;
-  msg.payload = std::move(payload);
-  return msg;
+  CASPER_ASSIGN_OR_RETURN(view, DecodeCandidateListView(bytes));
+  return view.Materialize();
 }
 
 Status AckMsg::ToStatus() const {
@@ -553,21 +369,6 @@ Result<AckMsg> DecodeAck(std::string_view bytes) {
   return msg;
 }
 
-size_t RecordCount(const ServerPayloadView& payload) {
-  return std::visit(
-      [](const auto& p) -> size_t {
-        using T = std::decay_t<decltype(p)>;
-        if constexpr (std::is_same_v<T, RangeCountResultView>) {
-          return p.overlapping.size();
-        } else if constexpr (std::is_same_v<T, DensityMapView>) {
-          return static_cast<size_t>(p.cols) * static_cast<size_t>(p.rows);
-        } else {
-          return p.candidates.size();
-        }
-      },
-      payload);
-}
-
 processor::PublicCandidateList PublicCandidateListView::Materialize() const {
   return {candidates.Materialize(), area, policy};
 }
@@ -595,9 +396,8 @@ processor::RangeCountResult RangeCountResultView::Materialize() const {
 }
 
 processor::DensityMap DensityMapView::Materialize() const {
-  // The view decoder already enforced FromCells' preconditions
-  // (cols >= 1, rows >= 1, cells.size() == cols * rows), so this
-  // cannot fail.
+  // GetPayloadView enforced FromCells' preconditions (cols >= 1,
+  // rows >= 1, cells.size() == cols * rows), so this cannot fail.
   return processor::DensityMap::FromCells(extent, cols, rows,
                                           cells.Materialize())
       .value();
@@ -648,9 +448,7 @@ Result<SnapshotView> DecodeSnapshotView(std::string_view frame) {
     return Status::InvalidArgument("not a SnapshotMsg");
   }
   SnapshotView view;
-  const size_t n = r.Count(kPrivateTargetBytes);
-  const char* data = r.Skip(n * kPrivateTargetBytes);
-  view.regions = WireSpan<processor::PrivateTarget>(data, n);
+  view.regions = ReadList<processor::PrivateTarget>(r);
   CASPER_RETURN_IF_ERROR(r.Finish("Snapshot"));
   return view;
 }
@@ -685,12 +483,7 @@ uint64_t RequestIdOf(std::string_view bytes) {
       return 0;  // Snapshots and responses are unkeyed.
   }
   if (bytes.size() < offset + 8) return 0;
-  uint64_t id = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    id |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[offset + i]))
-          << (8 * i);
-  }
-  return id;
+  return wire::LoadU64LE(bytes.data() + offset);
 }
 
 }  // namespace casper

@@ -2,12 +2,12 @@
 #define CASPER_CASPER_MESSAGES_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
 
+#include "src/common/codec.h"
 #include "src/common/geometry.h"
 #include "src/common/result.h"
 #include "src/processor/density.h"
@@ -28,11 +28,10 @@
 /// privacy profile; only cloaked regions and opaque pseudonym handles.
 ///
 /// Every message has a lossless binary encoding (little-endian,
-/// length-prefixed containers, leading type tag), so an in-process
-/// deployment and a multi-process deployment speak
-/// the same protocol. In-process, the tiers hand the decoded structs to
-/// each other directly; the byte codec is exercised by a round-trip
-/// property test and by the facade parity test.
+/// length-prefixed containers, leading type tag, trailing checksum), and
+/// every deployment speaks it: the in-process facade sends the same
+/// bytes through a direct channel that a socket carries between
+/// processes.
 
 namespace casper {
 
@@ -285,9 +284,17 @@ class PrivateStoreSink {
 // ---------------------------------------------------------------------------
 //
 // Each Encode() emits a self-describing byte string (leading message
-// tag); each Decode*() validates the tag, every length prefix, and that
-// the buffer is fully consumed, so truncated or mistyped buffers fail
-// with InvalidArgument instead of crashing.
+// tag); each Decode*() validates the checksum, the tag, every length
+// prefix and enum, and that the buffer is fully consumed, so truncated
+// or mistyped buffers fail with InvalidArgument instead of crashing.
+//
+// The two messages that carry repeated records — candidate lists and
+// snapshots — have exactly one parser each, and it is a view:
+// DecodeCandidateListView / DecodeSnapshotView validate the frame and
+// leave the records in place, addressed by WireSpans. Materialize()
+// copies them out; DecodeCandidateList is that view plus Materialize().
+// Views borrow the frame — it must outlive the view — while any value
+// read *out* of a view is an independent copy.
 
 std::string Encode(const CloakedQueryMsg& msg);
 std::string Encode(const RegionUpsertMsg& msg);
@@ -299,7 +306,6 @@ std::string Encode(const AckMsg& msg);
 Result<CloakedQueryMsg> DecodeCloakedQuery(std::string_view bytes);
 Result<RegionUpsertMsg> DecodeRegionUpsert(std::string_view bytes);
 Result<RegionRemoveMsg> DecodeRegionRemove(std::string_view bytes);
-Result<SnapshotMsg> DecodeSnapshot(std::string_view bytes);
 Result<CandidateListMsg> DecodeCandidateList(std::string_view bytes);
 Result<AckMsg> DecodeAck(std::string_view bytes);
 
@@ -326,48 +332,12 @@ Result<MessageTag> TagOf(std::string_view bytes);
 uint64_t RequestIdOf(std::string_view bytes);
 
 // ---------------------------------------------------------------------------
-// Zero-copy decode views
+// Record layouts and decode views
 // ---------------------------------------------------------------------------
-//
-// The owning Decode*() functions above copy every repeated record into
-// std::vectors. On the query hot path that is wasted work: the
-// resilient client validates each response frame before using it, and
-// the server endpoint re-materializes snapshot regions it immediately
-// bulk-loads into the store. The *View decoders below validate a frame
-// exactly as strictly as the owning decoders (checksum, tag, length
-// prefixes, enum ranges, full consumption — the codec fuzz test asserts
-// acceptance parity) but materialize no vectors: a WireSpan addresses
-// the repeated records inside the caller's frame buffer and decodes one
-// record per access. Views borrow the frame — the frame must outlive
-// the view — while any value read *out* of a view is an independent
-// copy that survives later frame mutation or destruction.
 
-namespace wire {
-
-/// Little-endian loads assembled byte by byte (never reinterpret_cast:
-/// record offsets inside a frame carry no alignment guarantee, and an
-/// unaligned typed load would be UB).
-inline uint64_t LoadU64LE(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-inline double LoadF64LE(const char* p) {
-  const uint64_t bits = LoadU64LE(p);
-  double v;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-}  // namespace wire
-
-/// Wire layout of one repeated record type: fixed stride plus the
-/// per-field decode. Specialized for every record that appears inside a
-/// length-prefixed container.
+/// Wire layout of one repeated record type: its fixed stride and the
+/// per-field read and write. Specialized for every record that appears
+/// in a record block; no other code knows a record's offsets.
 template <typename T>
 struct WireRecord;
 
@@ -375,6 +345,7 @@ template <>
 struct WireRecord<double> {
   static constexpr size_t kBytes = 8;
   static double Read(const char* p) { return wire::LoadF64LE(p); }
+  static void Write(char* p, double v) { wire::StoreF64LE(p, v); }
 };
 
 template <>
@@ -385,6 +356,11 @@ struct WireRecord<processor::PublicTarget> {
     t.id = wire::LoadU64LE(p);
     t.position = Point{wire::LoadF64LE(p + 8), wire::LoadF64LE(p + 16)};
     return t;
+  }
+  static void Write(char* p, const processor::PublicTarget& t) {
+    wire::StoreU64LE(p, t.id);
+    wire::StoreF64LE(p + 8, t.position.x);
+    wire::StoreF64LE(p + 16, t.position.y);
   }
 };
 
@@ -398,17 +374,33 @@ struct WireRecord<processor::PrivateTarget> {
                     wire::LoadF64LE(p + 24), wire::LoadF64LE(p + 32));
     return t;
   }
+  static void Write(char* p, const processor::PrivateTarget& t) {
+    wire::StoreU64LE(p, t.id);
+    wire::StoreF64LE(p + 8, t.region.min.x);
+    wire::StoreF64LE(p + 16, t.region.min.y);
+    wire::StoreF64LE(p + 24, t.region.max.x);
+    wire::StoreF64LE(p + 32, t.region.max.y);
+  }
 };
 
 template <>
 struct WireRecord<processor::PublicNNCandidates::Candidate> {
-  static constexpr size_t kBytes = WireRecord<processor::PrivateTarget>::kBytes + 16;
+  /// The target's record, then min_dist and max_dist.
+  static constexpr size_t kTargetBytes =
+      WireRecord<processor::PrivateTarget>::kBytes;
+  static constexpr size_t kBytes = kTargetBytes + 16;
   static processor::PublicNNCandidates::Candidate Read(const char* p) {
     processor::PublicNNCandidates::Candidate c;
     c.target = WireRecord<processor::PrivateTarget>::Read(p);
-    c.min_dist = wire::LoadF64LE(p + 40);
-    c.max_dist = wire::LoadF64LE(p + 48);
+    c.min_dist = wire::LoadF64LE(p + kTargetBytes);
+    c.max_dist = wire::LoadF64LE(p + kTargetBytes + 8);
     return c;
+  }
+  static void Write(char* p,
+                    const processor::PublicNNCandidates::Candidate& c) {
+    WireRecord<processor::PrivateTarget>::Write(p, c.target);
+    wire::StoreF64LE(p + kTargetBytes, c.min_dist);
+    wire::StoreF64LE(p + kTargetBytes + 8, c.max_dist);
   }
 };
 
@@ -441,6 +433,37 @@ class WireSpan {
   const char* data_ = nullptr;
   size_t count_ = 0;
 };
+
+/// Append `records` back to back, WireRecord<T>::kBytes each.
+template <typename T>
+void WriteRecords(wire::Writer& w, const std::vector<T>& records) {
+  char* p = w.Extend(records.size() * WireRecord<T>::kBytes);
+  for (const T& record : records) {
+    WireRecord<T>::Write(p, record);
+    p += WireRecord<T>::kBytes;
+  }
+}
+
+/// The next `n` records, left in place. Empty, with `r` failed, when
+/// fewer bytes remain.
+template <typename T>
+WireSpan<T> ReadRecords(wire::Reader& r, size_t n) {
+  const char* data = r.Skip(n * WireRecord<T>::kBytes);
+  return data != nullptr ? WireSpan<T>(data, n) : WireSpan<T>();
+}
+
+/// A record block behind its u64 count: the layout of every repeated
+/// field in the protocol.
+template <typename T>
+void WriteList(wire::Writer& w, const std::vector<T>& records) {
+  w.Count(records.size());
+  WriteRecords(w, records);
+}
+
+template <typename T>
+WireSpan<T> ReadList(wire::Reader& r) {
+  return ReadRecords<T>(r, r.Count(WireRecord<T>::kBytes));
+}
 
 // One view per ServerPayload alternative (same order). The small
 // fixed-size trailers (extended area, policy, bounds) are decoded
@@ -501,10 +524,6 @@ using ServerPayloadView =
                  PublicRangeCandidatesView, PrivateCandidateListView,
                  PublicNNCandidatesView, RangeCountResultView, DensityMapView>;
 
-/// Shipped record count of a payload view — identical to RecordCount on
-/// the materialized payload, without materializing it.
-size_t RecordCount(const ServerPayloadView& payload);
-
 /// Zero-copy counterpart of CandidateListMsg. Scalar header fields are
 /// decoded eagerly; the payload's candidate records stay in the frame.
 struct CandidateListView {
@@ -517,8 +536,7 @@ struct CandidateListView {
 };
 
 /// Zero-copy counterpart of SnapshotMsg: the (handle, region) records
-/// stay in the frame until consumed (the server bulk-loads them straight
-/// into the store without an intermediate vector).
+/// stay in the frame until consumed.
 struct SnapshotView {
   WireSpan<processor::PrivateTarget> regions;
   SnapshotMsg Materialize() const;

@@ -12,8 +12,9 @@
 /// \file
 /// The little-endian byte-codec substrate shared by the wire-message
 /// protocol (src/casper/messages.cc) and the page-based storage tier
-/// (src/storage/): a Writer/Reader pair over length-prefixed,
-/// fixed-width little-endian fields, plus the FNV-1a-64 frame seal.
+/// (src/storage/): byte-wise little-endian load/store primitives, a
+/// Writer/Reader pair built on them over length-prefixed, fixed-width
+/// fields, and the FNV-1a-64 frame seal.
 /// Every sealed frame — a wire message or a storage header — carries a
 /// trailing checksum of its body, so a corrupted byte inside a raw
 /// double is a typed decode failure instead of a silently different
@@ -24,6 +25,35 @@
 namespace casper::wire {
 
 inline constexpr size_t kChecksumBytes = 8;
+
+/// Little-endian loads and stores, assembled byte by byte (never
+/// reinterpret_cast: record offsets inside a frame carry no alignment
+/// guarantee, and an unaligned typed access would be UB).
+inline uint64_t LoadU64LE(const char* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+inline void StoreU64LE(char* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
+}
+
+inline double LoadF64LE(const char* p) {
+  const uint64_t bits = LoadU64LE(p);
+  double v;
+  static_assert(sizeof(bits) == sizeof(v));
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+inline void StoreF64LE(char* p, double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  StoreU64LE(p, bits);
+}
 
 inline uint64_t Fnv1a64(std::string_view bytes) {
   uint64_t hash = 0xcbf29ce484222325ull;
@@ -37,9 +67,8 @@ inline uint64_t Fnv1a64(std::string_view bytes) {
 /// Append the body's checksum, little-endian.
 inline std::string Seal(std::string body) {
   const uint64_t sum = Fnv1a64(body);
-  for (size_t i = 0; i < kChecksumBytes; ++i) {
-    body.push_back(static_cast<char>(static_cast<uint8_t>(sum >> (8 * i))));
-  }
+  body.resize(body.size() + kChecksumBytes);
+  StoreU64LE(body.data() + body.size() - kChecksumBytes, sum);
   return body;
 }
 
@@ -53,12 +82,7 @@ inline Result<std::string_view> Unseal(std::string_view frame,
   }
   const std::string_view body =
       frame.substr(0, frame.size() - kChecksumBytes);
-  uint64_t sum = 0;
-  for (size_t i = 0; i < kChecksumBytes; ++i) {
-    sum |= static_cast<uint64_t>(static_cast<uint8_t>(frame[body.size() + i]))
-           << (8 * i);
-  }
-  if (sum != Fnv1a64(body)) {
+  if (LoadU64LE(frame.data() + body.size()) != Fnv1a64(body)) {
     return Status::InvalidArgument(std::string("checksum mismatch in ") +
                                    what + " frame");
   }
@@ -71,16 +95,9 @@ class Writer {
   void U32(uint32_t v) {
     for (int i = 0; i < 4; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
   }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  void U64(uint64_t v) { StoreU64LE(Extend(8), v); }
   void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void F64(double v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
+  void F64(double v) { StoreF64LE(Extend(8), v); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void P(const Point& p) {
     F64(p.x);
@@ -94,6 +111,14 @@ class Writer {
   void Str(std::string_view s) {
     Count(s.size());
     out_.append(s);
+  }
+
+  /// Grow the output by `n` bytes and return their start, for the caller
+  /// to fill — the encode-side twin of Reader::Skip. The pointer is valid
+  /// until the next write.
+  char* Extend(size_t n) {
+    out_.resize(out_.size() + n);
+    return out_.data() + out_.size() - n;
   }
 
   std::string Take() { return std::move(out_); }
@@ -116,16 +141,13 @@ class Reader {
     return v;
   }
   uint64_t U64() {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(U8()) << (8 * i);
-    return v;
+    const char* p = Skip(8);
+    return p != nullptr ? LoadU64LE(p) : 0;
   }
   int32_t I32() { return static_cast<int32_t>(U32()); }
   double F64() {
-    const uint64_t bits = U64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+    const char* p = Skip(8);
+    return p != nullptr ? LoadF64LE(p) : 0.0;
   }
   bool Bool() {
     const uint8_t v = U8();
@@ -167,9 +189,9 @@ class Reader {
 
   bool Tag(uint8_t expected) { return U8() == expected && !failed_; }
 
-  /// Advance past `n` bytes and return their start — the zero-copy
-  /// decoders' window onto a record block. Null (and failed) when fewer
-  /// than `n` bytes remain.
+  /// Advance past `n` bytes and return their start — the decoders'
+  /// window onto a record block. Null (and failed) when fewer than `n`
+  /// bytes remain.
   const char* Skip(size_t n) {
     if (n > Remaining()) {
       failed_ = true;

@@ -52,19 +52,10 @@ std::optional<PublicCandidateList> ConcurrentQueryCache::Peek(
   return shard.cache.Peek(cloak);
 }
 
-void ConcurrentQueryCache::InvalidateAll() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->cache.InvalidateAll();
-  }
-  invalidations_.fetch_add(1, std::memory_order_relaxed);
-}
-
 QueryCacheStats ConcurrentQueryCache::stats() const {
   QueryCacheStats merged;
   merged.hits = hits_.load(std::memory_order_relaxed);
   merged.misses = misses_.load(std::memory_order_relaxed);
-  merged.invalidations = invalidations_.load(std::memory_order_relaxed);
   return merged;
 }
 

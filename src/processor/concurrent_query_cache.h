@@ -30,13 +30,14 @@ class ConcurrentQueryCache {
   static constexpr size_t kDefaultShards = 8;
 
   /// `capacity` is the total entry budget, split evenly across shards.
-  /// The store must outlive the cache.
+  /// The store must outlive the cache; mutating it, also while queries
+  /// run, invalidates every entry, see CachingQueryProcessor.
   ConcurrentQueryCache(const PublicTargetStore* store, size_t capacity,
                        FilterPolicy policy = FilterPolicy::kFourFilters,
                        size_t shard_count = kDefaultShards);
 
   /// Thread-safe cached Algorithm 2; same contract (and byte-identical
-  /// answers) as PrivateNearestNeighbor on an unchanged store.
+  /// answers) as PrivateNearestNeighbor on the store as it is now.
   Result<PublicCandidateList> Query(const Rect& cloak);
 
   /// Thread-safe hit-only lookup (current-epoch entries only; never
@@ -44,10 +45,6 @@ class ConcurrentQueryCache {
   /// when the server tier is unreachable, a peeked answer is still
   /// inclusive for its cloak. See CachingQueryProcessor::Peek.
   std::optional<PublicCandidateList> Peek(const Rect& cloak);
-
-  /// Thread-safe wholesale invalidation: bumps every shard's epoch
-  /// (O(shards), each bump O(1)); stale entries are reclaimed lazily.
-  void InvalidateAll();
 
   /// Mirrors hit/miss accounting into registry counters. Call before
   /// the first concurrent Query() (the pointers are read unguarded on
@@ -80,7 +77,6 @@ class ConcurrentQueryCache {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> invalidations_{0};
   obs::Counter* metric_hits_ = nullptr;
   obs::Counter* metric_misses_ = nullptr;
 };

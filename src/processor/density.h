@@ -34,6 +34,8 @@ class DensityMap {
 
   int cols() const { return cols_; }
   int rows() const { return rows_; }
+  /// Row-major, rows * cols entries.
+  const std::vector<double>& cells() const { return cells_; }
   const Rect& extent() const { return extent_; }
 
   /// Sum of all cells — equals the expected number of users inside the

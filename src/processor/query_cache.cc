@@ -35,9 +35,11 @@ CachingQueryProcessor::CachingQueryProcessor(const PublicTargetStore* store,
 }
 
 Result<PublicCandidateList> CachingQueryProcessor::Query(const Rect& cloak) {
+  // Read before evaluating: the stamp can only be older than the answer.
+  const uint64_t epoch = store_->epoch();
   const RectKey key{cloak};
   auto it = map_.find(key);
-  if (it != map_.end() && it->second.epoch == epoch_) {
+  if (it != map_.end() && it->second.epoch == epoch) {
     ++stats_.hits;
     // Refresh LRU position.
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
@@ -48,9 +50,9 @@ Result<PublicCandidateList> CachingQueryProcessor::Query(const Rect& cloak) {
   CASPER_ASSIGN_OR_RETURN(answer,
                           PrivateNearestNeighbor(*store_, cloak, policy_));
   if (it != map_.end()) {
-    // Stale entry for this key: refill it in place at the new epoch.
+    // Stale entry for this key: refill it in place at the current epoch.
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    it->second = Entry{answer, epoch_, lru_.begin()};
+    it->second = Entry{answer, epoch, lru_.begin()};
     return answer;
   }
   if (map_.size() >= capacity_) {
@@ -59,20 +61,17 @@ Result<PublicCandidateList> CachingQueryProcessor::Query(const Rect& cloak) {
     map_.erase(victim);
   }
   lru_.push_front(key);
-  map_[key] = Entry{answer, epoch_, lru_.begin()};
+  map_[key] = Entry{answer, epoch, lru_.begin()};
   return answer;
 }
 
 std::optional<PublicCandidateList> CachingQueryProcessor::Peek(
     const Rect& cloak) const {
   auto it = map_.find(RectKey{cloak});
-  if (it == map_.end() || it->second.epoch != epoch_) return std::nullopt;
+  if (it == map_.end() || it->second.epoch != store_->epoch()) {
+    return std::nullopt;
+  }
   return it->second.answer;
-}
-
-void CachingQueryProcessor::InvalidateAll() {
-  if (!map_.empty()) ++stats_.invalidations;
-  ++epoch_;
 }
 
 }  // namespace casper::processor

@@ -17,11 +17,14 @@
 /// which is how a production server would absorb the "large numbers of
 /// outstanding queries" §5 alludes to.
 ///
-/// The cache is invalidated wholesale when the target set changes
-/// (coarse but always safe — the epoch bump is O(1)): entries are
-/// stamped with the epoch current at insert time, InvalidateAll only
-/// increments the epoch, and a stale entry is discarded lazily when its
-/// key is next looked up (or when LRU eviction reaches it).
+/// The cache cannot serve an answer from an older target set: every
+/// entry is stamped with the store's epoch (PublicTargetStore::epoch),
+/// read before the answer is evaluated, and a lookup only hits an entry
+/// whose stamp equals the store's current epoch. Any mutation — an
+/// insert, a remove, a wholesale replacement — moves the epoch, so it
+/// invalidates every entry at once without anyone telling the cache; a
+/// stale entry is refilled lazily when its key is next looked up (or
+/// dropped when LRU eviction reaches it).
 
 namespace casper::processor {
 
@@ -32,7 +35,6 @@ size_t HashRect(const Rect& rect);
 struct QueryCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t invalidations = 0;
 
   double HitRate() const {
     const uint64_t total = hits + misses;
@@ -42,8 +44,11 @@ struct QueryCacheStats {
 
 class CachingQueryProcessor {
  public:
-  /// The store must outlive the processor. `capacity` bounds the number
-  /// of cached cloak rectangles (LRU eviction).
+  /// The store must outlive the processor. Its one writer may mutate it
+  /// at any time, also while a query runs: the stamp is read before
+  /// evaluating, so an answer that raced a mutation is already stale.
+  /// `capacity` bounds the number of cached cloak rectangles (LRU
+  /// eviction).
   CachingQueryProcessor(const PublicTargetStore* store, size_t capacity,
                         FilterPolicy policy = FilterPolicy::kFourFilters);
 
@@ -53,20 +58,15 @@ class CachingQueryProcessor {
   /// Hit-only lookup for degraded serving during a server outage:
   /// returns the cached answer when a *current-epoch* entry exists for
   /// `cloak`, nullopt otherwise. Restricting to the current epoch keeps
-  /// candidate-list inclusiveness intact — a pre-invalidation entry
-  /// could be missing a target added since. Never computes, never
-  /// evicts, and leaves LRU order and hit/miss stats untouched.
+  /// candidate-list inclusiveness intact — an older entry could be
+  /// missing a target added since. Never computes, never evicts, and
+  /// leaves LRU order and hit/miss stats untouched.
   std::optional<PublicCandidateList> Peek(const Rect& cloak) const;
-
-  /// Must be called after any mutation of the target store. O(1): bumps
-  /// the epoch; stale entries are dropped lazily on their next lookup.
-  void InvalidateAll();
 
   const QueryCacheStats& stats() const { return stats_; }
   /// Resident entries, *including* not-yet-reclaimed stale ones.
   size_t size() const { return map_.size(); }
   size_t capacity() const { return capacity_; }
-  uint64_t epoch() const { return epoch_; }
 
  private:
   struct RectKey {
@@ -82,7 +82,7 @@ class CachingQueryProcessor {
   using LruList = std::list<RectKey>;
   struct Entry {
     PublicCandidateList answer;
-    uint64_t epoch = 0;  ///< Epoch current when the entry was filled.
+    uint64_t epoch = 0;  ///< Store epoch the answer was evaluated at.
     LruList::iterator lru_pos;
   };
 
@@ -92,7 +92,6 @@ class CachingQueryProcessor {
   std::unordered_map<RectKey, Entry, RectKeyHash> map_;
   LruList lru_;  ///< Front = most recently used.
   QueryCacheStats stats_;
-  uint64_t epoch_ = 0;
 };
 
 }  // namespace casper::processor

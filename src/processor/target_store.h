@@ -16,11 +16,12 @@
 ///  * private data — users' cloaked rectangular regions received from
 ///    the location anonymizer; the server never sees exact positions.
 ///
-/// Both stores are backed by spatial::EpochIndex: mutations go to the
-/// authoritative Guttman R-tree and publish a new epoch; every read
-/// acquires the current immutable snapshot (packed FlatRTree base plus
-/// a small delta) with one atomic load, so the query hot path walks
-/// cache-friendly flat arrays and never takes a lock.
+/// Both stores are backed by spatial::EpochIndex: every mutation
+/// updates the packed FlatRTree base's overlay (delta inserts and
+/// tombstones, repacked into a new base once it grows) and publishes a
+/// new immutable snapshot; every read acquires the current snapshot
+/// with one pointer copy, so the query hot path walks cache-friendly
+/// flat arrays.
 
 namespace casper::processor {
 
@@ -71,6 +72,11 @@ class PublicTargetStore {
 
   size_t size() const { return index_.size(); }
   bool empty() const { return index_.empty(); }
+
+  /// Epoch stamp of the current contents (EpochIndex::Snapshot::epoch):
+  /// changes on every mutation and is never reused, also when the store
+  /// is replaced wholesale. The candidate cache keys validity on it.
+  uint64_t epoch() const { return index_.epoch(); }
 
   /// Epoch/reclamation counters of the backing index (exported through
   /// obs by the server tier).

@@ -62,6 +62,13 @@ void QueryServer::RecordOutcome(uint64_t request_id, const Status& outcome) {
   }
 }
 
+void QueryServer::ForgetOutcomes() {
+  applied_.clear();
+  applied_order_.clear();
+  retired_.clear();
+  retired_order_.clear();
+}
+
 void QueryServer::MarkRetired(uint64_t handle) {
   if (retired_.insert(handle).second) {
     retired_order_.push_back(handle);
@@ -140,16 +147,9 @@ Status QueryServer::ApplyRemove(const RegionRemoveMsg& msg) {
   return Status::OK();
 }
 
-Status QueryServer::Load(const SnapshotMsg& snapshot) {
-  return LoadRegions(snapshot.regions);
-}
-
 Status QueryServer::Load(const SnapshotView& snapshot) {
-  return LoadRegions(snapshot.regions.Materialize());
-}
-
-Status QueryServer::LoadRegions(
-    const std::vector<processor::PrivateTarget>& regions) {
+  const std::vector<processor::PrivateTarget> regions =
+      snapshot.regions.Materialize();
   stored_regions_.clear();
   stored_regions_.reserve(regions.size());
   for (const processor::PrivateTarget& target : regions) {
@@ -159,10 +159,7 @@ Status QueryServer::LoadRegions(
   // A snapshot replaces the whole store, so outcomes recorded for the
   // incremental stream no longer describe current state; retries of
   // pre-snapshot maintenance must re-apply against the new store.
-  applied_.clear();
-  applied_order_.clear();
-  retired_.clear();
-  retired_order_.clear();
+  ForgetOutcomes();
   ExportEpochStats();
   return Status::OK();
 }
@@ -172,20 +169,20 @@ namespace {
 // "SRV1": rejects a page that is not a server-tier manifest.
 constexpr uint32_t kManifestMagic = 0x31565253u;
 
-constexpr size_t kRegionRecordBytes = 8 + 4 * 8;  // handle + Rect.
-
 }  // namespace
 
 Status QueryServer::Save(storage::IStorageManager* sm) const {
   CASPER_ASSIGN_OR_RETURN(public_root, public_store_.SaveTo(sm));
   CASPER_ASSIGN_OR_RETURN(private_root, private_store_.SaveTo(sm));
 
-  wire::Writer rw;
-  rw.Count(stored_regions_.size());
+  // The handle -> region map, in the snapshot's record layout.
+  std::vector<processor::PrivateTarget> regions;
+  regions.reserve(stored_regions_.size());
   for (const auto& [handle, region] : stored_regions_) {
-    rw.U64(handle);
-    rw.R(region);
+    regions.push_back({handle, region});
   }
+  wire::Writer rw;
+  WriteList(rw, regions);
   const std::string regions_page = rw.Take();
   CASPER_ASSIGN_OR_RETURN(regions_id,
                           sm->Store(storage::kNoPage, regions_page));
@@ -226,14 +223,15 @@ Status QueryServer::Open(storage::IStorageManager* sm) {
   std::string region_bytes;
   CASPER_RETURN_IF_ERROR(sm->Load(regions_id, &region_bytes));
   wire::Reader rr(region_bytes);
-  const size_t n = rr.Count(kRegionRecordBytes);
-  std::unordered_map<uint64_t, Rect> regions;
-  regions.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t handle = rr.U64();
-    regions[handle] = rr.R();
-  }
+  const WireSpan<processor::PrivateTarget> records =
+      ReadList<processor::PrivateTarget>(rr);
   CASPER_RETURN_IF_ERROR(rr.Finish("server regions page"));
+  std::unordered_map<uint64_t, Rect> regions;
+  regions.reserve(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    const processor::PrivateTarget record = records[i];
+    regions[record.id] = record.region;
+  }
 
   // Only swap state in once every piece loaded: a failed Open leaves
   // the server untouched.
@@ -242,10 +240,7 @@ Status QueryServer::Open(storage::IStorageManager* sm) {
   stored_regions_ = std::move(regions);
   // A reopen is a new process lifetime; recorded maintenance outcomes
   // do not survive it (same contract as a bulk snapshot Load).
-  applied_.clear();
-  applied_order_.clear();
-  retired_.clear();
-  retired_order_.clear();
+  ForgetOutcomes();
   ExportEpochStats();
   return Status::OK();
 }

@@ -72,12 +72,8 @@ class QueryServer : public PrivateStoreSink {
   Status Apply(const RegionRemoveMsg& msg) override;
 
   /// Bulk snapshot replacing the whole private store (the batch
-  /// SyncPrivateData model; regions are STR bulk-loaded).
-  Status Load(const SnapshotMsg& snapshot);
-
-  /// Zero-copy variant: decodes each (handle, region) record exactly
-  /// once, straight from the wire frame into the bulk-load vector —
-  /// no intermediate SnapshotMsg.
+  /// SyncPrivateData model): the (handle, region) records are copied
+  /// out of the decoded frame once and STR bulk-loaded.
   Status Load(const SnapshotView& snapshot);
 
   // --- Query evaluation -----------------------------------------------
@@ -128,8 +124,6 @@ class QueryServer : public PrivateStoreSink {
   Status ApplyUpsert(const RegionUpsertMsg& msg);
   Status ApplyRemove(const RegionRemoveMsg& msg);
 
-  Status LoadRegions(const std::vector<processor::PrivateTarget>& regions);
-
   /// Mirror both stores' epoch/reclamation counters into the obs
   /// gauges. Called after every mutation (the read path never touches
   /// metrics state, keeping Execute() lock-free end to end).
@@ -139,6 +133,9 @@ class QueryServer : public PrivateStoreSink {
   /// id is unkeyed (0) or unseen.
   const Status* ReplayOutcome(uint64_t request_id) const;
   void RecordOutcome(uint64_t request_id, const Status& outcome);
+  /// Drop the idempotency window and retirement marks (the private
+  /// store was replaced wholesale).
+  void ForgetOutcomes();
 
   /// Drop `handle` from the stores if present and remember it as
   /// retired, so a stale upsert replayed after window eviction cannot

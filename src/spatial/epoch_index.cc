@@ -14,6 +14,11 @@ bool SameEntry(const Entry& a, const Rect& box, uint64_t id) {
   return a.id == id && a.box == box;
 }
 
+/// Source of every snapshot's epoch, shared by all indexes in the
+/// process, so a stamp is never reused — not even by a new index that
+/// replaces an old one in place (bulk load, restore).
+std::atomic<uint64_t> next_epoch{1};
+
 // "EPX1": rejects a page that is not an epoch-index checkpoint root.
 constexpr uint32_t kCheckpointMagic = 0x31585045u;
 
@@ -206,6 +211,7 @@ EpochIndex::EpochIndex(EpochIndex&& other) noexcept
       dead_(std::move(other.dead_)),
       size_(other.size_),
       published_(other.published_.Load()),
+      epoch_(other.epoch_.load()),
       reclaimed_(std::move(other.reclaimed_)),
       published_count_(other.published_count_),
       rebuilds_(other.rebuilds_) {}
@@ -219,6 +225,7 @@ EpochIndex& EpochIndex::operator=(EpochIndex&& other) noexcept {
     dead_ = std::move(other.dead_);
     size_ = other.size_;
     published_.Store(other.published_.Load());
+    epoch_.store(other.epoch_.load());
     reclaimed_ = std::move(other.reclaimed_);
     published_count_ = other.published_count_;
     rebuilds_ = other.rebuilds_;
@@ -274,9 +281,12 @@ void EpochIndex::Publish() {
   snapshot->delta_ = delta_;
   snapshot->dead_ = dead_;
   snapshot->size_ = size_;
-  snapshot->epoch_ = ++published_count_;
+  const uint64_t epoch = next_epoch.fetch_add(1);
+  snapshot->epoch_ = epoch;
+  ++published_count_;
   snapshot->reclaimed_ = reclaimed_;
   published_.Store(std::shared_ptr<const Snapshot>(std::move(snapshot)));
+  epoch_.store(epoch, std::memory_order_release);
 }
 
 std::shared_ptr<const EpochIndex::Snapshot> EpochIndex::Acquire() const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 namespace casper::transport {
@@ -13,6 +14,37 @@ namespace {
 bool IsTransportFailure(const Status& status) {
   return status.IsRetryable() ||
          status.code() == StatusCode::kDeadlineExceeded;
+}
+
+/// One attempt's response bytes as the reply to `request_id`, unsealed
+/// and parsed exactly once: the `Reply` message, the error a well-formed
+/// ack carries (an application error, terminal), or kDataLoss for a
+/// frame that is undecodable, of the wrong type, or answering a
+/// different request (a transport failure, retried).
+template <typename Reply>
+Result<Reply> DecodeReply(const std::string& bytes, uint64_t request_id) {
+  Result<MessageTag> tag = TagOf(bytes);
+  if (!tag.ok()) return Status::DataLoss("undecodable response");
+  if (tag.value() == MessageTag::kAck) {
+    Result<AckMsg> ack = DecodeAck(bytes);
+    if (!ack.ok()) return Status::DataLoss("undecodable response");
+    if (ack->request_id != request_id) {
+      return Status::DataLoss("response answers a different request");
+    }
+    if (!ack->ok()) return ack->ToStatus();
+    if constexpr (std::is_same_v<Reply, AckMsg>) return ack;
+  }
+  if constexpr (std::is_same_v<Reply, CandidateListMsg>) {
+    if (tag.value() == MessageTag::kCandidateList) {
+      Result<CandidateListMsg> answer = DecodeCandidateList(bytes);
+      if (!answer.ok()) return Status::DataLoss("undecodable response");
+      if (answer->request_id != request_id) {
+        return Status::DataLoss("response answers a different request");
+      }
+      return answer;
+    }
+  }
+  return Status::DataLoss("unexpected response message type");
 }
 
 }  // namespace
@@ -110,46 +142,16 @@ double ResilientClient::JitteredBackoff(int completed_attempts) {
   return backoff;
 }
 
-Result<std::string> ResilientClient::ClassifyResponse(
-    Result<std::string> response, uint64_t request_id) {
-  if (!response.ok()) return response;  // Channel-level failure, as-is.
-  const std::string& bytes = response.value();
-  Result<MessageTag> tag = TagOf(bytes);
-  if (!tag.ok()) {
-    return Status::DataLoss("undecodable response");
-  }
-  if (tag.value() == MessageTag::kAck) {
-    Result<AckMsg> ack = DecodeAck(bytes);
-    if (!ack.ok()) return Status::DataLoss("undecodable response");
-    if (ack->request_id != request_id) {
-      return Status::DataLoss("response answers a different request");
-    }
-    if (!ack->ok()) return ack->ToStatus();
-    return response;
-  }
-  if (tag.value() == MessageTag::kCandidateList) {
-    // Validate via the zero-copy view: full structural acceptance check
-    // (identical to the owning decoder) without materializing the
-    // candidate vectors that Execute() is about to decode for real.
-    Result<CandidateListView> answer = DecodeCandidateListView(bytes);
-    if (!answer.ok()) return Status::DataLoss("undecodable response");
-    if (answer->request_id != request_id) {
-      return Status::DataLoss("response answers a different request");
-    }
-    return response;
-  }
-  return Status::DataLoss("unexpected response message type");
-}
-
-Result<std::string> ResilientClient::CallResilient(const std::string& request,
-                                                   uint64_t request_id,
-                                                   const CallContext& context) {
+template <typename Reply>
+Result<Reply> ResilientClient::CallResilient(const std::string& request,
+                                             uint64_t request_id,
+                                             const CallContext& context) {
   metrics_->transport_requests_total->Increment();
   const double start = Now();
   const double deadline = options_.retry.deadline_seconds;
   int attempts = 0;
   Status last = Status::Unavailable("no attempt admitted");
-  std::optional<Result<std::string>> success;
+  std::optional<Reply> success;
 
   for (int attempt = 0; attempt < options_.retry.max_attempts; ++attempt) {
     // The deadline outranks the breaker: once the budget is spent the
@@ -178,11 +180,13 @@ Result<std::string> ResilientClient::CallResilient(const std::string& request,
       attempt_context.deadline_seconds =
           std::max(deadline - (Now() - start), 1e-3);
     }
-    Result<std::string> outcome = ClassifyResponse(
-        channel_->Call(request, attempt_context), request_id);
+    Result<std::string> response = channel_->Call(request, attempt_context);
+    Result<Reply> outcome =
+        response.ok() ? DecodeReply<Reply>(response.value(), request_id)
+                      : Result<Reply>(response.status());
     if (outcome.ok()) {
       RecordSuccess();
-      success = std::move(outcome);
+      success = std::move(outcome).value();
       break;
     }
     last = outcome.status();
@@ -237,13 +241,11 @@ Result<CandidateListMsg> ResilientClient::Execute(
   stamped.request_id = NextRequestId();
   CallContext context;
   context.cache = cache;
-  Result<std::string> bytes =
-      CallResilient(Encode(stamped), stamped.request_id, context);
-  if (bytes.ok()) {
-    return DecodeCandidateList(bytes.value());  // Validated by classify.
-  }
+  Result<CandidateListMsg> answer = CallResilient<CandidateListMsg>(
+      Encode(stamped), stamped.request_id, context);
+  if (answer.ok()) return answer;
 
-  const Status& failure = bytes.status();
+  const Status& failure = answer.status();
   // Graceful degradation: only when the *transport* failed (never for an
   // application error), only for the cached query kind, and only from a
   // current-epoch entry — which is what makes the answer still inclusive:
@@ -283,8 +285,8 @@ Status ResilientClient::EnqueueLocked(std::string bytes, uint64_t request_id) {
 Status ResilientClient::DrainLocked() {
   while (!replay_.empty()) {
     const ReplayEntry& entry = replay_.front();
-    Result<std::string> outcome =
-        CallResilient(entry.bytes, entry.request_id, CallContext{});
+    Result<AckMsg> outcome =
+        CallResilient<AckMsg>(entry.bytes, entry.request_id, CallContext{});
     if (!outcome.ok() && IsTransportFailure(outcome.status())) {
       return outcome.status();  // Still down; keep the backlog, in order.
     }
@@ -307,8 +309,8 @@ Status ResilientClient::ApplyMaintenanceLocked(std::string bytes,
     if (options_.degradation.replay_buffer_capacity == 0) return drained;
     return EnqueueLocked(std::move(bytes), request_id);
   }
-  Result<std::string> outcome =
-      CallResilient(bytes, request_id, CallContext{});
+  Result<AckMsg> outcome =
+      CallResilient<AckMsg>(bytes, request_id, CallContext{});
   if (outcome.ok()) return Status::OK();
   Status failure = outcome.status();
   if (IsTransportFailure(failure) &&
@@ -336,8 +338,8 @@ Status ResilientClient::Load(const SnapshotMsg& snapshot) {
   std::lock_guard<std::mutex> lock(maintenance_mu_);
   // Snapshot acks echo id 0 (whole-store replacement is naturally
   // idempotent, so snapshots are unkeyed).
-  Result<std::string> outcome =
-      CallResilient(Encode(snapshot), 0, CallContext{});
+  Result<AckMsg> outcome =
+      CallResilient<AckMsg>(Encode(snapshot), 0, CallContext{});
   if (!outcome.ok()) return outcome.status();
   // The snapshot supersedes every queued incremental change: the
   // anonymizer built it from the same state those changes led up to.

@@ -161,19 +161,16 @@ class ResilientClient : public PrivateStoreSink {
   uint64_t NextRequestId() { return next_id_.fetch_add(1); }
 
   /// The full resilience pipeline for one logical request: breaker
-  /// admission, deadline, attempts with backoff, response validation
-  /// (id echo + decode). Returns the raw valid response bytes, or the
-  /// final classified Status.
-  Result<std::string> CallResilient(const std::string& request,
-                                    uint64_t request_id,
-                                    const CallContext& context);
-
-  /// One attempt's response, classified: OK bytes for a valid answer
-  /// (matching CandidateListMsg or OK AckMsg), the ack's status for an
-  /// application error, kDataLoss for anything undecodable or answering
-  /// the wrong request.
-  Result<std::string> ClassifyResponse(Result<std::string> response,
-                                       uint64_t request_id);
+  /// admission, deadline, attempts with backoff. Each attempt's response
+  /// is decoded once, straight into `Reply` (CandidateListMsg for a
+  /// query, AckMsg for maintenance): an ack carrying an error becomes
+  /// that error, and anything undecodable, of the wrong type, or
+  /// answering another request becomes kDataLoss and is retried.
+  /// Returns the decoded reply, or the final classified Status.
+  template <typename Reply>
+  Result<Reply> CallResilient(const std::string& request,
+                              uint64_t request_id,
+                              const CallContext& context);
 
   /// Shared maintenance path: drain the backlog, send, queue on
   /// transport failure. Caller must hold maintenance_mu_.

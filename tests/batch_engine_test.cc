@@ -266,22 +266,70 @@ TEST(BatchQueryEngineTest, SummaryAggregatesTimings) {
   EXPECT_GT(result.summary.cache.hits + result.summary.cache.misses, 0u);
 }
 
+/// Every user's NN request, plus a new public target at each user's
+/// exact position — which must become that user's exact answer.
+struct CacheStalenessFixture {
+  std::vector<BatchQueryRequest> batch;
+  std::vector<processor::PublicTarget> at_users;
+};
+
+CacheStalenessFixture NearestPublicAtEveryUser(CasperService* service,
+                                               size_t users) {
+  CacheStalenessFixture fixture;
+  for (anonymizer::UserId uid = 0; uid < users; ++uid) {
+    fixture.batch.push_back(BatchQueryRequest::NearestPublic(uid));
+    Result<Point> position = service->ClientPosition(uid);
+    EXPECT_TRUE(position.ok());
+    fixture.at_users.push_back({900000 + uid, position.value()});
+  }
+  return fixture;
+}
+
+void ExpectAnswersAreTheNewTargets(const CacheStalenessFixture& fixture,
+                                   const BatchResult& result) {
+  for (size_t i = 0; i < fixture.batch.size(); ++i) {
+    ASSERT_TRUE(result.responses[i].ok()) << "slot " << i;
+    EXPECT_EQ(result.responses[i].nearest_public()->exact.id,
+              fixture.at_users[i].id)
+        << "slot " << i << " was answered from a stale cache entry";
+  }
+}
+
 TEST(BatchQueryEngineTest, CacheInvalidationAfterTargetMutation) {
+  // Nothing but the mutation itself may be needed to keep the cache
+  // honest: no invalidation call between the two batches.
   CasperService service = MakeService(40, 300, 7);
   ASSERT_TRUE(service.SyncPrivateData().ok());
-  std::vector<BatchQueryRequest> batch;
-  for (anonymizer::UserId uid = 0; uid < 40; ++uid) {
-    batch.push_back(BatchQueryRequest::NearestPublic(uid));
-  }
+  const CacheStalenessFixture fixture = NearestPublicAtEveryUser(&service, 40);
   BatchQueryEngine engine(&service);
-  (void)engine.Execute(batch);
+  (void)engine.Execute(fixture.batch);
 
-  // Mutate the public targets, invalidate, and re-run: answers must
-  // match the fresh sequential path, not the cached pre-mutation ones.
-  service.AddPublicTarget({777777, service.options().pyramid.space.Center()});
-  engine.InvalidatePublicCache();
-  BatchResult result = engine.Execute(batch);
-  ExpectParityWithSequential(&service, batch, result);
+  for (const processor::PublicTarget& t : fixture.at_users) {
+    service.AddPublicTarget(t);
+  }
+  BatchResult result = engine.Execute(fixture.batch);
+  ExpectParityWithSequential(&service, fixture.batch, result);
+  ExpectAnswersAreTheNewTargets(fixture, result);
+}
+
+TEST(BatchQueryEngineTest, CacheInvalidationAfterTargetReplacement) {
+  // SetPublicTargets builds a new index in place of the old one; its
+  // epochs must not collide with those the cached entries carry.
+  CasperService service = MakeService(40, 300, 8);
+  ASSERT_TRUE(service.SyncPrivateData().ok());
+  const CacheStalenessFixture fixture = NearestPublicAtEveryUser(&service, 40);
+  BatchQueryEngine engine(&service);
+  (void)engine.Execute(fixture.batch);
+
+  Rng rng(80);
+  std::vector<processor::PublicTarget> targets = workload::UniformPublicTargets(
+      300, service.options().pyramid.space, &rng);
+  targets.insert(targets.end(), fixture.at_users.begin(),
+                 fixture.at_users.end());
+  service.SetPublicTargets(targets);
+  BatchResult result = engine.Execute(fixture.batch);
+  ExpectParityWithSequential(&service, fixture.batch, result);
+  ExpectAnswersAreTheNewTargets(fixture, result);
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ TEST(ConcurrentQueryCacheTest, SharedAcrossThreads) {
   EXPECT_GT(stats.HitRate(), 0.95);
 }
 
-TEST(ConcurrentQueryCacheTest, InvalidateAllDropsStaleAnswers) {
+TEST(ConcurrentQueryCacheTest, StoreMutationDropsStaleAnswers) {
   PublicTargetStore store = MakeStore(200, 3);
   ConcurrentQueryCache cache(&store, 32);
   const Rect cloak(0.45, 0.45, 0.55, 0.55);
@@ -106,16 +106,19 @@ TEST(ConcurrentQueryCacheTest, InvalidateAllDropsStaleAnswers) {
   ASSERT_TRUE(before.ok());
 
   store.Insert({9999, {0.5, 0.5}});
-  cache.InvalidateAll();
+  EXPECT_FALSE(cache.Peek(cloak).has_value());
   auto after = cache.Query(cloak);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->size(), before->size() + 1);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(ConcurrentQueryCacheTest, ConcurrentQueriesWithInvalidation) {
-  // Readers race with periodic invalidations on a store that never
-  // changes — every answer must still match the direct evaluation.
+  // Readers race a writer that keeps mutating the store, so the epoch
+  // moves while queries are in flight and every entry keeps going
+  // stale. The writer only touches (5, 5), outside every cloak's
+  // extended area, so every answer must still match the direct
+  // evaluation made before the race.
   PublicTargetStore store = MakeStore(300, 4);
   ConcurrentQueryCache cache(&store, 32, FilterPolicy::kFourFilters, 4);
   const std::vector<Rect> cloaks = CellAlignedCloaks(3);
@@ -128,11 +131,13 @@ TEST(ConcurrentQueryCacheTest, ConcurrentQueriesWithInvalidation) {
 
   std::atomic<int> mismatches{0};
   std::atomic<bool> stop{false};
+  std::atomic<int> writes{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&, t] {
       Rng rng(200 + t);
-      for (int q = 0; q < 300; ++q) {
+      // Keep querying until the writer has moved the epoch many times.
+      for (int q = 0; q < 300 || writes.load() < 100; ++q) {
         const size_t i = rng.UniformInt(0, cloaks.size() - 1);
         auto answer = cache.Query(cloaks[i]);
         if (!answer.ok() || Ids(*answer) != expected[i]) {
@@ -141,17 +146,21 @@ TEST(ConcurrentQueryCacheTest, ConcurrentQueriesWithInvalidation) {
       }
     });
   }
-  std::thread invalidator([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      cache.InvalidateAll();
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+  std::thread writer([&] {
+    for (uint64_t id = 10000; !stop.load(); ++id) {
+      store.Insert({id, {5, 5}});
+      if (id % 2 == 1) store.Remove({id - 1, {5, 5}});
+      writes.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   });
   for (auto& th : readers) th.join();
-  stop.store(true, std::memory_order_relaxed);
-  invalidator.join();
+  stop.store(true);
+  writer.join();
 
   EXPECT_EQ(mismatches.load(), 0);
+  // Entries went stale under the readers and were re-evaluated.
+  EXPECT_GT(cache.stats().misses, cloaks.size());
 }
 
 TEST(ConcurrentQueryCacheTest, CapacitySplitsAcrossShards) {

@@ -5,6 +5,7 @@
 
 #include "src/casper/messages.h"
 #include "src/common/rng.h"
+#include "tests/messages_test_util.h"
 
 /// Property tests for the wire-message binary codec: for randomized
 /// instances of every message type, Decode(Encode(msg)) == msg exactly
@@ -16,6 +17,8 @@ namespace casper {
 namespace {
 
 constexpr int kRounds = 200;
+
+using testing_util::DecodeSnapshotMsg;
 
 Rect RandomRect(Rng* rng) {
   const Point a = rng->PointIn(Rect(0, 0, 1, 1));
@@ -205,7 +208,7 @@ TEST(MessagesRoundtripTest, Snapshot) {
   for (int i = 0; i < kRounds; ++i) {
     SnapshotMsg msg;
     msg.regions = RandomPrivateTargets(&rng, 32);
-    auto decoded = DecodeSnapshot(Encode(msg));
+    auto decoded = DecodeSnapshotMsg(Encode(msg));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_TRUE(*decoded == msg) << "round " << i;
   }
@@ -324,7 +327,7 @@ TEST(MessagesRoundtripTest, MistypedBufferRejected) {
   // Feed a remove message to every other decoder.
   EXPECT_FALSE(DecodeCloakedQuery(bytes).ok());
   EXPECT_FALSE(DecodeRegionUpsert(bytes).ok());
-  EXPECT_FALSE(DecodeSnapshot(bytes).ok());
+  EXPECT_FALSE(DecodeSnapshotMsg(bytes).ok());
   EXPECT_FALSE(DecodeCandidateList(bytes).ok());
   EXPECT_FALSE(DecodeAck(bytes).ok());
 }
@@ -341,7 +344,7 @@ TEST(MessagesRoundtripTest, CorruptLengthPrefixRejected) {
   bytes[2] = '\xff';
   bytes[3] = '\xff';
   bytes[4] = '\x7f';
-  auto decoded = DecodeSnapshot(bytes);
+  auto decoded = DecodeSnapshotMsg(bytes);
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -350,7 +353,7 @@ TEST(MessagesRoundtripTest, EmptyBufferRejected) {
   EXPECT_FALSE(DecodeCloakedQuery("").ok());
   EXPECT_FALSE(DecodeRegionUpsert("").ok());
   EXPECT_FALSE(DecodeRegionRemove("").ok());
-  EXPECT_FALSE(DecodeSnapshot("").ok());
+  EXPECT_FALSE(DecodeSnapshotMsg("").ok());
   EXPECT_FALSE(DecodeCandidateList("").ok());
   EXPECT_FALSE(DecodeAck("").ok());
 }

@@ -6,10 +6,10 @@
 #include "src/casper/messages.h"
 #include "src/common/rng.h"
 
-/// Tests for the zero-copy view decoders: a view must accept exactly the
-/// frames the owning decoder accepts, Materialize() must reproduce the
-/// owning decode bit-for-bit, and records extracted through a view are
-/// deep copies — mutating the frame afterwards must not corrupt them.
+/// Tests for the view decoders, the codec's only parsers of record
+/// blocks: Materialize() must reproduce the encoded message bit for bit,
+/// and records extracted through a view are deep copies — mutating the
+/// frame afterwards must not corrupt them.
 
 namespace casper {
 namespace {
@@ -122,7 +122,7 @@ CandidateListMsg RandomCandidateList(Rng* rng) {
   return msg;
 }
 
-/// View → Materialize reproduces the owning decode exactly, for every
+/// View → Materialize reproduces the encoded message exactly, for every
 /// payload kind.
 TEST(MessagesViewTest, MaterializeMatchesOwningDecode) {
   Rng rng(0x51DE);
@@ -132,7 +132,6 @@ TEST(MessagesViewTest, MaterializeMatchesOwningDecode) {
     auto view = DecodeCandidateListView(frame);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     EXPECT_TRUE(view->Materialize() == msg) << "round " << i;
-    EXPECT_EQ(RecordCount(view->payload), RecordCount(msg.payload));
   }
 }
 
@@ -191,37 +190,6 @@ TEST(MessagesViewTest, CandidateListExtractionSurvivesFrameMutation) {
   EXPECT_EQ(materialized.request_id, 77u);
 }
 
-/// Acceptance parity under corruption: for randomized single-byte
-/// mutations and truncations of valid frames, the view decoder accepts
-/// exactly when the owning decoder accepts.
-TEST(MessagesViewTest, FuzzAcceptanceParityWithOwningDecoders) {
-  Rng rng(0xF022);
-  for (int i = 0; i < 200; ++i) {
-    std::string frame = Encode(RandomCandidateList(&rng));
-    const int mutations = static_cast<int>(rng.UniformInt(1, 4));
-    for (int m = 0; m < mutations; ++m) {
-      const size_t pos = rng.UniformInt(0, frame.size() - 1);
-      frame[pos] = static_cast<char>(rng.UniformInt(0, 255));
-    }
-    if (rng.Bernoulli(0.3)) {
-      frame.resize(rng.UniformInt(0, frame.size()));
-    }
-    const bool owning_ok = DecodeCandidateList(frame).ok();
-    const bool view_ok = DecodeCandidateListView(frame).ok();
-    EXPECT_EQ(owning_ok, view_ok) << "round " << i;
-  }
-  for (int i = 0; i < 100; ++i) {
-    SnapshotMsg msg;
-    msg.regions = RandomPrivateTargets(&rng, 16);
-    std::string frame = Encode(msg);
-    const size_t pos = rng.UniformInt(0, frame.size() - 1);
-    frame[pos] = static_cast<char>(rng.UniformInt(0, 255));
-    EXPECT_EQ(DecodeSnapshot(frame).ok(), DecodeSnapshotView(frame).ok());
-  }
-}
-
-/// When both decoders accept a corrupted-then-revalidated frame (the
-/// checksum was recomputed to match), they must agree on content too.
 TEST(MessagesViewTest, ViewRejectsTruncatedAndMistypedFrames) {
   EXPECT_FALSE(DecodeCandidateListView("").ok());
   EXPECT_FALSE(DecodeSnapshotView("").ok());

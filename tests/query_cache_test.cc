@@ -68,15 +68,23 @@ TEST(QueryCacheTest, InvalidationForcesReevaluation) {
   auto before = cache.Query(cloak);
   ASSERT_TRUE(before.ok());
 
-  // Mutate the store; the stale answer must not be served. The epoch
-  // bump is lazy: the entry stays resident but is refilled on lookup.
+  // Mutate the store, and nothing else: the stale answer must not be
+  // served. Invalidation is lazy — the entry stays resident and is
+  // refilled on lookup.
   store.Insert({9999, {0.5, 0.5}});
-  cache.InvalidateAll();
   EXPECT_EQ(cache.size(), 1u);
   auto after = cache.Query(cloak);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->size(), before->size() + 1);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+
+  // A remove moves the epoch too, even though it restores the old set.
+  ASSERT_TRUE(store.Remove({9999, {0.5, 0.5}}));
+  auto restored = cache.Query(cloak);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(Ids(*restored), Ids(*before));
+  EXPECT_EQ(cache.stats().misses, 3u);
 }
 
 TEST(QueryCacheTest, EpochBumpIsLazyAndO1) {
@@ -88,11 +96,12 @@ TEST(QueryCacheTest, EpochBumpIsLazyAndO1) {
   }
   for (const Rect& c : cloaks) ASSERT_TRUE(cache.Query(c).ok());
   EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.epoch(), 0u);
 
-  cache.InvalidateAll();
-  // Nothing is eagerly dropped; only the epoch moved.
-  EXPECT_EQ(cache.epoch(), 1u);
+  // Far from every cloak: no answer changes, but the epoch does.
+  const uint64_t epoch = store.epoch();
+  store.Insert({9999, {5.0, 5.0}});
+  EXPECT_NE(store.epoch(), epoch);
+  // Nothing is eagerly dropped; only the store's epoch moved.
   EXPECT_EQ(cache.size(), 4u);
 
   // A stale entry counts as a miss and is refilled at the new epoch...
@@ -109,6 +118,26 @@ TEST(QueryCacheTest, EpochBumpIsLazyAndO1) {
   ASSERT_TRUE(cached.ok());
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(Ids(*cached), Ids(*direct));
+}
+
+TEST(QueryCacheTest, ReplacedStoreNeverServesOldAnswers) {
+  // Wholesale replacement builds a new index in place; its epochs must
+  // not repeat the old index's, or entries from the old target set would
+  // match again.
+  PublicTargetStore store = MakeStore(200, 9);
+  CachingQueryProcessor cache(&store, 8);
+  const Rect cloak(0.45, 0.45, 0.55, 0.55);
+  ASSERT_TRUE(cache.Query(cloak).ok());
+  ASSERT_TRUE(cache.Peek(cloak).has_value());
+
+  store = MakeStore(200, 10);
+  EXPECT_FALSE(cache.Peek(cloak).has_value());
+  auto cached = cache.Query(cloak);
+  auto direct = PrivateNearestNeighbor(store, cloak);
+  ASSERT_TRUE(cached.ok());
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(Ids(*cached), Ids(*direct));
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(QueryCacheTest, CellAlignedWorkloadGetsHighHitRate) {

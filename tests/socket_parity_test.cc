@@ -106,7 +106,10 @@ TEST(SocketParityTest, AllSevenKindsByteIdenticalToDirectChannel) {
                          std::min(1.0, center.y + 0.03));
     snapshot.regions.push_back(region);
   }
-  ASSERT_TRUE(server.Load(snapshot).ok());
+  const std::string snapshot_frame = Encode(snapshot);
+  auto snapshot_view = DecodeSnapshotView(snapshot_frame);
+  ASSERT_TRUE(snapshot_view.ok());
+  ASSERT_TRUE(server.Load(snapshot_view.value()).ok());
 
   transport::ServerEndpoint endpoint(&server);
   DirectChannel direct(&endpoint);
