@@ -3,10 +3,7 @@
 // Algorithm 2 geometry, the wire codec, and the moving-object simulator.
 
 #include <benchmark/benchmark.h>
-#include <unistd.h>
 
-#include <algorithm>
-#include <cstdio>
 #include <string>
 
 #include "src/anonymizer/adaptive_anonymizer.h"
@@ -22,8 +19,6 @@
 #include "src/processor/query_cache.h"
 #include "src/spatial/epoch_index.h"
 #include "src/spatial/flat_rtree.h"
-#include "src/storage/buffer_pool.h"
-#include "src/storage/disk_storage.h"
 #include "src/storage/memory_storage.h"
 
 namespace casper {
@@ -338,7 +333,7 @@ void BM_SimulatorTick(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorTick)->Arg(1000)->Arg(10000);
 
-// --- Storage tier: page codec and buffer pool ------------------------------
+// --- Storage tier: page codec ------------------------------------------------
 
 spatial::FlatRTree BuildFlatTree(size_t n, uint64_t seed) {
   return spatial::FlatRTree::Build(RandomEntries(n, seed));
@@ -369,88 +364,6 @@ void BM_FlatTreeDeserialize(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FlatTreeDeserialize)->Arg(10000)->Arg(100000);
-
-/// Sequential page scans through a BufferPool over a disk store, with
-/// the pool sized to Arg(1)% of the page count: 1% (thrash), 10%, and
-/// 100% (everything resident after the cold pass). The first iteration
-/// is the cold scan; steady-state hit rates land in the counters.
-void BM_BufferPoolScan(benchmark::State& state) {
-  const size_t page_count = static_cast<size_t>(state.range(0));
-  const std::string path = "/tmp/casper_bench_pool_" +
-                           std::to_string(::getpid()) + "_" +
-                           std::to_string(state.range(1));
-  auto sm = storage::DiskStorageManager::Create(path);
-  CASPER_DCHECK(sm.ok());
-  std::vector<storage::PageId> ids;
-  Rng rng(29);
-  for (size_t i = 0; i < page_count; ++i) {
-    std::string page(4096 - 64, static_cast<char>(rng.UniformInt(0, 255)));
-    auto id = (*sm)->Store(storage::kNoPage, page);
-    CASPER_DCHECK(id.ok());
-    ids.push_back(*id);
-  }
-  CASPER_DCHECK((*sm)->Flush().ok());
-
-  storage::BufferPoolOptions options;
-  options.capacity_pages = std::max<size_t>(
-      1, page_count * static_cast<size_t>(state.range(1)) / 100);
-  storage::BufferPool pool(sm->get(), options);
-  std::string out;
-  for (auto _ : state) {
-    for (const auto id : ids) {
-      CASPER_DCHECK(pool.Load(id, &out).ok());
-      benchmark::DoNotOptimize(out.data());
-    }
-  }
-  const auto stats = pool.stats();
-  state.counters["pool_hits"] = static_cast<double>(stats.hits);
-  state.counters["pool_misses"] = static_cast<double>(stats.misses);
-  state.counters["pool_evictions"] = static_cast<double>(stats.evictions);
-  state.counters["hit_rate"] = stats.hit_rate();
-  state.SetItemsProcessed(state.iterations() * page_count);
-  std::remove((path + ".dat").c_str());
-  std::remove((path + ".idx").c_str());
-}
-BENCHMARK(BM_BufferPoolScan)
-    ->Args({512, 1})
-    ->Args({512, 10})
-    ->Args({512, 100});
-
-/// One cold reopen: every page load is a miss that goes to disk and
-/// through checksum verification. The counterpart of the warm scans
-/// above; together they chart the hit curve the perf gate tracks.
-void BM_BufferPoolColdLoad(benchmark::State& state) {
-  const size_t page_count = static_cast<size_t>(state.range(0));
-  const std::string path =
-      "/tmp/casper_bench_cold_" + std::to_string(::getpid());
-  {
-    auto sm = storage::DiskStorageManager::Create(path);
-    CASPER_DCHECK(sm.ok());
-    Rng rng(31);
-    for (size_t i = 0; i < page_count; ++i) {
-      std::string page(4096 - 64, static_cast<char>(rng.UniformInt(0, 255)));
-      CASPER_DCHECK((*sm)->Store(storage::kNoPage, page).ok());
-    }
-    CASPER_DCHECK((*sm)->Flush().ok());
-  }
-  uint64_t misses = 0;
-  std::string out;
-  for (auto _ : state) {
-    auto sm = storage::DiskStorageManager::Open(path);
-    CASPER_DCHECK(sm.ok());
-    storage::BufferPool pool(sm->get());
-    for (storage::PageId id = 0; id < page_count; ++id) {
-      CASPER_DCHECK(pool.Load(id, &out).ok());
-      benchmark::DoNotOptimize(out.data());
-    }
-    misses = pool.stats().misses;
-  }
-  state.counters["pool_misses"] = static_cast<double>(misses);
-  state.SetItemsProcessed(state.iterations() * page_count);
-  std::remove((path + ".dat").c_str());
-  std::remove((path + ".idx").c_str());
-}
-BENCHMARK(BM_BufferPoolColdLoad)->Arg(512);
 
 }  // namespace
 }  // namespace casper

@@ -10,9 +10,10 @@ std::vector<double> LatencyBounds() {
           5e-4, 1e-3,   5e-3, 1e-2, 5e-2,   0.1,  0.5,  1.0};
 }
 
-/// Candidate-list size / k-achieved bounds (counts).
+/// Candidate-list size / k-achieved bounds (counts). The top buckets
+/// cover 1M-target candidate lists, which run to ~4K records.
 std::vector<double> CountBounds() {
-  return {1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096};
+  return {1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096, 16384, 65536};
 }
 
 /// Cloak-area bounds as absolute area in space units² (the managed
@@ -200,28 +201,6 @@ CasperMetrics::CasperMetrics(MetricsRegistry* r)
       net_io_timeouts_total(r->GetCounter(
           "casper_net_io_timeouts_total",
           "Client socket reads/writes abandoned at their deadline.")),
-      storage_pool_hits_total(r->GetCounter(
-          "casper_storage_pool_hits_total",
-          "Buffer-pool page loads served from the cache.")),
-      storage_pool_misses_total(r->GetCounter(
-          "casper_storage_pool_misses_total",
-          "Buffer-pool page loads that fell through to the backend.")),
-      storage_pool_evictions_total(r->GetCounter(
-          "casper_storage_pool_evictions_total",
-          "Pages evicted from the buffer pool (LRU).")),
-      storage_pool_writebacks_total(r->GetCounter(
-          "casper_storage_pool_writebacks_total",
-          "Dirty pages written back to the backend on eviction or "
-          "flush.")),
-      storage_pool_resident_pages(r->GetGauge(
-          "casper_storage_pool_resident_pages",
-          "Pages currently cached in the buffer pool.")),
-      storage_pool_pinned_pages(r->GetGauge(
-          "casper_storage_pool_pinned_pages",
-          "Cached pages currently pinned against eviction.")),
-      storage_pool_capacity_pages(r->GetGauge(
-          "casper_storage_pool_capacity_pages",
-          "Configured buffer-pool capacity in pages.")),
       storage_pages_read_total(r->GetCounter(
           "casper_storage_pages_read_total",
           "Logical pages read by the disk storage manager.")),

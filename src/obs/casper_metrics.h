@@ -122,14 +122,7 @@ struct CasperMetrics {
   Counter* net_io_timeouts_total;  ///< Client reads/writes abandoned at
                                    ///< their deadline.
 
-  // --- Storage tier (page store + buffer pool) --------------------------
-  Counter* storage_pool_hits_total;    ///< Page loads served from cache.
-  Counter* storage_pool_misses_total;  ///< Page loads that went to disk.
-  Counter* storage_pool_evictions_total;
-  Counter* storage_pool_writebacks_total;  ///< Dirty pages flushed down.
-  Gauge* storage_pool_resident_pages;
-  Gauge* storage_pool_pinned_pages;
-  Gauge* storage_pool_capacity_pages;
+  // --- Storage tier (disk page store) -----------------------------------
   Counter* storage_pages_read_total;     ///< Pages read by the disk backend.
   Counter* storage_pages_written_total;  ///< Pages written by the disk
                                          ///< backend.

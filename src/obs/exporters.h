@@ -21,7 +21,8 @@ std::string ExportPrometheus(const MetricsSnapshot& snapshot);
 
 /// JSON snapshot: `{"metrics": [{name, type, help, samples: [...]}]}`
 /// with histogram samples carrying per-bucket (non-cumulative) counts.
-/// This is what the throughput bench writes next to BENCH_throughput.json.
+/// This is what `casper_cli metrics json` prints and what the scenario
+/// reports embed.
 std::string ExportJson(const MetricsSnapshot& snapshot);
 
 }  // namespace casper::obs

@@ -362,8 +362,7 @@ constexpr uint32_t kTreeMagic = 0x31545246u;
 // Rows per page, sized so a page lands near the disk backend's 4 KB
 // slot: a node row is 12 bytes of offsets + 32 bytes of MBR, an entry
 // row 8 bytes of id + 32 bytes of box. A million-entry tree therefore
-// spans ~10k entry pages — enough pages for a buffer pool smaller than
-// the tree to actually evict.
+// spans ~10k entry pages.
 constexpr size_t kNodeRowBytes = 3 * 4 + 4 * 8;
 constexpr size_t kEntryRowBytes = 8 + 4 * 8;
 constexpr size_t kNodesPerPage = 92;

@@ -16,13 +16,12 @@
 /// entry page again after reopen. Backends: MemoryStorageManager
 /// (unordered_map, for tests and as the in-RAM default),
 /// DiskStorageManager (fixed-size slots in a data file, crash-safe
-/// header commit, per-page checksums), and BufferPool (an LRU page
-/// cache layered over either).
+/// header commit, per-page checksums).
 ///
 /// The interface is deliberately byte-oriented: layers above serialize
 /// their nodes with the wire codec (src/common/codec.h) and never see
-/// file offsets, so swapping backends — or wrapping one in a pool —
-/// is a constructor argument, not a code change.
+/// file offsets, so swapping backends is a constructor argument, not a
+/// code change.
 
 namespace casper::storage {
 

@@ -71,14 +71,18 @@ TEST_P(DegenerateEquivalenceTest, PublicAndDegeneratePrivateAgree) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, DegenerateEquivalenceTest,
-    ::testing::Values(Params{100, 0.1, FilterPolicy::kFourFilters, 1},
-                      Params{100, 0.1, FilterPolicy::kOneFilter, 2},
-                      Params{100, 0.1, FilterPolicy::kTwoFilters, 3},
-                      Params{500, 0.05, FilterPolicy::kFourFilters, 4},
-                      Params{30, 0.4, FilterPolicy::kFourFilters, 5},
-                      Params{1000, 0.02, FilterPolicy::kTwoFilters, 6}));
+// gtest names each case by dumping the parameter's bytes, padding
+// included. A static array has zero padding, so the names stay the same
+// from build to build; temporaries would leak stack contents into them.
+const Params kSweep[] = {{100, 0.1, FilterPolicy::kFourFilters, 1},
+                         {100, 0.1, FilterPolicy::kOneFilter, 2},
+                         {100, 0.1, FilterPolicy::kTwoFilters, 3},
+                         {500, 0.05, FilterPolicy::kFourFilters, 4},
+                         {30, 0.4, FilterPolicy::kFourFilters, 5},
+                         {1000, 0.02, FilterPolicy::kTwoFilters, 6}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, DegenerateEquivalenceTest,
+                         ::testing::ValuesIn(kSweep));
 
 }  // namespace
 }  // namespace casper::processor

@@ -134,6 +134,11 @@ TEST(ObsIntegrationTest, BatchAcrossAllKindsPopulatesEveryInstrument) {
   EXPECT_EQ(static_cast<size_t>(metrics.pool_threads->Value()), 2u);
   EXPECT_EQ(metrics.batch_wall_seconds->Snapshot().count, 1u);
 
+  // A 5,000-record candidate list (1M-target scale) lands in a finite
+  // bucket, not in +Inf.
+  metrics.candidates[0]->Observe(5000);
+  EXPECT_EQ(metrics.candidates[0]->Snapshot().buckets.back(), 0u);
+
   // Spans: every batch slot traced all the way through Finish().
   EXPECT_EQ(metrics.tracer.finished_count(), requests.size());
 

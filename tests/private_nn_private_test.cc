@@ -109,16 +109,20 @@ TEST_P(RegionInclusivenessTest, TrueNearestAlwaysReturned) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, RegionInclusivenessTest,
-    ::testing::Values(Params{50, 0.1, 0.2, FilterPolicy::kOneFilter, 1},
-                      Params{50, 0.1, 0.2, FilterPolicy::kTwoFilters, 1},
-                      Params{50, 0.1, 0.2, FilterPolicy::kFourFilters, 1},
-                      Params{200, 0.05, 0.1, FilterPolicy::kFourFilters, 2},
-                      Params{200, 0.3, 0.1, FilterPolicy::kFourFilters, 3},
-                      Params{20, 0.4, 0.5, FilterPolicy::kFourFilters, 4},
-                      Params{500, 0.02, 0.05, FilterPolicy::kTwoFilters, 5},
-                      Params{500, 0.02, 0.05, FilterPolicy::kOneFilter, 6}));
+// gtest names each case by dumping the parameter's bytes, padding
+// included. A static array has zero padding, so the names stay the same
+// from build to build; temporaries would leak stack contents into them.
+const Params kSweep[] = {{50, 0.1, 0.2, FilterPolicy::kOneFilter, 1},
+                         {50, 0.1, 0.2, FilterPolicy::kTwoFilters, 1},
+                         {50, 0.1, 0.2, FilterPolicy::kFourFilters, 1},
+                         {200, 0.05, 0.1, FilterPolicy::kFourFilters, 2},
+                         {200, 0.3, 0.1, FilterPolicy::kFourFilters, 3},
+                         {20, 0.4, 0.5, FilterPolicy::kFourFilters, 4},
+                         {500, 0.02, 0.05, FilterPolicy::kTwoFilters, 5},
+                         {500, 0.02, 0.05, FilterPolicy::kOneFilter, 6}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, RegionInclusivenessTest,
+                         ::testing::ValuesIn(kSweep));
 
 TEST(PrivateNNPrivateTest, OverlapThresholdShrinksList) {
   Rng rng(11);

@@ -119,21 +119,25 @@ TEST_P(InclusivenessTest, CandidateListContainsTrueNearest) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, InclusivenessTest,
-    ::testing::Values(
-        InclusionParams{50, 0.1, FilterPolicy::kOneFilter, 1},
-        InclusionParams{50, 0.1, FilterPolicy::kTwoFilters, 1},
-        InclusionParams{50, 0.1, FilterPolicy::kFourFilters, 1},
-        InclusionParams{500, 0.05, FilterPolicy::kOneFilter, 2},
-        InclusionParams{500, 0.05, FilterPolicy::kTwoFilters, 2},
-        InclusionParams{500, 0.05, FilterPolicy::kFourFilters, 2},
-        InclusionParams{2000, 0.2, FilterPolicy::kOneFilter, 3},
-        InclusionParams{2000, 0.2, FilterPolicy::kTwoFilters, 3},
-        InclusionParams{2000, 0.2, FilterPolicy::kFourFilters, 3},
-        InclusionParams{10, 0.5, FilterPolicy::kFourFilters, 4},
-        InclusionParams{3, 0.8, FilterPolicy::kFourFilters, 5},
-        InclusionParams{100, 0.01, FilterPolicy::kFourFilters, 6}));
+// gtest names each case by dumping the parameter's bytes, padding
+// included. A static array has zero padding, so the names stay the same
+// from build to build; temporaries would leak stack contents into them.
+const InclusionParams kSweep[] = {
+    {50, 0.1, FilterPolicy::kOneFilter, 1},
+    {50, 0.1, FilterPolicy::kTwoFilters, 1},
+    {50, 0.1, FilterPolicy::kFourFilters, 1},
+    {500, 0.05, FilterPolicy::kOneFilter, 2},
+    {500, 0.05, FilterPolicy::kTwoFilters, 2},
+    {500, 0.05, FilterPolicy::kFourFilters, 2},
+    {2000, 0.2, FilterPolicy::kOneFilter, 3},
+    {2000, 0.2, FilterPolicy::kTwoFilters, 3},
+    {2000, 0.2, FilterPolicy::kFourFilters, 3},
+    {10, 0.5, FilterPolicy::kFourFilters, 4},
+    {3, 0.8, FilterPolicy::kFourFilters, 5},
+    {100, 0.01, FilterPolicy::kFourFilters, 6}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, InclusivenessTest,
+                         ::testing::ValuesIn(kSweep));
 
 /// More filters should never enlarge the extended area (each side's
 /// extension distance is computed from tighter upper bounds).

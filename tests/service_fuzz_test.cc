@@ -102,12 +102,16 @@ TEST_P(ServiceFuzzTest, RandomOperationSequences) {
   EXPECT_NEAR(map->Total(), static_cast<double>(live.size()), 1e-6);
 }
 
-INSTANTIATE_TEST_SUITE_P(Runs, ServiceFuzzTest,
-                         ::testing::Values(FuzzParams{1, 600, true},
-                                           FuzzParams{2, 600, false},
-                                           FuzzParams{3, 1200, true},
-                                           FuzzParams{4, 1200, false},
-                                           FuzzParams{5, 2000, true}));
+// gtest names each case by dumping the parameter's bytes, padding
+// included. A static array has zero padding, so the names stay the same
+// from build to build; temporaries would leak stack contents into them.
+const FuzzParams kRuns[] = {{1, 600, true},
+                            {2, 600, false},
+                            {3, 1200, true},
+                            {4, 1200, false},
+                            {5, 2000, true}};
+
+INSTANTIATE_TEST_SUITE_P(Runs, ServiceFuzzTest, ::testing::ValuesIn(kRuns));
 
 }  // namespace
 }  // namespace casper

@@ -24,7 +24,6 @@
 #include "src/obs/exporters.h"
 #include "src/scenarios/scenario.h"
 #include "src/server/query_server.h"
-#include "src/storage/buffer_pool.h"
 #include "src/storage/disk_storage.h"
 #include "src/transport/fault_injection.h"
 #include "src/transport/listener.h"
@@ -913,18 +912,11 @@ int Run(int argc, char** argv) {
         if (!sm.ok()) {
           std::printf("%s\n", sm.status().ToString().c_str());
         } else {
-          // Read through a pool so the reopen shows up in the
-          // casper_storage_pool_* instruments (`metrics` command).
-          storage::BufferPool pool(sm->get());
-          const Status opened = service.OpenServerState(&pool);
+          const Status opened = service.OpenServerState(sm->get());
           if (opened.ok()) {
-            const auto ps = pool.stats();
-            std::printf("opened targets=%zu regions=%zu pool_hits=%llu "
-                        "pool_misses=%llu\n",
+            std::printf("opened targets=%zu regions=%zu\n",
                         service.public_store().size(),
-                        service.private_store().size(),
-                        static_cast<unsigned long long>(ps.hits),
-                        static_cast<unsigned long long>(ps.misses));
+                        service.private_store().size());
           } else {
             std::printf("%s\n", opened.ToString().c_str());
           }
