@@ -36,7 +36,8 @@ int main() {
       const casper::Rect cloak =
           casper::workload::RandomCellAlignedRegion(config, side, side, &rng);
       const casper::Point user = rng.PointIn(cloak);
-      auto truth = store.Nearest(user);
+      auto truth =
+          casper::processor::PublicTargetStore::Snapshot(store).Nearest(user);
       CASPER_DCHECK(truth.ok());
 
       auto naive = casper::processor::NaiveCenterNearest(store, cloak);

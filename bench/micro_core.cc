@@ -267,6 +267,28 @@ void BM_CachedQueryHit(benchmark::State& state) {
 }
 BENCHMARK(BM_CachedQueryHit);
 
+// --- Canonical order ---------------------------------------------------------
+
+/// The canonical sort every candidate list pays before it is encoded,
+/// over state.range(0) public targets with random ids in walk order.
+/// Each iteration also copies the unsorted list back (~1% of the time).
+void BM_Canonicalize(benchmark::State& state) {
+  Rng rng(37);
+  std::vector<processor::PublicTarget> walk;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    walk.push_back({rng.Next(), rng.PointIn(Rect(0, 0, 1, 1))});
+  }
+  std::vector<processor::PublicTarget> list;
+  for (auto _ : state) {
+    list = walk;
+    processor::Canonicalize(&list);
+    benchmark::DoNotOptimize(list.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Canonicalize)->Arg(100)->Arg(1000)->Arg(4000);
+
 // --- Wire codec --------------------------------------------------------------
 //
 // A private-NN answer (the big_lists shape) with state.range(0) candidate

@@ -48,9 +48,11 @@ int main() {
     return 1;
   }
 
+  const processor::PrivateTargetStore::Snapshot regions(
+      service.private_store());
   std::printf("1500 users registered; the server tier stores %zu cloaked "
               "regions and zero identities\n\n",
-              service.private_store().size());
+              regions.size());
 
   for (anonymizer::UserId uid : {0ull, 1ull, 600ull}) {
     auto response = service.QueryNearestPrivate(uid);

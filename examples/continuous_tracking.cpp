@@ -68,7 +68,8 @@ int main() {
       // The client refines locally; verify inclusiveness on the fly.
       const Point user = ClampToRect(sim.PositionOf(uid), config.space);
       auto refined = processor::RefineNearest(answer->candidates, user);
-      auto truth = store.Nearest(user);
+      auto truth =
+          processor::PublicTargetStore::Snapshot(store).Nearest(user);
       if (!refined.ok() || !truth.ok() || refined->id != truth->id) {
         std::fprintf(stderr, "BUG: stale continuous answer at tick %d\n",
                      tick);

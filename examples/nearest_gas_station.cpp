@@ -82,7 +82,9 @@ int main() {
           processor::FilterPolicy::kFourFilters);
       if (!answer.ok()) return 1;
       auto refined = processor::RefineNearest(answer->candidates, user);
-      auto truth = service.public_store().Nearest(user);
+      const processor::PublicTargetStore::Snapshot targets(
+          service.public_store());
+      auto truth = targets.Nearest(user);
       if (!refined.ok() || !truth.ok() || refined->id != truth->id) {
         std::fprintf(stderr, "BUG: inclusive property violated\n");
         return 1;

@@ -1,9 +1,11 @@
 #include "src/casper/batch_query_engine.h"
 
+#include <algorithm>
+#include <atomic>
+#include <future>
 #include <optional>
 #include <utility>
 
-#include "src/common/chunked_dispatch.h"
 #include "src/common/stopwatch.h"
 
 namespace casper::server {
@@ -97,11 +99,11 @@ BatchResult BatchQueryEngine::Execute(
   result.summary.cloak_seconds = cloak_watch.ElapsedSeconds();
 
   // Phase 2 — parallel read-only evaluation through the unified
-  // dispatch, fanned out in ~64-query work-stealing chunks (one role
-  // task per worker instead of one future per query; see
-  // common/chunked_dispatch.h). Each chunk owns exactly its response
-  // slots, so request order is preserved by construction, and the
-  // shard-locked cache is the only shared mutable state.
+  // dispatch: one pool task per worker, each pulling the next ready
+  // slot from a shared cursor until none is left. Each slot is claimed
+  // by exactly one task, so request order is preserved by
+  // construction, and the shard-locked cache is the only shared
+  // mutable state.
   std::vector<size_t> ready_idx;
   ready_idx.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -109,8 +111,8 @@ BatchResult BatchQueryEngine::Execute(
   }
   const size_t threads = options_.threads > 0 ? options_.threads : 1;
   if (options_.shed_queue_depth > 0) {
-    // Overload degradation: bound every worker's queue at the watermark
-    // and fail the overflow fast instead of letting queued latency grow
+    // Overload degradation: admit at most the watermark per worker and
+    // fail the overflow fast instead of letting queued latency grow
     // without bound.
     const size_t admit_cap = options_.shed_queue_depth * threads;
     for (size_t j = admit_cap; j < ready_idx.size(); ++j) {
@@ -121,21 +123,33 @@ BatchResult BatchQueryEngine::Execute(
     if (ready_idx.size() > admit_cap) ready_idx.resize(admit_cap);
   }
   // High-water queue depth of this batch: everything admitted is
-  // distributed across the worker deques before execution starts.
+  // queued before execution starts.
   metrics_->batch_queue_depth->Set(static_cast<double>(ready_idx.size()));
-  ParallelForChunked(
-      pool_, ready_idx.size(),
-      [this, &requests, &cloaks, &anonymizer_seconds, &result,
-       &ready_idx](size_t begin, size_t end) {
-        for (size_t j = begin; j < end; ++j) {
-          const size_t i = ready_idx[j];
-          EvaluateOne(requests[i],
-                      cloaks[i].has_value() ? *cloaks[i]
-                                            : anonymizer::CloakingResult{},
-                      anonymizer_seconds[i], &result.responses[i]);
-        }
-      },
-      options_.dispatch_chunk);
+  std::atomic<size_t> cursor{0};
+  auto drain = [&] {
+    for (size_t j = cursor++; j < ready_idx.size(); j = cursor++) {
+      const size_t i = ready_idx[j];
+      EvaluateOne(requests[i],
+                  cloaks[i].has_value() ? *cloaks[i]
+                                        : anonymizer::CloakingResult{},
+                  anonymizer_seconds[i], &result.responses[i]);
+    }
+  };
+  // Joining every task's future orders its slot writes before the
+  // aggregation below. A Submit that fails (the pool is shutting down)
+  // runs the loop on the calling thread instead.
+  const size_t tasks = std::min(threads, ready_idx.size());
+  std::vector<std::future<void>> workers;
+  workers.reserve(tasks);
+  for (size_t t = 0; t < tasks; ++t) {
+    auto submitted = pool_.Submit([&drain] { drain(); });
+    if (submitted.ok()) {
+      workers.push_back(std::move(submitted).value());
+    } else {
+      drain();
+    }
+  }
+  for (std::future<void>& worker : workers) worker.get();
   metrics_->batch_queue_depth->Set(0.0);
 
   // Aggregate: throughput, latency percentiles, Figure-17 totals.

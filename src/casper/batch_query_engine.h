@@ -165,17 +165,12 @@ struct BatchEngineOptions {
   /// the cache's hit/miss counts into the registry.
   obs::CasperMetrics* metrics = nullptr;
 
-  /// Load-shedding watermark: each worker's chunk queue may hold at
-  /// most this many queries, so a batch admits the first
-  /// `shed_queue_depth * threads` ready slots and fails the rest fast
-  /// with kUnavailable (counted in `casper_batch_shed_total`). 0
-  /// disables shedding (the default — batches are admitted whole).
+  /// Load-shedding watermark: a batch admits at most this many queries
+  /// per worker, i.e. the first `shed_queue_depth * threads` ready
+  /// slots, and fails the rest fast with kUnavailable (counted in
+  /// `casper_batch_shed_total`). 0 disables shedding (the default —
+  /// batches are admitted whole).
   size_t shed_queue_depth = 0;
-
-  /// Queries per work-stealing chunk in the parallel phase; 0 picks
-  /// ~4 chunks per worker capped at 64 queries (see
-  /// common/chunked_dispatch.h). Tests pin this to exercise stealing.
-  size_t dispatch_chunk = 0;
 };
 
 /// Aggregate cost of one Execute() call.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/processor/public_range.h"
-
 namespace casper::processor {
 
 DensityMap::DensityMap(const Rect& extent, int cols, int rows)
@@ -39,7 +37,7 @@ Rect DensityMap::CellRect(int col, int row) const {
   return Rect(x0, y0, x0 + w, y0 + h);
 }
 
-Result<DensityMap> ExpectedDensity(const PrivateTargetStore& store,
+Result<DensityMap> ExpectedDensity(const PrivateTargetStore::Snapshot& store,
                                    const Rect& extent, int cols, int rows) {
   if (extent.is_empty()) {
     return Status::InvalidArgument("extent must be non-empty");
@@ -50,7 +48,7 @@ Result<DensityMap> ExpectedDensity(const PrivateTargetStore& store,
   // Canonical order first: floating-point accumulation follows the
   // list order, so the map is a function of the stored set alone.
   std::vector<PrivateTarget> targets = store.Overlapping(extent);
-  CanonicalizePrivateTargets(&targets);
+  Canonicalize(&targets);
 
   DensityMap map(extent, cols, rows);
   const double cell_w = extent.width() / cols;

@@ -51,8 +51,8 @@ class DensityMap {
   }
 
  private:
-  friend Result<DensityMap> ExpectedDensity(const PrivateTargetStore&,
-                                            const Rect&, int, int);
+  friend Result<DensityMap> ExpectedDensity(
+      const PrivateTargetStore::Snapshot&, const Rect&, int, int);
 
   Rect extent_;
   int cols_;
@@ -62,7 +62,7 @@ class DensityMap {
 
 /// Builds the expected-density map of `store` over `extent`.
 /// InvalidArgument on a degenerate extent or non-positive grid.
-Result<DensityMap> ExpectedDensity(const PrivateTargetStore& store,
+Result<DensityMap> ExpectedDensity(const PrivateTargetStore::Snapshot& store,
                                    const Rect& extent, int cols, int rows);
 
 }  // namespace casper::processor

@@ -18,11 +18,12 @@
 namespace casper::processor {
 
 /// Center-NN baseline (Figure 4b). NotFound on an empty store.
-Result<PublicTarget> NaiveCenterNearest(const PublicTargetStore& store,
-                                        const Rect& cloak);
+Result<PublicTarget> NaiveCenterNearest(
+    const PublicTargetStore::Snapshot& store, const Rect& cloak);
 
 /// Send-all baseline (Figure 4c): the full target table.
-std::vector<PublicTarget> NaiveSendAll(const PublicTargetStore& store);
+std::vector<PublicTarget> NaiveSendAll(
+    const PublicTargetStore::Snapshot& store);
 
 }  // namespace casper::processor
 

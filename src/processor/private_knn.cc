@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/processor/private_nn.h"
-
 namespace casper::processor {
 namespace {
 
@@ -18,7 +16,7 @@ double KnnEdgeExtension(double d_i, double d_j, double length) {
 }  // namespace
 
 Result<KnnCandidateList> PrivateKNearestNeighbors(
-    const PublicTargetStore& store, const Rect& cloak, size_t k) {
+    const PublicTargetStore::Snapshot& store, const Rect& cloak, size_t k) {
   if (k == 0) return Status::InvalidArgument("k must be at least 1");
   if (cloak.is_empty()) {
     return Status::InvalidArgument("cloaked area must be non-empty");
@@ -48,7 +46,7 @@ Result<KnnCandidateList> PrivateKNearestNeighbors(
   result.k = k;
   result.a_ext = cloak.ExpandedPerSide(left, bottom, right, top);
   result.candidates = store.RangeQuery(result.a_ext);
-  CanonicalizeCandidates(&result.candidates);
+  Canonicalize(&result.candidates);
   return result;
 }
 

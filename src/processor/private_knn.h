@@ -41,7 +41,7 @@ struct KnnCandidateList {
 /// InvalidArgument for k == 0 or empty cloak; NotFound when the store
 /// holds fewer than k targets.
 Result<KnnCandidateList> PrivateKNearestNeighbors(
-    const PublicTargetStore& store, const Rect& cloak, size_t k);
+    const PublicTargetStore::Snapshot& store, const Rect& cloak, size_t k);
 
 /// Client-side refinement: the exact k nearest candidates, ascending by
 /// distance to `user_position`.

@@ -1,18 +1,10 @@
 #include "src/processor/private_nn.h"
 
-#include <algorithm>
-
 namespace casper::processor {
 
-void CanonicalizeCandidates(std::vector<PublicTarget>* candidates) {
-  std::sort(candidates->begin(), candidates->end(),
-            [](const PublicTarget& a, const PublicTarget& b) {
-              return a.id < b.id;
-            });
-}
-
 Result<PublicCandidateList> PrivateNearestNeighbor(
-    const PublicTargetStore& store, const Rect& cloak, FilterPolicy policy) {
+    const PublicTargetStore::Snapshot& store, const Rect& cloak,
+    FilterPolicy policy) {
   if (cloak.is_empty()) {
     return Status::InvalidArgument("cloaked area must be non-empty");
   }
@@ -32,11 +24,10 @@ Result<PublicCandidateList> PrivateNearestNeighbor(
   result.policy = policy;
   result.area = area;
 
-  // Step 4: the candidate list is a range query over A_EXT. Canonical
-  // (id-sorted) order keeps the encoded answer independent of tree
-  // shape.
+  // Step 4: the candidate list is a range query over A_EXT, in
+  // canonical order.
   result.candidates = store.RangeQuery(result.area.a_ext);
-  CanonicalizeCandidates(&result.candidates);
+  Canonicalize(&result.candidates);
   return result;
 }
 

@@ -32,17 +32,11 @@ struct PublicCandidateList {
   }
 };
 
-/// Sorts a candidate list into its canonical (ascending-id) wire order.
-/// Every processor emits candidates in this order so that answers are a
-/// pure function of the stored *set* of targets — independent of tree
-/// shape or insertion order.
-void CanonicalizeCandidates(std::vector<PublicTarget>* candidates);
-
-/// Executes Algorithm 2 against `store` for the cloaked region `cloak`.
-/// Fails with NotFound when the store is empty and InvalidArgument for
-/// an empty cloak.
+/// Executes Algorithm 2 against one epoch of the public store for the
+/// cloaked region `cloak`. Fails with NotFound when the store is empty
+/// and InvalidArgument for an empty cloak.
 Result<PublicCandidateList> PrivateNearestNeighbor(
-    const PublicTargetStore& store, const Rect& cloak,
+    const PublicTargetStore::Snapshot& store, const Rect& cloak,
     FilterPolicy policy = FilterPolicy::kFourFilters);
 
 /// Client-side refinement step: the exact nearest candidate to the

@@ -1,11 +1,9 @@
 #include "src/processor/private_nn_private.h"
 
-#include "src/processor/public_range.h"
-
 namespace casper::processor {
 
 Result<PrivateCandidateList> PrivateNearestNeighborOverPrivate(
-    const PrivateTargetStore& store, const Rect& cloak,
+    const PrivateTargetStore::Snapshot& store, const Rect& cloak,
     const PrivateNNOptions& options) {
   if (cloak.is_empty()) {
     return Status::InvalidArgument("cloaked area must be non-empty");
@@ -36,7 +34,7 @@ Result<PrivateCandidateList> PrivateNearestNeighborOverPrivate(
   // thresholded by the probabilistic policy), minus the excluded id.
   result.candidates = store.OverlappingAtLeast(result.area.a_ext,
                                                options.min_overlap_fraction);
-  CanonicalizePrivateTargets(&result.candidates);
+  Canonicalize(&result.candidates);
   if (options.exclude_id.has_value()) {
     auto& cands = result.candidates;
     for (size_t i = 0; i < cands.size(); ++i) {

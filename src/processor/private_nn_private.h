@@ -51,7 +51,7 @@ struct PrivateNNOptions {
 
 /// Algorithm 2 with the §5.2.1 modifications against cloaked targets.
 Result<PrivateCandidateList> PrivateNearestNeighborOverPrivate(
-    const PrivateTargetStore& store, const Rect& cloak,
+    const PrivateTargetStore::Snapshot& store, const Rect& cloak,
     const PrivateNNOptions& options = {});
 
 /// Client-side refinement under region uncertainty: ranks candidates by

@@ -1,12 +1,10 @@
 #include "src/processor/private_range.h"
 
-#include "src/processor/private_nn.h"
-#include "src/processor/public_range.h"
-
 namespace casper::processor {
 
 Result<PublicRangeCandidates> PrivateRangeOverPublic(
-    const PublicTargetStore& store, const Rect& cloak, double radius) {
+    const PublicTargetStore::Snapshot& store, const Rect& cloak,
+    double radius) {
   if (cloak.is_empty()) {
     return Status::InvalidArgument("cloaked area must be non-empty");
   }
@@ -14,12 +12,13 @@ Result<PublicRangeCandidates> PrivateRangeOverPublic(
   PublicRangeCandidates result;
   result.search_window = cloak.Expanded(radius);
   result.candidates = store.RangeQuery(result.search_window);
-  CanonicalizeCandidates(&result.candidates);
+  Canonicalize(&result.candidates);
   return result;
 }
 
 Result<PrivateRangeCandidates> PrivateRangeOverPrivate(
-    const PrivateTargetStore& store, const Rect& cloak, double radius) {
+    const PrivateTargetStore::Snapshot& store, const Rect& cloak,
+    double radius) {
   if (cloak.is_empty()) {
     return Status::InvalidArgument("cloaked area must be non-empty");
   }
@@ -27,7 +26,7 @@ Result<PrivateRangeCandidates> PrivateRangeOverPrivate(
   PrivateRangeCandidates result;
   result.search_window = cloak.Expanded(radius);
   result.candidates = store.Overlapping(result.search_window);
-  CanonicalizePrivateTargets(&result.candidates);
+  Canonicalize(&result.candidates);
   return result;
 }
 

@@ -42,12 +42,14 @@ struct PrivateRangeCandidates {
 /// public point data. Inclusive: every target within distance r of any
 /// point of `cloak` is returned.
 Result<PublicRangeCandidates> PrivateRangeOverPublic(
-    const PublicTargetStore& store, const Rect& cloak, double radius);
+    const PublicTargetStore::Snapshot& store, const Rect& cloak,
+    double radius);
 
 /// Same over private (cloaked) target data; a candidate is any region
 /// that could contain an object within distance r of the user.
 Result<PrivateRangeCandidates> PrivateRangeOverPrivate(
-    const PrivateTargetStore& store, const Rect& cloak, double radius);
+    const PrivateTargetStore::Snapshot& store, const Rect& cloak,
+    double radius);
 
 /// Client-side refinement: the candidates truly within `radius` of the
 /// user's exact position (for private targets: possibly within — their

@@ -5,7 +5,7 @@
 namespace casper::processor {
 
 Result<PublicNNCandidates> PublicNearestNeighborOverPrivate(
-    const PrivateTargetStore& store, const Point& query) {
+    const PrivateTargetStore::Snapshot& store, const Point& query) {
   if (store.empty()) return Status::NotFound("no private targets stored");
 
   // Minimax bound from the MaxDist-nearest region.
@@ -24,13 +24,13 @@ Result<PublicNNCandidates> PublicNearestNeighborOverPrivate(
           t, min_d, MaxDist(query, t.region)});
     }
   }
-  // Canonical order: ascending MinDist, target id as the tie-break so
-  // the encoded answer is independent of tree shape.
+  // Ascending MinDist, ties in canonical order, so the encoded answer
+  // is independent of tree shape.
   std::sort(result.candidates.begin(), result.candidates.end(),
             [](const PublicNNCandidates::Candidate& a,
                const PublicNNCandidates::Candidate& b) {
               if (a.min_dist != b.min_dist) return a.min_dist < b.min_dist;
-              return a.target.id < b.target.id;
+              return CanonicalLess(a.target, b.target);
             });
   return result;
 }

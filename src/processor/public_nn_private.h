@@ -26,7 +26,7 @@ namespace casper::processor {
 
 struct PublicNNCandidates {
   /// Regions that could contain the nearest user, with their distance
-  /// bounds, ascending by min_dist.
+  /// bounds, ascending by min_dist (ties in canonical order).
   struct Candidate {
     PrivateTarget target;
     double min_dist = 0.0;
@@ -50,7 +50,7 @@ struct PublicNNCandidates {
 
 /// Computes the candidate set. NotFound on an empty store.
 Result<PublicNNCandidates> PublicNearestNeighborOverPrivate(
-    const PrivateTargetStore& store, const Point& query);
+    const PrivateTargetStore::Snapshot& store, const Point& query);
 
 }  // namespace casper::processor
 

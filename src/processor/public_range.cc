@@ -1,18 +1,9 @@
 #include "src/processor/public_range.h"
 
-#include <algorithm>
-
 namespace casper::processor {
 
-void CanonicalizePrivateTargets(std::vector<PrivateTarget>* targets) {
-  std::sort(targets->begin(), targets->end(),
-            [](const PrivateTarget& a, const PrivateTarget& b) {
-              return a.id < b.id;
-            });
-}
-
-Result<RangeCountResult> PublicRangeCount(const PrivateTargetStore& store,
-                                          const Rect& query) {
+Result<RangeCountResult> PublicRangeCount(
+    const PrivateTargetStore::Snapshot& store, const Rect& query) {
   if (query.is_empty()) {
     return Status::InvalidArgument("query region must be non-empty");
   }
@@ -20,7 +11,7 @@ Result<RangeCountResult> PublicRangeCount(const PrivateTargetStore& store,
   result.overlapping = store.Overlapping(query);
   // Canonical order first: floating-point accumulation follows the
   // list order, so `expected` is a function of the stored set alone.
-  CanonicalizePrivateTargets(&result.overlapping);
+  Canonicalize(&result.overlapping);
   result.possible = result.overlapping.size();
   for (const PrivateTarget& t : result.overlapping) {
     const double area = t.region.Area();

@@ -37,13 +37,9 @@ struct RangeCountResult {
   }
 };
 
-/// Sorts private targets into canonical (ascending-id) wire order; see
-/// CanonicalizeCandidates in private_nn.h for why.
-void CanonicalizePrivateTargets(std::vector<PrivateTarget>* targets);
-
 /// Evaluates a public range-count query over cloaked regions.
-Result<RangeCountResult> PublicRangeCount(const PrivateTargetStore& store,
-                                          const Rect& query);
+Result<RangeCountResult> PublicRangeCount(
+    const PrivateTargetStore::Snapshot& store, const Rect& query);
 
 }  // namespace casper::processor
 

@@ -35,8 +35,9 @@ CachingQueryProcessor::CachingQueryProcessor(const PublicTargetStore* store,
 }
 
 Result<PublicCandidateList> CachingQueryProcessor::Query(const Rect& cloak) {
-  // Read before evaluating: the stamp can only be older than the answer.
-  const uint64_t epoch = store_->epoch();
+  // One snapshot for the lookup, the evaluation and the stamp.
+  const PublicTargetStore::Snapshot snapshot(*store_);
+  const uint64_t epoch = snapshot.epoch();
   const RectKey key{cloak};
   auto it = map_.find(key);
   if (it != map_.end() && it->second.epoch == epoch) {
@@ -48,7 +49,7 @@ Result<PublicCandidateList> CachingQueryProcessor::Query(const Rect& cloak) {
 
   ++stats_.misses;
   CASPER_ASSIGN_OR_RETURN(answer,
-                          PrivateNearestNeighbor(*store_, cloak, policy_));
+                          PrivateNearestNeighbor(snapshot, cloak, policy_));
   if (it != map_.end()) {
     // Stale entry for this key: refill it in place at the current epoch.
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
@@ -68,7 +69,8 @@ Result<PublicCandidateList> CachingQueryProcessor::Query(const Rect& cloak) {
 std::optional<PublicCandidateList> CachingQueryProcessor::Peek(
     const Rect& cloak) const {
   auto it = map_.find(RectKey{cloak});
-  if (it == map_.end() || it->second.epoch != store_->epoch()) {
+  if (it == map_.end() ||
+      it->second.epoch != PublicTargetStore::Snapshot(*store_).epoch()) {
     return std::nullopt;
   }
   return it->second.answer;

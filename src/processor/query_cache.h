@@ -17,14 +17,15 @@
 /// which is how a production server would absorb the "large numbers of
 /// outstanding queries" §5 alludes to.
 ///
-/// The cache cannot serve an answer from an older target set: every
-/// entry is stamped with the store's epoch (PublicTargetStore::epoch),
-/// read before the answer is evaluated, and a lookup only hits an entry
-/// whose stamp equals the store's current epoch. Any mutation — an
-/// insert, a remove, a wholesale replacement — moves the epoch, so it
-/// invalidates every entry at once without anyone telling the cache; a
-/// stale entry is refilled lazily when its key is next looked up (or
-/// dropped when LRU eviction reaches it).
+/// The cache cannot serve an answer from an older target set: a query
+/// pins one store snapshot, evaluates a miss on that snapshot, and
+/// stamps the entry with that snapshot's epoch, so the stamp names
+/// exactly the target set the answer was computed from. A lookup only
+/// hits an entry whose stamp equals its own snapshot's epoch. Any
+/// mutation — an insert, a remove, a wholesale replacement — moves the
+/// epoch, so it invalidates every entry at once without anyone telling
+/// the cache; a stale entry is refilled lazily when its key is next
+/// looked up (or dropped when LRU eviction reaches it).
 
 namespace casper::processor {
 
@@ -45,8 +46,8 @@ struct QueryCacheStats {
 class CachingQueryProcessor {
  public:
   /// The store must outlive the processor. Its one writer may mutate it
-  /// at any time, also while a query runs: the stamp is read before
-  /// evaluating, so an answer that raced a mutation is already stale.
+  /// at any time, also while a query runs: a query reads one snapshot,
+  /// so its answer and its stamp always name the same epoch.
   /// `capacity` bounds the number of cached cloak rectangles (LRU
   /// eviction).
   CachingQueryProcessor(const PublicTargetStore* store, size_t capacity,
@@ -82,7 +83,7 @@ class CachingQueryProcessor {
   using LruList = std::list<RectKey>;
   struct Entry {
     PublicCandidateList answer;
-    uint64_t epoch = 0;  ///< Store epoch the answer was evaluated at.
+    uint64_t epoch = 0;  ///< Epoch of the snapshot the answer came from.
     LruList::iterator lru_pos;
   };
 

@@ -38,37 +38,33 @@ bool PublicTargetStore::Remove(const PublicTarget& target) {
   return index_.Remove(Rect::FromPoint(target.position), target.id);
 }
 
-Result<PublicTarget> PublicTargetStore::Nearest(const Point& q) const {
-  const auto snapshot = index_.Acquire();
-  const auto nn = snapshot->Nearest(q, spatial::Metric::kMinDist);
+PublicTargetStore::Snapshot::Snapshot(const PublicTargetStore& store)
+    : index_(store.index_.Acquire()) {}
+
+Result<PublicTarget> PublicTargetStore::Snapshot::Nearest(
+    const Point& q) const {
+  const auto nn = index_->Nearest(q, spatial::Metric::kMinDist);
   if (!nn.found) return Status::NotFound("target store is empty");
   return PublicTarget{nn.neighbor.id, nn.neighbor.box.min};
 }
 
-std::vector<PublicTarget> PublicTargetStore::KNearest(const Point& q,
-                                                      size_t k) const {
-  const auto snapshot = index_.Acquire();
+std::vector<PublicTarget> PublicTargetStore::Snapshot::KNearest(
+    const Point& q, size_t k) const {
   std::vector<PublicTarget> out;
-  for (const auto& n :
-       snapshot->KNearest(q, k, spatial::Metric::kMinDist)) {
+  for (const auto& n : index_->KNearest(q, k, spatial::Metric::kMinDist)) {
     out.push_back(PublicTarget{n.id, n.box.min});
   }
   return out;
 }
 
-std::vector<PublicTarget> PublicTargetStore::RangeQuery(
+std::vector<PublicTarget> PublicTargetStore::Snapshot::RangeQuery(
     const Rect& window) const {
-  const auto snapshot = index_.Acquire();
   std::vector<PublicTarget> out;
-  snapshot->RangeQuery(window, [&out](const spatial::Entry& e) {
+  index_->RangeQuery(window, [&out](const spatial::Entry& e) {
     out.push_back(PublicTarget{e.id, e.box.min});
     return true;
   });
   return out;
-}
-
-size_t PublicTargetStore::RangeCount(const Rect& window) const {
-  return index_.Acquire()->RangeCount(window);
 }
 
 PrivateTargetStore::PrivateTargetStore(
@@ -84,35 +80,34 @@ bool PrivateTargetStore::Remove(const PrivateTarget& target) {
   return index_.Remove(target.region, target.id);
 }
 
-Result<PrivateTarget> PrivateTargetStore::NearestByMaxDist(
+PrivateTargetStore::Snapshot::Snapshot(const PrivateTargetStore& store)
+    : index_(store.index_.Acquire()) {}
+
+Result<PrivateTarget> PrivateTargetStore::Snapshot::NearestByMaxDist(
     const Point& q, std::optional<TargetId> exclude) const {
-  const auto snapshot = index_.Acquire();
   const size_t want = exclude.has_value() ? 2 : 1;
-  for (const auto& n :
-       snapshot->KNearest(q, want, spatial::Metric::kMaxDist)) {
+  for (const auto& n : index_->KNearest(q, want, spatial::Metric::kMaxDist)) {
     if (exclude.has_value() && n.id == *exclude) continue;
     return PrivateTarget{n.id, n.box};
   }
   return Status::NotFound("no eligible target in store");
 }
 
-std::vector<PrivateTarget> PrivateTargetStore::Overlapping(
+std::vector<PrivateTarget> PrivateTargetStore::Snapshot::Overlapping(
     const Rect& window) const {
-  const auto snapshot = index_.Acquire();
   std::vector<PrivateTarget> out;
-  snapshot->RangeQuery(window, [&out](const spatial::Entry& e) {
+  index_->RangeQuery(window, [&out](const spatial::Entry& e) {
     out.push_back(PrivateTarget{e.id, e.box});
     return true;
   });
   return out;
 }
 
-std::vector<PrivateTarget> PrivateTargetStore::OverlappingAtLeast(
+std::vector<PrivateTarget> PrivateTargetStore::Snapshot::OverlappingAtLeast(
     const Rect& window, double min_overlap_fraction) const {
   CASPER_DCHECK(min_overlap_fraction >= 0.0 && min_overlap_fraction <= 1.0);
-  const auto snapshot = index_.Acquire();
   std::vector<PrivateTarget> out;
-  snapshot->RangeQuery(window, [&](const spatial::Entry& e) {
+  index_->RangeQuery(window, [&](const spatial::Entry& e) {
     const double area = e.box.Area();
     const double overlap = e.box.IntersectionArea(window);
     // Degenerate (zero-area) regions count as fully overlapped.
@@ -123,10 +118,6 @@ std::vector<PrivateTarget> PrivateTargetStore::OverlappingAtLeast(
     return true;
   });
   return out;
-}
-
-size_t PrivateTargetStore::OverlapCount(const Rect& window) const {
-  return index_.Acquire()->RangeCount(window);
 }
 
 Result<PublicTargetStore> PublicTargetStore::LoadFrom(

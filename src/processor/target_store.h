@@ -1,8 +1,11 @@
 #ifndef CASPER_PROCESSOR_TARGET_STORE_H_
 #define CASPER_PROCESSOR_TARGET_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "src/common/geometry.h"
@@ -19,9 +22,10 @@
 /// Both stores are backed by spatial::EpochIndex: every mutation
 /// updates the packed FlatRTree base's overlay (delta inserts and
 /// tombstones, repacked into a new base once it grows) and publishes a
-/// new immutable snapshot; every read acquires the current snapshot
-/// with one pointer copy, so the query hot path walks cache-friendly
-/// flat arrays.
+/// new immutable epoch. Stores only take writes; every read goes
+/// through a store's Snapshot, which pins one epoch with one pointer
+/// copy, so all the reads of one evaluation see one store state while
+/// the writer keeps mutating.
 
 namespace casper::processor {
 
@@ -47,9 +51,67 @@ struct PrivateTarget {
   }
 };
 
+/// The canonical order of every candidate list: ascending id, then the
+/// box by (min.x, min.y, max.x, max.y), where a point's box is the
+/// point. The stores hold a multiset of (box, id) pairs, twin ids
+/// included, and this is a total order on it, so an answer's bytes
+/// are a function of the stored multiset alone: independent of tree
+/// shape and insertion order.
+inline bool CanonicalLess(const PublicTarget& a, const PublicTarget& b) {
+  if (a.id != b.id) return a.id < b.id;
+  return std::tie(a.position.x, a.position.y) <
+         std::tie(b.position.x, b.position.y);
+}
+
+inline bool CanonicalLess(const PrivateTarget& a, const PrivateTarget& b) {
+  if (a.id != b.id) return a.id < b.id;
+  return std::tie(a.region.min.x, a.region.min.y, a.region.max.x,
+                  a.region.max.y) < std::tie(b.region.min.x, b.region.min.y,
+                                             b.region.max.x, b.region.max.y);
+}
+
+/// Sorts a candidate list into canonical wire order (CanonicalLess).
+/// Every processor emits its candidates in this order.
+template <typename Target>
+void Canonicalize(std::vector<Target>* targets) {
+  std::sort(targets->begin(), targets->end(),
+            [](const Target& a, const Target& b) {
+              return CanonicalLess(a, b);
+            });
+}
+
 /// Point targets indexed by an epoch-published R-tree.
 class PublicTargetStore {
  public:
+  /// One epoch of the store, and the only way to read it. Implicitly
+  /// constructible from the store, as std::string_view is from
+  /// std::string: passing a store where a Snapshot is expected pins the
+  /// store's current epoch once, and every read through it answers
+  /// from that epoch whatever the writer does meanwhile.
+  class Snapshot {
+   public:
+    Snapshot(const PublicTargetStore& store);  // NOLINT: implicit.
+
+    /// Nearest target to `q`; NotFound on empty store.
+    Result<PublicTarget> Nearest(const Point& q) const;
+
+    std::vector<PublicTarget> KNearest(const Point& q, size_t k) const;
+
+    /// All targets inside `window` (closed boundaries).
+    std::vector<PublicTarget> RangeQuery(const Rect& window) const;
+
+    size_t size() const { return index_->size(); }
+    bool empty() const { return index_->empty(); }
+
+    /// Stamp of this epoch (EpochIndex::Snapshot::epoch): it changes on
+    /// every mutation and is never reused, also when the store is
+    /// replaced wholesale. The candidate cache keys validity on it.
+    uint64_t epoch() const { return index_->epoch(); }
+
+   private:
+    std::shared_ptr<const spatial::EpochIndex::Snapshot> index_;
+  };
+
   PublicTargetStore() = default;
 
   /// Bulk-build from a target list (STR packing).
@@ -59,24 +121,6 @@ class PublicTargetStore {
   /// ids are caller-managed.
   void Insert(const PublicTarget& target);
   bool Remove(const PublicTarget& target);
-
-  /// Nearest target to `q`; NotFound on empty store.
-  Result<PublicTarget> Nearest(const Point& q) const;
-
-  std::vector<PublicTarget> KNearest(const Point& q, size_t k) const;
-
-  /// All targets inside `window` (closed boundaries).
-  std::vector<PublicTarget> RangeQuery(const Rect& window) const;
-
-  size_t RangeCount(const Rect& window) const;
-
-  size_t size() const { return index_.size(); }
-  bool empty() const { return index_.empty(); }
-
-  /// Epoch stamp of the current contents (EpochIndex::Snapshot::epoch):
-  /// changes on every mutation and is never reused, also when the store
-  /// is replaced wholesale. The candidate cache keys validity on it.
-  uint64_t epoch() const { return index_.epoch(); }
 
   /// Epoch/reclamation counters of the backing index (exported through
   /// obs by the server tier).
@@ -102,31 +146,38 @@ class PublicTargetStore {
 /// furthest corner").
 class PrivateTargetStore {
  public:
+  /// One epoch of the store; see PublicTargetStore::Snapshot.
+  class Snapshot {
+   public:
+    Snapshot(const PrivateTargetStore& store);  // NOLINT: implicit.
+
+    /// Target whose furthest corner is nearest to `q`. When `exclude`
+    /// is set, that target id is skipped (a querying user's own stored
+    /// region must not act as its own filter).
+    Result<PrivateTarget> NearestByMaxDist(
+        const Point& q, std::optional<TargetId> exclude = std::nullopt) const;
+
+    /// All targets whose region overlaps `window`.
+    std::vector<PrivateTarget> Overlapping(const Rect& window) const;
+
+    /// Targets with at least `min_overlap_fraction` of their own area
+    /// inside `window` (the probabilistic x%-policy of §5.2.1 step 4;
+    /// 0 reduces to plain overlap).
+    std::vector<PrivateTarget> OverlappingAtLeast(
+        const Rect& window, double min_overlap_fraction) const;
+
+    size_t size() const { return index_->size(); }
+    bool empty() const { return index_->empty(); }
+
+   private:
+    std::shared_ptr<const spatial::EpochIndex::Snapshot> index_;
+  };
+
   PrivateTargetStore() = default;
   explicit PrivateTargetStore(const std::vector<PrivateTarget>& targets);
 
   void Insert(const PrivateTarget& target);
   bool Remove(const PrivateTarget& target);
-
-  /// Target whose furthest corner is nearest to `q`. When `exclude` is
-  /// set, that target id is skipped (a querying user's own stored
-  /// region must not act as its own filter).
-  Result<PrivateTarget> NearestByMaxDist(
-      const Point& q, std::optional<TargetId> exclude = std::nullopt) const;
-
-  /// All targets whose region overlaps `window`.
-  std::vector<PrivateTarget> Overlapping(const Rect& window) const;
-
-  /// Targets with at least `min_overlap_fraction` of their own area
-  /// inside `window` (the probabilistic x%-policy of §5.2.1 step 4;
-  /// 0 reduces to plain overlap).
-  std::vector<PrivateTarget> OverlappingAtLeast(
-      const Rect& window, double min_overlap_fraction) const;
-
-  size_t OverlapCount(const Rect& window) const;
-
-  size_t size() const { return index_.size(); }
-  bool empty() const { return index_.empty(); }
 
   /// See PublicTargetStore::epoch_stats().
   spatial::EpochIndex::Stats epoch_stats() const { return index_.stats(); }

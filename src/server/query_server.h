@@ -49,9 +49,8 @@ struct QueryServerOptions {
 
 /// The server tier. Mutations (target edits, region maintenance,
 /// snapshot loads) are single-threaded by design; Execute() is const
-/// and read-only over the stores, so it may be fanned across threads
-/// provided no mutation runs concurrently — the same contract as the
-/// underlying stores.
+/// and reads each store through one snapshot per query, so it may be
+/// fanned across threads provided no mutation runs concurrently.
 class QueryServer : public PrivateStoreSink {
  public:
   explicit QueryServer(const QueryServerOptions& options);

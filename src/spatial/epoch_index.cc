@@ -211,7 +211,6 @@ EpochIndex::EpochIndex(EpochIndex&& other) noexcept
       dead_(std::move(other.dead_)),
       size_(other.size_),
       published_(other.published_.Load()),
-      epoch_(other.epoch_.load()),
       reclaimed_(std::move(other.reclaimed_)),
       published_count_(other.published_count_),
       rebuilds_(other.rebuilds_) {}
@@ -225,7 +224,6 @@ EpochIndex& EpochIndex::operator=(EpochIndex&& other) noexcept {
     dead_ = std::move(other.dead_);
     size_ = other.size_;
     published_.Store(other.published_.Load());
-    epoch_.store(other.epoch_.load());
     reclaimed_ = std::move(other.reclaimed_);
     published_count_ = other.published_count_;
     rebuilds_ = other.rebuilds_;
@@ -281,12 +279,10 @@ void EpochIndex::Publish() {
   snapshot->delta_ = delta_;
   snapshot->dead_ = dead_;
   snapshot->size_ = size_;
-  const uint64_t epoch = next_epoch.fetch_add(1);
-  snapshot->epoch_ = epoch;
+  snapshot->epoch_ = next_epoch.fetch_add(1);
   ++published_count_;
   snapshot->reclaimed_ = reclaimed_;
   published_.Store(std::shared_ptr<const Snapshot>(std::move(snapshot)));
-  epoch_.store(epoch, std::memory_order_release);
 }
 
 std::shared_ptr<const EpochIndex::Snapshot> EpochIndex::Acquire() const {

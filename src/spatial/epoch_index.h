@@ -112,12 +112,6 @@ class EpochIndex {
   /// The current epoch; one atomic acquire-load, never null.
   std::shared_ptr<const Snapshot> Acquire() const;
 
-  /// Snapshot::epoch() of the latest publication, read with one atomic
-  /// load and no snapshot reference. It is stored after the snapshot,
-  /// so a stamp read before Acquire() is never newer than what Acquire()
-  /// returns.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
   /// Live entries in the current snapshot (safe from readers).
   size_t size() const { return Acquire()->size(); }
   bool empty() const { return size() == 0; }
@@ -190,7 +184,6 @@ class EpochIndex {
   size_t size_ = 0;  ///< Live entries: base - tombstones + delta.
 
   PublishedSlot published_;
-  std::atomic<uint64_t> epoch_{0};  ///< published_'s Snapshot::epoch().
   std::shared_ptr<std::atomic<uint64_t>> reclaimed_;
   uint64_t published_count_ = 0;
   uint64_t rebuilds_ = 0;

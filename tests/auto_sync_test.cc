@@ -11,6 +11,8 @@
 namespace casper {
 namespace {
 
+using PrivateSnapshot = processor::PrivateTargetStore::Snapshot;
+
 CasperOptions AutoSyncOptions() {
   CasperOptions options;
   options.pyramid.height = 6;
@@ -45,7 +47,7 @@ TEST(AutoSyncTest, StoreTracksMovementAndDeregistration) {
   for (anonymizer::UserId uid = 0; uid < 30; ++uid) {
     ASSERT_TRUE(service.RegisterUser(uid, {2, 0.0}, rng.PointIn(space)).ok());
   }
-  EXPECT_EQ(service.private_store().size(), 30u);
+  EXPECT_EQ(PrivateSnapshot(service.private_store()).size(), 30u);
 
   // Movement keeps the region in sync with a fresh cloak of that user.
   ASSERT_TRUE(service.UpdateUserLocation(5, {0.9, 0.9}).ok());
@@ -57,7 +59,7 @@ TEST(AutoSyncTest, StoreTracksMovementAndDeregistration) {
 
   // Deregistration removes the stored region immediately.
   ASSERT_TRUE(service.DeregisterUser(5).ok());
-  EXPECT_EQ(service.private_store().size(), 29u);
+  EXPECT_EQ(PrivateSnapshot(service.private_store()).size(), 29u);
   auto count = service.QueryPublicRange(space);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->possible, 29u);
@@ -130,7 +132,7 @@ TEST(AutoSyncTest, ExplicitSyncStillWorks) {
   }
   // A full re-sync (refreshing every region at once) remains available.
   ASSERT_TRUE(service.SyncPrivateData().ok());
-  EXPECT_EQ(service.private_store().size(), 20u);
+  EXPECT_EQ(PrivateSnapshot(service.private_store()).size(), 20u);
   auto count = service.QueryPublicRange(Rect(0, 0, 1, 1));
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->possible, 20u);

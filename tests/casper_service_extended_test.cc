@@ -12,6 +12,8 @@
 namespace casper {
 namespace {
 
+using PublicSnapshot = processor::PublicTargetStore::Snapshot;
+
 CasperService MakeService(size_t users, size_t targets, uint64_t seed) {
   CasperOptions options;
   options.pyramid.height = 6;
@@ -36,7 +38,7 @@ TEST(CasperServiceExtendedTest, KNearestMatchesGroundTruth) {
     ASSERT_EQ(response->exact.size(), 5u);
     auto pos = service.ClientPosition(uid);
     ASSERT_TRUE(pos.ok());
-    const auto truth = service.public_store().KNearest(*pos, 5);
+    const auto truth = PublicSnapshot(service.public_store()).KNearest(*pos, 5);
     for (size_t i = 0; i < 5; ++i) {
       EXPECT_NEAR(Distance(*pos, response->exact[i].position),
                   Distance(*pos, truth[i].position), 1e-12);

@@ -8,6 +8,8 @@
 namespace casper {
 namespace {
 
+using PublicSnapshot = processor::PublicTargetStore::Snapshot;
+
 CasperOptions TestOptions(bool adaptive = true) {
   CasperOptions options;
   options.pyramid.height = 6;
@@ -43,7 +45,7 @@ TEST(CasperServiceTest, EndToEndPublicNN) {
   EXPECT_TRUE(response->cloak.region.Contains(*pos));
 
   // The refined answer equals the true global NN.
-  auto true_nn = service.public_store().Nearest(*pos);
+  auto true_nn = PublicSnapshot(service.public_store()).Nearest(*pos);
   ASSERT_TRUE(true_nn.ok());
   EXPECT_EQ(response->exact.id, true_nn->id);
 
@@ -61,7 +63,7 @@ TEST(CasperServiceTest, ExactAnswerForEveryUserAndBothAnonymizers) {
       ASSERT_TRUE(response.ok());
       auto pos = service.ClientPosition(uid);
       ASSERT_TRUE(pos.ok());
-      auto true_nn = service.public_store().Nearest(*pos);
+      auto true_nn = PublicSnapshot(service.public_store()).Nearest(*pos);
       ASSERT_TRUE(true_nn.ok());
       EXPECT_EQ(response->exact.id, true_nn->id) << "adaptive=" << adaptive;
     }
@@ -167,7 +169,7 @@ TEST(CasperServiceTest, QualityNeverCompromised) {
       ASSERT_TRUE(response.ok());
       auto pos = service.ClientPosition(uid);
       ASSERT_TRUE(pos.ok());
-      auto true_nn = service.public_store().Nearest(*pos);
+      auto true_nn = PublicSnapshot(service.public_store()).Nearest(*pos);
       ASSERT_TRUE(true_nn.ok());
       EXPECT_EQ(response->exact.id, true_nn->id);
     }

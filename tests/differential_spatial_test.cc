@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/casper/messages.h"
 #include "src/common/rng.h"
+#include "src/processor/private_knn.h"
+#include "src/processor/private_nn.h"
+#include "src/processor/private_range.h"
 #include "src/spatial/epoch_index.h"
 #include "src/storage/memory_storage.h"
 #include "tests/spatial_oracle.h"
@@ -14,7 +18,9 @@
 /// must answer range and k-NN queries exactly as a scan of the live
 /// multiset does. The workload includes duplicate (box, id) pairs,
 /// removals of absent entries, points on window edges, and a
-/// Checkpoint / Restore round trip in the middle of the churn.
+/// Checkpoint / Restore round trip in the middle of the churn. A last
+/// case checks that encoded answers do not depend on how the index was
+/// built when ids repeat.
 
 namespace casper::spatial {
 namespace {
@@ -168,6 +174,67 @@ INSTANTIATE_TEST_SUITE_P(
                       WorkloadParams{500, 300, 16, 64, 3},
                       WorkloadParams{5, 500, 4, 1, 4},
                       WorkloadParams{1000, 200, 12, 100000, 5}));
+
+/// The wire answers of the public kinds are a function of the stored
+/// multiset alone, also when ids repeat: the same (position, id) pairs
+/// bulk-loaded, inserted forward and inserted in reverse encode to the
+/// same bytes. Every id is stored twice, at two positions.
+TEST(TwinIdOrderTest, AnswersEncodeIdenticallyWhateverTheBuildOrder) {
+  using processor::PublicTarget;
+  using processor::PublicTargetStore;
+  Rng rng(23);
+  // One twin pair, which stays in the insert delta, and 1,500 pairs
+  // spread over a packed base and its delta.
+  for (uint64_t ids : {uint64_t{1}, uint64_t{1500}}) {
+    std::vector<PublicTarget> targets;
+    for (uint64_t id = 0; id < ids; ++id) {
+      targets.push_back({id, rng.PointIn(Rect(0, 0, 1, 1))});
+      targets.push_back({id, rng.PointIn(Rect(0, 0, 1, 1))});
+    }
+    const PublicTargetStore bulk(targets);
+    PublicTargetStore forward;
+    PublicTargetStore reverse;
+    for (const PublicTarget& t : targets) forward.Insert(t);
+    for (auto t = targets.rbegin(); t != targets.rend(); ++t) {
+      reverse.Insert(*t);
+    }
+
+    std::vector<Rect> cloaks = {Rect(0, 0, 1, 1)};
+    for (int i = 0; i < 500; ++i) {
+      const Point c = rng.PointIn(Rect(0, 0, 0.97, 0.97));
+      cloaks.emplace_back(c.x, c.y, c.x + 0.03, c.y + 0.03);
+    }
+    auto wire = [](QueryKind kind, auto answer) {
+      EXPECT_TRUE(answer.ok()) << answer.status().message();
+      CandidateListMsg msg;
+      msg.kind = kind;
+      msg.payload = std::move(answer).value();
+      return Encode(msg);
+    };
+    auto answers = [&](const PublicTargetStore& store, const Rect& cloak) {
+      return std::vector<std::string>{
+          wire(QueryKind::kNearestPublic,
+               processor::PrivateNearestNeighbor(store, cloak)),
+          wire(QueryKind::kKNearestPublic,
+               processor::PrivateKNearestNeighbors(store, cloak, 2)),
+          wire(QueryKind::kRangePublic,
+               processor::PrivateRangeOverPublic(store, cloak, 0.02))};
+    };
+    for (size_t c = 0; c < cloaks.size(); ++c) {
+      const std::vector<std::string> want = answers(bulk, cloaks[c]);
+      const std::vector<std::string> fwd = answers(forward, cloaks[c]);
+      const std::vector<std::string> rev = answers(reverse, cloaks[c]);
+      for (size_t kind = 0; kind < want.size(); ++kind) {
+        ASSERT_TRUE(fwd[kind] == want[kind])
+            << ids << " ids, cloak " << c << ", answer " << kind
+            << ": forward inserts differ from bulk load";
+        ASSERT_TRUE(rev[kind] == want[kind])
+            << ids << " ids, cloak " << c << ", answer " << kind
+            << ": reverse inserts differ from bulk load";
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace casper::spatial

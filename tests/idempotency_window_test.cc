@@ -15,6 +15,8 @@
 namespace casper {
 namespace {
 
+using PrivateSnapshot = processor::PrivateTargetStore::Snapshot;
+
 RegionUpsertMsg Upsert(uint64_t request_id, uint64_t handle,
                        const Rect& region) {
   RegionUpsertMsg msg;
@@ -52,7 +54,7 @@ TEST(IdempotencyWindowTest, WindowZeroDisablesReplayMemory) {
   EXPECT_EQ(server.applied_request_count(), 0u);
   // Re-execution is still safe (same handle converges), just unrecorded.
   ASSERT_TRUE(server.Apply(Upsert(1, 7, Rect(0.1, 0.1, 0.2, 0.2))).ok());
-  EXPECT_EQ(server.private_store().size(), 1u);
+  EXPECT_EQ(PrivateSnapshot(server.private_store()).size(), 1u);
 }
 
 TEST(IdempotencyWindowTest, ReplayWithinWindowIsStable) {
@@ -64,7 +66,7 @@ TEST(IdempotencyWindowTest, ReplayWithinWindowIsStable) {
   for (int replay = 0; replay < 3; ++replay) {
     ASSERT_TRUE(server.Apply(msg).ok());
   }
-  EXPECT_EQ(server.private_store().size(), 1u);
+  EXPECT_EQ(PrivateSnapshot(server.private_store()).size(), 1u);
 }
 
 TEST(IdempotencyWindowTest, ReplayAfterEvictionNeverDoubleApplies) {
@@ -82,7 +84,7 @@ TEST(IdempotencyWindowTest, ReplayAfterEvictionNeverDoubleApplies) {
   ASSERT_TRUE(server.Apply(first).ok());
   ASSERT_TRUE(server.Apply(second).ok());
   ASSERT_TRUE(server.Apply(third).ok());
-  ASSERT_EQ(server.private_store().size(), 1u);
+  ASSERT_EQ(PrivateSnapshot(server.private_store()).size(), 1u);
 
   // An at-least-once transport re-delivers requests 1 and 2 after both
   // outcomes left the window. Blind re-execution would resurrect the
@@ -90,7 +92,7 @@ TEST(IdempotencyWindowTest, ReplayAfterEvictionNeverDoubleApplies) {
   // pins down. The retired-handle memory must make both no-ops.
   ASSERT_TRUE(server.Apply(first).ok());
   ASSERT_TRUE(server.Apply(second).ok());
-  EXPECT_EQ(server.private_store().size(), 1u)
+  EXPECT_EQ(PrivateSnapshot(server.private_store()).size(), 1u)
       << "a stale replayed upsert resurrected a replaced region";
 }
 
@@ -104,7 +106,7 @@ TEST(IdempotencyWindowTest, ReplayOfLiveHandleAfterEvictionConverges) {
   // re-execution replaces in place — same state, no duplicate.
   ASSERT_TRUE(server.Apply(Upsert(2, 10, Rect(0.1, 0.1, 0.2, 0.2))).ok());
   ASSERT_TRUE(server.Apply(msg).ok());
-  EXPECT_EQ(server.private_store().size(), 2u);
+  EXPECT_EQ(PrivateSnapshot(server.private_store()).size(), 2u);
 }
 
 TEST(IdempotencyWindowTest, ReplayedRemoveOfUnknownHandleIsOk) {
@@ -120,7 +122,7 @@ TEST(IdempotencyWindowTest, ReplayedRemoveOfUnknownHandleIsOk) {
   // error the retrying client would surface.
   ASSERT_TRUE(server.Apply(Upsert(3, 6, Rect(0.2, 0.2, 0.3, 0.3))).ok());
   EXPECT_TRUE(server.Apply(remove).ok());
-  EXPECT_EQ(server.private_store().size(), 1u);
+  EXPECT_EQ(PrivateSnapshot(server.private_store()).size(), 1u);
 }
 
 TEST(IdempotencyWindowTest, FacadePlumbsTheWindowOption) {

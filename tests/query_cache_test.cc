@@ -98,9 +98,9 @@ TEST(QueryCacheTest, EpochBumpIsLazyAndO1) {
   EXPECT_EQ(cache.size(), 4u);
 
   // Far from every cloak: no answer changes, but the epoch does.
-  const uint64_t epoch = store.epoch();
+  const uint64_t epoch = PublicTargetStore::Snapshot(store).epoch();
   store.Insert({9999, {5.0, 5.0}});
-  EXPECT_NE(store.epoch(), epoch);
+  EXPECT_NE(PublicTargetStore::Snapshot(store).epoch(), epoch);
   // Nothing is eagerly dropped; only the store's epoch moved.
   EXPECT_EQ(cache.size(), 4u);
 

@@ -29,6 +29,9 @@
 namespace casper {
 namespace {
 
+using PublicSnapshot = processor::PublicTargetStore::Snapshot;
+using PrivateSnapshot = processor::PrivateTargetStore::Snapshot;
+
 double ScaleFromEnv() {
   const char* raw = std::getenv("CASPER_BENCH_SCALE");
   if (raw == nullptr) return 0.005;  // 5k targets: quick local default.
@@ -165,8 +168,10 @@ TEST_F(ReopenParityTest, AllSevenQueryKindsAnswerIdenticallyAfterReopen) {
   server::QueryServer reopened(options);
   ASSERT_TRUE(reopened.Open(reopened_sm->get()).ok());
 
-  ASSERT_EQ(reopened.public_store().size(), live.public_store().size());
-  ASSERT_EQ(reopened.private_store().size(), live.private_store().size());
+  ASSERT_EQ(PublicSnapshot(reopened.public_store()).size(),
+            PublicSnapshot(live.public_store()).size());
+  ASSERT_EQ(PrivateSnapshot(reopened.private_store()).size(),
+            PrivateSnapshot(live.private_store()).size());
 
   const QueryKind kinds[] = {
       QueryKind::kNearestPublic, QueryKind::kKNearestPublic,
@@ -233,7 +238,7 @@ TEST_F(ReopenParityTest, OpenOnEmptyStorageIsNotFoundAndLeavesServerIntact) {
   const Status opened = server.Open(sm->get());
   EXPECT_EQ(opened.code(), StatusCode::kNotFound);
   // Failed open left existing state untouched.
-  EXPECT_EQ(server.public_store().size(), 1u);
+  EXPECT_EQ(PublicSnapshot(server.public_store()).size(), 1u);
 }
 
 }  // namespace

@@ -23,6 +23,8 @@
 namespace casper::transport {
 namespace {
 
+using PrivateSnapshot = processor::PrivateTargetStore::Snapshot;
+
 /// Injectable time: the clock reads a variable, the sleeper advances it.
 struct FakeTime {
   double now = 0.0;
@@ -377,7 +379,8 @@ TEST_F(ResilientClientTest, ReplayBufferQueuesUpsertsAndDrainsInOrder) {
   EXPECT_TRUE(client.Flush().ok());
   EXPECT_EQ(client.replay_depth(), 0u);
   EXPECT_EQ(server_.applied_request_count(), 2u);
-  EXPECT_EQ(server_.private_store().size(), 1u);  // Handle 2 only.
+  // Handle 2 only.
+  EXPECT_EQ(PrivateSnapshot(server_.private_store()).size(), 1u);
   EXPECT_EQ(metrics_.replay_drained_total->Value(), 2u);
 }
 
@@ -412,7 +415,8 @@ TEST_F(ResilientClientTest, SuccessfulSnapshotSupersedesTheReplayBuffer) {
   snapshot.regions.push_back({77, Rect(0.4, 0.4, 0.6, 0.6)});
   EXPECT_TRUE(client.Load(snapshot).ok());
   EXPECT_EQ(client.replay_depth(), 0u);  // Queued changes superseded.
-  EXPECT_EQ(server_.private_store().size(), 1u);  // Snapshot only.
+  // Snapshot only.
+  EXPECT_EQ(PrivateSnapshot(server_.private_store()).size(), 1u);
 }
 
 TEST_F(ResilientClientTest, DuplicatedDeliveryNeverDoubleApplies) {
@@ -430,7 +434,7 @@ TEST_F(ResilientClientTest, DuplicatedDeliveryNeverDoubleApplies) {
   second.has_replaces = true;
   second.replaces = 1;
   EXPECT_TRUE(client.Apply(second).ok());
-  EXPECT_EQ(server_.private_store().size(), 1u);
+  EXPECT_EQ(PrivateSnapshot(server_.private_store()).size(), 1u);
   EXPECT_EQ(server_.applied_request_count(), 2u);
   EXPECT_EQ(duplicating.stats().duplicated, 2u);
 }
@@ -451,7 +455,7 @@ TEST_F(ResilientClientTest, RetryAfterLostResponseReplaysTheOutcome) {
   second.has_replaces = true;
   second.replaces = 1;
   EXPECT_TRUE(client.Apply(second).ok());
-  EXPECT_EQ(server_.private_store().size(), 1u);
+  EXPECT_EQ(PrivateSnapshot(server_.private_store()).size(), 1u);
   EXPECT_EQ(server_.applied_request_count(), 2u);
   EXPECT_EQ(metrics_.transport_retries_total->Value(), 1u);
 }

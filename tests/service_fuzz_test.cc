@@ -16,6 +16,8 @@
 namespace casper {
 namespace {
 
+using PublicSnapshot = processor::PublicTargetStore::Snapshot;
+
 struct FuzzParams {
   uint64_t seed;
   int operations;
@@ -88,7 +90,7 @@ TEST_P(ServiceFuzzTest, RandomOperationSequences) {
       ASSERT_GE(response->cloak.users_in_region, it->second.k);
       ASSERT_GE(response->cloak.region.Area() + 1e-15, it->second.a_min);
       // Answer-quality invariant.
-      auto truth = service.public_store().Nearest(*pos);
+      auto truth = PublicSnapshot(service.public_store()).Nearest(*pos);
       ASSERT_TRUE(truth.ok());
       ASSERT_EQ(response->exact.id, truth->id) << "op " << op;
     }

@@ -31,6 +31,8 @@
 namespace casper {
 namespace {
 
+using PrivateSnapshot = processor::PrivateTargetStore::Snapshot;
+
 using transport::CallContext;
 using transport::SocketChannel;
 using transport::SocketChannelOptions;
@@ -265,7 +267,7 @@ TEST(SocketChaosTest, ChaosSuiteHoldsOverRealSockets) {
   EXPECT_EQ(service.transport_client().breaker_state(),
             transport::BreakerState::kClosed);
   ASSERT_TRUE(service.transport_client().Flush().ok());
-  EXPECT_EQ(service.private_store().size(), kUsers);
+  EXPECT_EQ(PrivateSnapshot(service.private_store()).size(), kUsers);
 }
 
 TEST(SocketChaosTest, BreakerTripsAndRecoversAcrossListenerRestart) {
@@ -318,7 +320,7 @@ TEST(SocketChaosTest, BreakerTripsAndRecoversAcrossListenerRestart) {
         service.RegisterUser(uid, user_profile, rng.PointIn(space)).ok());
   }
   ASSERT_TRUE(service.QueryNearestPrivate(0).ok() ||
-              service.private_store().size() > 0);
+              PrivateSnapshot(service.private_store()).size() > 0);
 
   // Outage: the listener dies mid-run. Queries fail typed; the breaker
   // opens; maintenance keeps landing in the replay buffer.
@@ -357,7 +359,7 @@ TEST(SocketChaosTest, BreakerTripsAndRecoversAcrossListenerRestart) {
   EXPECT_TRUE(recovered) << "breaker never re-closed after the restart";
 
   ASSERT_TRUE(service.transport_client().Flush().ok());
-  EXPECT_EQ(service.private_store().size(), 16u)
+  EXPECT_EQ(PrivateSnapshot(service.private_store()).size(), 16u)
       << "replayed maintenance did not land exactly once";
 }
 

@@ -25,6 +25,8 @@
 namespace casper {
 namespace {
 
+using PrivateSnapshot = processor::PrivateTargetStore::Snapshot;
+
 using transport::CallContext;
 using transport::DirectChannel;
 using transport::SocketChannel;
@@ -195,8 +197,8 @@ TEST(SocketParityTest, MaintenanceAcksMatchAcrossTransports) {
     ASSERT_TRUE(socket_bytes.ok());
     EXPECT_EQ(direct_bytes.value(), socket_bytes.value());
   }
-  EXPECT_EQ(direct_server.private_store().size(),
-            socket_server.private_store().size());
+  EXPECT_EQ(PrivateSnapshot(direct_server.private_store()).size(),
+            PrivateSnapshot(socket_server.private_store()).size());
   (*listener)->Shutdown();
 }
 

@@ -13,8 +13,11 @@ std::vector<PublicTarget> SomeTargets() {
   return {{0, {0.1, 0.1}}, {1, {0.9, 0.9}}, {2, {0.5, 0.5}}, {3, {0.9, 0.1}}};
 }
 
+using PublicSnapshot = PublicTargetStore::Snapshot;
+using PrivateSnapshot = PrivateTargetStore::Snapshot;
+
 TEST(PublicTargetStoreTest, NearestAndRange) {
-  PublicTargetStore store(SomeTargets());
+  const PublicSnapshot store{PublicTargetStore(SomeTargets())};
   EXPECT_EQ(store.size(), 4u);
 
   auto nn = store.Nearest({0.45, 0.55});
@@ -26,11 +29,10 @@ TEST(PublicTargetStoreTest, NearestAndRange) {
   for (const auto& t : in_range) ids.push_back(t.id);
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<uint64_t>{0, 2}));
-  EXPECT_EQ(store.RangeCount(Rect(0.0, 0.0, 0.5, 0.5)), 2u);
 }
 
 TEST(PublicTargetStoreTest, EmptyStore) {
-  PublicTargetStore store;
+  const PublicSnapshot store{PublicTargetStore()};
   EXPECT_TRUE(store.empty());
   EXPECT_EQ(store.Nearest({0.5, 0.5}).status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(store.RangeQuery(Rect(0, 0, 1, 1)).empty());
@@ -39,15 +41,31 @@ TEST(PublicTargetStoreTest, EmptyStore) {
 TEST(PublicTargetStoreTest, InsertRemove) {
   PublicTargetStore store;
   store.Insert({7, {0.3, 0.3}});
-  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(PublicSnapshot(store).size(), 1u);
   EXPECT_TRUE(store.Remove({7, {0.3, 0.3}}));
   EXPECT_FALSE(store.Remove({7, {0.3, 0.3}}));
-  EXPECT_TRUE(store.empty());
+  EXPECT_TRUE(PublicSnapshot(store).empty());
+}
+
+TEST(PublicTargetStoreTest, SnapshotPinsOneEpoch) {
+  PublicTargetStore store(SomeTargets());
+  const PublicSnapshot before(store);
+  store.Insert({7, {0.46, 0.54}});
+  ASSERT_TRUE(store.Remove({2, {0.5, 0.5}}));
+  const PublicSnapshot after(store);
+
+  // The writer moved on; the pinned snapshot still answers from the
+  // epoch it was taken at, and the stamps tell the two apart.
+  EXPECT_NE(before.epoch(), after.epoch());
+  EXPECT_EQ(before.size(), 4u);
+  EXPECT_EQ(before.Nearest({0.45, 0.55})->id, 2u);
+  EXPECT_EQ(before.RangeQuery(Rect(0.4, 0.4, 0.6, 0.6)).size(), 1u);
+  EXPECT_EQ(after.Nearest({0.45, 0.55})->id, 7u);
 }
 
 TEST(PublicTargetStoreTest, KNearestOrdered) {
-  PublicTargetStore store(SomeTargets());
-  auto knn = store.KNearest({0.0, 0.0}, 3);
+  const PublicTargetStore store(SomeTargets());
+  auto knn = PublicSnapshot(store).KNearest({0.0, 0.0}, 3);
   ASSERT_EQ(knn.size(), 3u);
   EXPECT_EQ(knn[0].id, 0u);
   EXPECT_EQ(knn[1].id, 2u);
@@ -60,7 +78,7 @@ TEST(PrivateTargetStoreTest, NearestByMaxDist) {
       {0, Rect(0.1, 0.1, 0.9, 0.9)},   // Huge: far corner ~ (0.9, 0.9).
       {1, Rect(0.3, 0.3, 0.32, 0.32)}  // Tiny, near the query.
   });
-  auto nn = store.NearestByMaxDist({0.25, 0.25});
+  auto nn = PrivateSnapshot(store).NearestByMaxDist({0.25, 0.25});
   ASSERT_TRUE(nn.ok());
   EXPECT_EQ(nn->id, 1u);
 }
@@ -71,12 +89,11 @@ TEST(PrivateTargetStoreTest, OverlappingClosedBoundaries) {
       {1, Rect(0.2, 0.2, 0.4, 0.4)},  // Touches the query corner.
       {2, Rect(0.5, 0.5, 0.7, 0.7)},
   });
-  auto hits = store.Overlapping(Rect(0.1, 0.1, 0.2, 0.2));
+  auto hits = PrivateSnapshot(store).Overlapping(Rect(0.1, 0.1, 0.2, 0.2));
   std::vector<uint64_t> ids;
   for (const auto& t : hits) ids.push_back(t.id);
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<uint64_t>{0, 1}));
-  EXPECT_EQ(store.OverlapCount(Rect(0.1, 0.1, 0.2, 0.2)), 2u);
 }
 
 TEST(PrivateTargetStoreTest, OverlappingAtLeastThresholds) {
@@ -85,19 +102,23 @@ TEST(PrivateTargetStoreTest, OverlappingAtLeastThresholds) {
       {1, Rect(0.0, 0.0, 0.5, 0.5)},  // 100% inside.
   });
   const Rect window(0.0, 0.0, 0.5, 0.5);
-  EXPECT_EQ(store.OverlappingAtLeast(window, 0.0).size(), 2u);
-  EXPECT_EQ(store.OverlappingAtLeast(window, 0.3).size(), 1u);
-  EXPECT_EQ(store.OverlappingAtLeast(window, 1.0).size(), 1u);
+  const PrivateSnapshot snapshot(store);
+  EXPECT_EQ(snapshot.OverlappingAtLeast(window, 0.0).size(), 2u);
+  EXPECT_EQ(snapshot.OverlappingAtLeast(window, 0.3).size(), 1u);
+  EXPECT_EQ(snapshot.OverlappingAtLeast(window, 1.0).size(), 1u);
 }
 
 TEST(PrivateTargetStoreTest, DegenerateRegionCountsAsFullOverlap) {
   PrivateTargetStore store;
   store.Insert({0, Rect::FromPoint({0.25, 0.25})});
-  EXPECT_EQ(store.OverlappingAtLeast(Rect(0, 0, 0.5, 0.5), 1.0).size(), 1u);
+  EXPECT_EQ(
+      PrivateSnapshot(store).OverlappingAtLeast(Rect(0, 0, 0.5, 0.5), 1.0)
+          .size(),
+      1u);
 }
 
 TEST(PrivateTargetStoreTest, EmptyStore) {
-  PrivateTargetStore store;
+  const PrivateSnapshot store{PrivateTargetStore()};
   EXPECT_EQ(store.NearestByMaxDist({0, 0}).status().code(),
             StatusCode::kNotFound);
   EXPECT_TRUE(store.Overlapping(Rect(0, 0, 1, 1)).empty());
@@ -113,7 +134,7 @@ TEST(PrivateTargetStoreTest, MaxDistNearestMatchesBruteForce) {
         {i, Rect(c.x, c.y, std::min(c.x + rng.Uniform(0, 0.1), 1.0),
                  std::min(c.y + rng.Uniform(0, 0.1), 1.0))});
   }
-  PrivateTargetStore store(targets);
+  const PrivateSnapshot store{PrivateTargetStore(targets)};
   for (int trial = 0; trial < 50; ++trial) {
     const Point q = rng.PointIn(space);
     auto nn = store.NearestByMaxDist(q);

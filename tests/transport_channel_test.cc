@@ -23,6 +23,8 @@
 namespace casper::transport {
 namespace {
 
+using PrivateSnapshot = processor::PrivateTargetStore::Snapshot;
+
 CloakedQueryMsg NearestQuery(uint64_t request_id) {
   CloakedQueryMsg query;
   query.kind = QueryKind::kNearestPublic;
@@ -90,7 +92,7 @@ TEST_F(EndpointTest, MaintenanceAcksEchoRequestId) {
   ASSERT_TRUE(ack.ok());
   EXPECT_TRUE(ack->ok());
   EXPECT_EQ(ack->request_id, 11u);
-  EXPECT_EQ(server_.private_store().size(), 1u);
+  EXPECT_EQ(PrivateSnapshot(server_.private_store()).size(), 1u);
 
   RegionRemoveMsg remove;
   remove.request_id = 12;
@@ -101,7 +103,7 @@ TEST_F(EndpointTest, MaintenanceAcksEchoRequestId) {
   ASSERT_TRUE(ack.ok());
   EXPECT_TRUE(ack->ok());
   EXPECT_EQ(ack->request_id, 12u);
-  EXPECT_EQ(server_.private_store().size(), 0u);
+  EXPECT_EQ(PrivateSnapshot(server_.private_store()).size(), 0u);
 }
 
 TEST_F(EndpointTest, SnapshotAcksWithIdZero) {
@@ -114,7 +116,7 @@ TEST_F(EndpointTest, SnapshotAcksWithIdZero) {
   ASSERT_TRUE(ack.ok());
   EXPECT_TRUE(ack->ok());
   EXPECT_EQ(ack->request_id, 0u);
-  EXPECT_EQ(server_.private_store().size(), 1u);
+  EXPECT_EQ(PrivateSnapshot(server_.private_store()).size(), 1u);
 }
 
 TEST_F(EndpointTest, QueryErrorTravelsAsTypedAck) {

@@ -36,6 +36,8 @@
 namespace casper {
 namespace {
 
+using PrivateSnapshot = processor::PrivateTargetStore::Snapshot;
+
 constexpr size_t kUsers = 48;
 constexpr size_t kTargets = 120;
 constexpr size_t kBatches = 12;
@@ -259,7 +261,8 @@ TEST(TransportChaosTest, ThousandMixedQueriesUnderTenPercentFaults) {
   // one region per user — no lost and no doubled regions.
   ASSERT_TRUE(service.transport_client().Flush().ok());
   EXPECT_EQ(service.transport_client().replay_depth(), 0u);
-  EXPECT_EQ(service.private_store().size(), service.user_count());
+  EXPECT_EQ(PrivateSnapshot(service.private_store()).size(),
+            service.user_count());
 
   // The resilience instruments made it into the scraped export.
   const std::string prom = obs::ExportPrometheus(registry.Scrape());

@@ -33,6 +33,15 @@
 namespace casper {
 namespace {
 
+/// Stored public targets and cloaked regions, for status lines.
+size_t TargetCount(const CasperService& service) {
+  return processor::PublicTargetStore::Snapshot(service.public_store()).size();
+}
+size_t RegionCount(const CasperService& service) {
+  return processor::PrivateTargetStore::Snapshot(service.private_store())
+      .size();
+}
+
 /// Chaos knobs, all off by default. `--chaos-drop` and
 /// `--chaos-corrupt` are split evenly between the request and response
 /// directions; any non-zero knob wraps the tier channel in a seeded
@@ -892,9 +901,8 @@ int Run(int argc, char** argv) {
             const auto stats = (*sm)->stats();
             std::printf("saved targets=%zu regions=%zu pages=%zu "
                         "page_size=%zu\n",
-                        service.public_store().size(),
-                        service.private_store().size(), stats.pages,
-                        stats.page_size);
+                        TargetCount(service), RegionCount(service),
+                        stats.pages, stats.page_size);
           } else {
             std::printf("%s\n", saved.ToString().c_str());
           }
@@ -915,8 +923,7 @@ int Run(int argc, char** argv) {
           const Status opened = service.OpenServerState(sm->get());
           if (opened.ok()) {
             std::printf("opened targets=%zu regions=%zu\n",
-                        service.public_store().size(),
-                        service.private_store().size());
+                        TargetCount(service), RegionCount(service));
           } else {
             std::printf("%s\n", opened.ToString().c_str());
           }
