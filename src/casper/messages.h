@@ -1,9 +1,12 @@
 #ifndef CASPER_CASPER_MESSAGES_H_
 #define CASPER_CASPER_MESSAGES_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -404,6 +407,18 @@ struct WireRecord<processor::PublicNNCandidates::Candidate> {
   }
 };
 
+/// True when a T in memory is byte for byte its wire record: the host
+/// is little-endian, T has no padding or members beyond the record's
+/// fields, and memcpy may copy it. Every WireRecord<T> lays its fields
+/// out in declaration order at their natural offsets, so a whole block
+/// of such records is then one memcpy; otherwise the per-field
+/// Read/Write loop, the portable path, runs. codec_test pins the two
+/// paths byte-identical.
+template <typename T>
+inline constexpr bool kBulkRecords =
+    std::endian::native == std::endian::little &&
+    sizeof(T) == WireRecord<T>::kBytes && std::is_trivially_copyable_v<T>;
+
 /// Lazily-decoded span of fixed-stride records inside a validated
 /// frame. Indexing decodes record i on the fly; nothing is copied until
 /// the caller asks for it.
@@ -423,10 +438,16 @@ class WireSpan {
 
   /// Copy every record into an owning vector.
   std::vector<T> Materialize() const {
-    std::vector<T> out;
-    out.reserve(count_);
-    for (size_t i = 0; i < count_; ++i) out.push_back((*this)[i]);
-    return out;
+    if constexpr (kBulkRecords<T>) {
+      std::vector<T> out(count_);
+      if (count_ > 0) std::memcpy(out.data(), data_, count_ * sizeof(T));
+      return out;
+    } else {
+      std::vector<T> out;
+      out.reserve(count_);
+      for (size_t i = 0; i < count_; ++i) out.push_back((*this)[i]);
+      return out;
+    }
   }
 
  private:
@@ -438,9 +459,15 @@ class WireSpan {
 template <typename T>
 void WriteRecords(wire::Writer& w, const std::vector<T>& records) {
   char* p = w.Extend(records.size() * WireRecord<T>::kBytes);
-  for (const T& record : records) {
-    WireRecord<T>::Write(p, record);
-    p += WireRecord<T>::kBytes;
+  if constexpr (kBulkRecords<T>) {
+    if (!records.empty()) {
+      std::memcpy(p, records.data(), records.size() * sizeof(T));
+    }
+  } else {
+    for (const T& record : records) {
+      WireRecord<T>::Write(p, record);
+      p += WireRecord<T>::kBytes;
+    }
   }
 }
 

@@ -13,8 +13,11 @@ namespace {
 
 // "CSPRPAG1", little-endian, plus a format version for forward schema
 // changes. The magic rejects a foreign file before any field parses.
+// Version 2 seals the header and checksums pages with Checksum64
+// (version 1 used FNV-1a-64); older files are refused, not migrated.
 constexpr uint64_t kHeaderMagic = 0x3147415052505343ull;
-constexpr uint32_t kHeaderVersion = 1;
+constexpr uint32_t kHeaderVersion = 2;
+constexpr size_t kHeaderVersionEnd = 8 + 4;  // Magic, then version.
 
 constexpr size_t kPageRecordMinBytes = 8 + 8 + 8 + 8;  // id, len, sum, count.
 
@@ -129,6 +132,15 @@ std::string DiskStorageManager::EncodeHeader() const {
 
 Status DiskStorageManager::ReadHeader() {
   CASPER_ASSIGN_OR_RETURN(frame, ReadFile(IdxPath(base_path_)));
+  // Another version's header fails as such, before its seal is checked.
+  if (frame.size() >= kHeaderVersionEnd &&
+      wire::LoadU64LE(frame.data()) == kHeaderMagic &&
+      wire::LoadU32LE(frame.data() + 8) != kHeaderVersion) {
+    return Status::DataLoss(
+        "unsupported storage header version " +
+        std::to_string(wire::LoadU32LE(frame.data() + 8)) + " (want " +
+        std::to_string(kHeaderVersion) + "): " + IdxPath(base_path_));
+  }
   auto body = wire::Unseal(frame, "storage header");
   if (!body.ok()) {
     metrics_->storage_checksum_failures_total->Increment();
@@ -193,7 +205,7 @@ Status DiskStorageManager::Load(PageId id, std::string* out) {
     out->append(chunk);
     remaining -= want;
   }
-  if (remaining != 0 || wire::Fnv1a64(*out) != rec.checksum) {
+  if (remaining != 0 || wire::Checksum64(*out) != rec.checksum) {
     metrics_->storage_checksum_failures_total->Increment();
     return Status::DataLoss("checksum mismatch in page " +
                             std::to_string(id) + " of " +
@@ -255,7 +267,7 @@ Result<PageId> DiskStorageManager::Store(PageId id, std::string_view data) {
   const Status written = WriteSlots(rec->slots, data);
   if (!written.ok()) return written;
   rec->length = data.size();
-  rec->checksum = wire::Fnv1a64(data);
+  rec->checksum = wire::Checksum64(data);
   metrics_->storage_pages_written_total->Increment();
   return id;
 }

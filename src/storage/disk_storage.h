@@ -20,8 +20,7 @@
 ///     payloads are raw bytes, all framing lives in the index.
 ///   <base>.idx — the committed header: a wire::Seal'd frame holding
 ///     the root slots, the free-slot list, and the page table (per
-///     page: id, byte length, FNV-1a-64 checksum of the payload, slot
-///     chain).
+///     page: id, byte length, Checksum64 of the payload, slot chain).
 ///
 /// Crash safety is write-ahead-of-the-header + copy-on-write slots:
 /// Store() never overwrites a slot the committed header references —
@@ -85,7 +84,7 @@ class DiskStorageManager final : public IStorageManager {
   /// One logical page's footprint in the data file.
   struct PageRecord {
     uint64_t length = 0;    ///< Payload bytes.
-    uint64_t checksum = 0;  ///< FNV-1a-64 of the payload.
+    uint64_t checksum = 0;  ///< Checksum64 of the payload.
     std::vector<uint64_t> slots;
   };
 

@@ -23,7 +23,7 @@
 /// length prefix is bounds-checked against a configured maximum *before
 /// any allocation or read*, so a hostile 4 GiB announcement costs the
 /// server 8 bytes, not memory. Payload integrity stays where it already
-/// lives: the trailing FNV-1a-64 seal inside the payload.
+/// lives: the trailing Checksum64 seal inside the payload.
 ///
 /// FrameDecoder is the receive half: append whatever chunk the socket
 /// produced (a byte, a split frame, five coalesced frames) and pop

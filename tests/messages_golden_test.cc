@@ -21,26 +21,26 @@ constexpr const char* kCloakedQueryHex =
     "c1038877665544332211000000000000d03f000000000000e03f000000000000"
     "e83f000000000000f03f0300000000000000000000000000c03f012a00000000"
     "000000333333333333d33f333333333333e33f9a9999999999b93f9a99999999"
-    "99c93f333333333333d33f9a9999999999d93f04000000feffffff7c79fc8e5f"
-    "3d1a58";
+    "99c93f333333333333d33f9a9999999999d93f04000000feffffff5f79427236"
+    "d0837c";
 
 constexpr const char* kRegionUpsertHex =
     "c20700000000000000efcdab0000000000016300000000000000000000000000"
-    "f8bf00000000000000400000000000000a4000000000000012405666985afe91"
-    "0ee5";
+    "f8bf00000000000000400000000000000a400000000000001240bf0149da7c20"
+    "1105";
 
 constexpr const char* kRegionRemoveHex =
-    "c30800000000000000393000000000000073785384ec0e8f4d";
+    "c30800000000000000393000000000000020dab516852265fd";
 
 constexpr const char* kSnapshotHex =
     "c40200000000000000d4c3b2a1000000009a9999999999b93f9a9999999999c9"
     "3f333333333333d33f9a9999999999d93f1100000000000000000000000000f8"
-    "bf00000000000004c00000000000000a400000000000001340f93c49322bcc46"
-    "4b";
+    "bf00000000000004c00000000000000a400000000000001340b08012e6c1e837"
+    "1e";
 
 constexpr const char* kAckHex =
     "c60900000000000000020e000000000000006e6f20737563682068616e646c65"
-    "14a7dd0853f37e67";
+    "1e1d001b26f240ff";
 
 /// Indexed by QueryKind: one frame per ServerPayload alternative.
 constexpr const char* kCandidateListHex[] = {
@@ -51,17 +51,17 @@ constexpr const char* kCandidateListHex[] = {
     "0000ec3f000000000000e83f000000000000b03f000000000000000000000000"
     "0000000000000000000000c03f01000000000000e03f000000000000803f0000"
     "00000000c83f0000000000000000000000000000000000000000000000d03f01"
-    "000000000000e03f000000000000983f020b7229575ff77d5c",
+    "000000000000e03f000000000000983f0299f27fdddf6626ab",
     // 1
     "c501015a00000000000000000000000000603f01020000000000000008070605"
     "04030201000000000000e03f000000000000d0bf0900000000000000fca9f1d2"
     "4d62503f77be9f1a2fdd5e400000000000000000000000000000000000000000"
-    "0000e03f000000000000e03f0300000000000000c839ae3bab835f65",
+    "0000e03f000000000000e03f0300000000000000997d2c5114c37f5f",
     // 2
     "c502025a00000000000000000000000000603f02020000000000000008070605"
     "04030201000000000000e03f000000000000d0bf0900000000000000fca9f1d2"
     "4d62503f77be9f1a2fdd5e40000000000000d03f000000000000d03f00000000"
-    "0000e43f000000000000e43f98db3074740b94ca",
+    "0000e43f000000000000e43f6c78a653a783a86b",
     // 3
     "c503035a00000000000000000000000000603f030200000000000000d4c3b2a1"
     "000000009a9999999999b93f9a9999999999c93f333333333333d33f9a999999"
@@ -70,24 +70,24 @@ constexpr const char* kCandidateListHex[] = {
     "0000ec3f000000000000e83f000000000000b03f000000000000000000000000"
     "0000000000000000000000c03f01000000000000e03f000000000000803f0000"
     "00000000c83f0000000000000000000000000000000000000000000000d03f01"
-    "000000000000e03f000000000000983f04c8a6fcce436def11",
+    "000000000000e03f000000000000983f048d6c5707aae6c741",
     // 4
     "c504045a00000000000000000000000000603f040200000000000000d4c3b2a1"
     "000000009a9999999999b93f9a9999999999c93f333333333333d33f9a999999"
     "9999d93f000000000000d03f000000000000e83f110000000000000000000000"
     "0000f8bf00000000000004c00000000000000a40000000000000134000000000"
-    "0000d03f000000000000e83f000000000000e03f727c03af38f9d9ef",
+    "0000d03f000000000000e83f000000000000e03f6685966ee7ebdddd",
     // 5
     "c505055a00000000000000000000000000603f05010000000000000002000000"
     "00000000000000000000f83f0200000000000000d4c3b2a1000000009a999999"
     "9999b93f9a9999999999c93f333333333333d33f9a9999999999d93f11000000"
     "00000000000000000000f8bf00000000000004c00000000000000a4000000000"
-    "0000134074e950759ecce44d",
+    "000013407f3f9ec45f01957f",
     // 6
     "c506065a00000000000000000000000000603f06000000000000000000000000"
     "00000000000000000000f03f000000000000f03f020000000300000000000000"
     "00000000000000000000e03f000000000000f03f000000000000f83f00000000"
-    "0000004000000000000004404790f296c6396d3c",
+    "000000400000000000000440f2ff650a2417d2b8",
 };
 
 processor::ExtendedArea GoldenArea() {

@@ -146,11 +146,28 @@ TEST_F(StorageCorruptionTest, TruncatedHeaderFailsDataLossOnOpen) {
 
 TEST_F(StorageCorruptionTest, CorruptedHeaderChecksumTrailerFails) {
   CommitOnePage("payload");
-  FlipByte(idx(), -3);  // Inside the trailing FNV-1a-64 seal.
+  FlipByte(idx(), -3);  // Inside the trailing Checksum64 seal.
 
   const auto reopened = DiskStorageManager::Open(path_, Options());
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+}
+
+TEST_F(StorageCorruptionTest, OldHeaderVersionFailsWithVersionError) {
+  CommitOnePage("payload");
+  // Rewrite the header's version field (bytes 8-11, little-endian) to
+  // 1, the FNV-1a-64 format, which is refused rather than migrated.
+  std::FILE* f = std::fopen(idx().c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+  ASSERT_NE(std::fputc(1, f), EOF);
+  std::fclose(f);
+
+  const auto reopened = DiskStorageManager::Open(path_, Options());
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(reopened.status().message().find("version 1"), std::string::npos)
+      << reopened.status().ToString();
 }
 
 TEST_F(StorageCorruptionTest, IntactStoreStillOpensAfterFailedLoad) {
