@@ -24,7 +24,10 @@ ExtendedArea ComputeExtendedArea(const Rect& cloak,
     double d_m = 0.0;
 
     EdgeExtension ext;
-    if (fi.id != fj.id) {
+    // One filter at both ends bounds the edge by max(d_i, d_j), MaxDist
+    // being convex. Stores may hold twin ids, so a filter is its id and
+    // its region: two targets sharing an id are still two filters.
+    if (fi.id != fj.id || fi.region != fj.region) {
       // Anchor segment endpoints: furthest corners from the reverse
       // vertices (for point targets these are the points themselves).
       const Point s = FurthestCorner(v[j], fi.region);

@@ -20,8 +20,9 @@ struct EdgeExtension {
   /// side of the cloak.
   double max_d = 0.0;
 
-  /// The middle point m_ij, when the endpoint filters differ and the
-  /// perpendicular bisector of their anchor segment crosses the edge.
+  /// The middle point m_ij, when the endpoint filters differ (in id or
+  /// region) and the perpendicular bisector of their anchor segment
+  /// crosses the edge.
   bool has_middle = false;
   Point middle;
 
@@ -48,7 +49,8 @@ struct ExtendedArea {
 /// rectangles). For each edge (v_i, v_j):
 ///  * d_i = MaxDist(v_i, filter_i.region) — for private targets this is
 ///    the distance to the furthest corner (§5.2.1 step 3);
-///  * when filter_i != filter_j, the bisector anchor segment runs from
+///  * when filter_i != filter_j (by id and region: twin ids are two
+///    filters), the bisector anchor segment runs from
 ///    the corner of filter_i furthest from the *reverse* vertex v_j to
 ///    the corner of filter_j furthest from v_i (§5.2.1 step 2), and
 ///    d_m is the distance from the resulting middle point to either

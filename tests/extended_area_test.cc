@@ -121,5 +121,23 @@ TEST(ExtendedAreaTest, IdenticalFiltersNoMiddleEvenIfRegionsEqual) {
   for (const auto& e : area.edges) EXPECT_FALSE(e.has_middle);
 }
 
+TEST(ExtendedAreaTest, TwinIdFiltersStillGetAMiddlePoint) {
+  // Two different targets that share id 7 filter the bottom edge's two
+  // ends. They are two filters: the bisector crosses the edge at
+  // (0.5, 0), 0.6 from either, and that bounds the bottom extension.
+  const Rect cloak(0, 0, 1, 1);
+  const FilterTarget left{7, Rect::FromPoint({-0.1, 0.0})};
+  const FilterTarget right{7, Rect::FromPoint({1.1, 0.0})};
+  const ExtendedArea area =
+      ComputeExtendedArea(cloak, {left, right, right, left});
+  ASSERT_TRUE(area.edges[0].has_middle);
+  EXPECT_NEAR(area.edges[0].middle.x, 0.5, 1e-12);
+  EXPECT_NEAR(area.edges[0].max_d, 0.6, 1e-12);
+  EXPECT_NEAR(area.a_ext.min.y, -0.6, 1e-12);
+  // The same target at both ends of an edge is still one filter.
+  EXPECT_FALSE(area.edges[1].has_middle);
+  EXPECT_FALSE(area.edges[3].has_middle);
+}
+
 }  // namespace
 }  // namespace casper::processor

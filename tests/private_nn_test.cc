@@ -139,6 +139,39 @@ const InclusionParams kSweep[] = {
 INSTANTIATE_TEST_SUITE_P(Sweep, InclusivenessTest,
                          ::testing::ValuesIn(kSweep));
 
+/// Inclusiveness with twin ids: two targets share id 7 and filter the
+/// two ends of the cloak's bottom edge, and a third target is the true
+/// nearest neighbor of the edge's midpoint. Treating the twins as one
+/// filter drops the bisector bound and loses that neighbor from A_EXT.
+TEST(PrivateNNTest, TwinIdFiltersKeepTheListInclusive) {
+  const std::vector<PublicTarget> targets = {
+      {7, {-0.1, 0.0}}, {7, {1.1, 0.0}}, {9, {0.5, -0.5}}};
+  PublicTargetStore store(targets);
+  const Rect cloak(0, 0, 1, 1);
+  for (const FilterPolicy policy :
+       {FilterPolicy::kTwoFilters, FilterPolicy::kFourFilters}) {
+    auto result = PrivateNearestNeighbor(store, cloak, policy);
+    ASSERT_TRUE(result.ok());
+    for (int sx = 0; sx <= 10; ++sx) {
+      for (int sy = 0; sy <= 10; ++sy) {
+        const Point user{sx / 10.0, sy / 10.0};
+        const PublicTarget* nearest = &targets.front();
+        for (const PublicTarget& t : targets) {
+          if (SquaredDistance(user, t.position) <
+              SquaredDistance(user, nearest->position)) {
+            nearest = &t;
+          }
+        }
+        EXPECT_NE(std::find(result->candidates.begin(),
+                            result->candidates.end(), *nearest),
+                  result->candidates.end())
+            << "policy=" << static_cast<int>(policy) << " user=" << user.x
+            << "," << user.y;
+      }
+    }
+  }
+}
+
 /// More filters should never enlarge the extended area (each side's
 /// extension distance is computed from tighter upper bounds).
 TEST(PrivateNNTest, MoreFiltersGiveSmallerOrEqualAExt) {
