@@ -10,10 +10,6 @@ namespace casper::spatial {
 
 namespace {
 
-bool SameEntry(const Entry& a, const Rect& box, uint64_t id) {
-  return a.id == id && a.box == box;
-}
-
 /// Source of every snapshot's epoch, shared by all indexes in the
 /// process, so a stamp is never reused — not even by a new index that
 /// replaces an old one in place (bulk load, restore).
@@ -45,33 +41,23 @@ std::vector<Entry> GetEntries(wire::Reader& r) {
   return entries;
 }
 
-/// The live entry set: base rows minus tombstones plus delta. Each
-/// tombstone hides one base copy of its (box, id), found by exact-match
-/// lookup; a tombstone with no unhidden copy left fails.
-Result<std::vector<Entry>> LiveEntries(const FlatRTree* base,
-                                       const std::vector<Entry>& delta,
-                                       const std::vector<Entry>& dead) {
-  const size_t base_size = base != nullptr ? base->size() : 0;
-  std::vector<bool> hidden(base_size, false);
+/// Tombstone the first base copy of (box, id), in FindExact order,
+/// whose row `dead` does not hold yet, keeping `dead` sorted. Returns
+/// false when every copy is dead already.
+bool HideRow(const FlatRTree* base, const Rect& box, uint64_t id,
+             std::vector<uint32_t>* dead) {
+  if (base == nullptr) return false;
   std::vector<size_t> rows;
-  for (const Entry& d : dead) {
-    rows.clear();
-    if (base != nullptr) base->FindExact(d.box, d.id, &rows);
-    const auto row = std::find_if(rows.begin(), rows.end(),
-                                  [&](size_t r) { return !hidden[r]; });
-    if (row == rows.end()) {
-      return Status::InvalidArgument(
-          "epoch-index checkpoint tombstone has no base entry");
+  base->FindExact(box, id, &rows);
+  for (const size_t r : rows) {
+    const auto row = static_cast<uint32_t>(r);
+    const auto at = std::lower_bound(dead->begin(), dead->end(), row);
+    if (at == dead->end() || *at != row) {
+      dead->insert(at, row);
+      return true;
     }
-    hidden[*row] = true;
   }
-  std::vector<Entry> live;
-  live.reserve(base_size - dead.size() + delta.size());
-  for (size_t i = 0; i < base_size; ++i) {
-    if (!hidden[i]) live.push_back(base->entry(i));
-  }
-  live.insert(live.end(), delta.begin(), delta.end());
-  return live;
+  return false;
 }
 
 }  // namespace
@@ -90,37 +76,6 @@ void EpochIndex::Snapshot::RangeQuery(const Rect& window,
   });
 }
 
-void EpochIndex::Snapshot::RangeQuery(
-    const Rect& window, const std::function<bool(const Entry&)>& visit) const {
-  // Tombstones form a multiset: a base entry is hidden once per matching
-  // tombstone, so a duplicate (box, id) pair removed once still shows
-  // its surviving twin. `used` is query-local — snapshots are shared
-  // across reader threads and never mutated.
-  std::vector<bool> used(dead_.size(), false);
-  bool stopped = false;
-  if (base_) {
-    base_->RangeQuery(window, [&](const Entry& e) {
-      for (size_t i = 0; i < dead_.size(); ++i) {
-        if (!used[i] && SameEntry(dead_[i], e.box, e.id)) {
-          used[i] = true;
-          return true;  // Hidden; keep scanning.
-        }
-      }
-      if (!visit(e)) {
-        stopped = true;
-        return false;
-      }
-      return true;
-    });
-  }
-  if (stopped) return;
-  for (const Entry& e : delta_) {
-    if (e.box.Intersects(window)) {
-      if (!visit(e)) return;
-    }
-  }
-}
-
 size_t EpochIndex::Snapshot::RangeCount(const Rect& window) const {
   size_t count = 0;
   RangeQuery(window, [&count](const Entry&) {
@@ -135,22 +90,7 @@ std::vector<EpochIndex::Neighbor> EpochIndex::Snapshot::KNearest(
   std::vector<Neighbor> merged;
   if (k == 0 || size_ == 0) return merged;
 
-  if (base_ && !base_->empty()) {
-    std::vector<bool> used(dead_.size(), false);
-    std::function<bool(const Entry&)> keep;
-    if (!dead_.empty()) {
-      keep = [&](const Entry& e) {
-        for (size_t i = 0; i < dead_.size(); ++i) {
-          if (!used[i] && SameEntry(dead_[i], e.box, e.id)) {
-            used[i] = true;
-            return false;
-          }
-        }
-        return true;
-      };
-    }
-    merged = base_->KNearestFiltered(q, k, metric, keep);
-  }
+  if (base_) merged = base_->KNearest(q, k, metric, dead_);
   for (const Entry& e : delta_) {
     const double d =
         metric == Metric::kMinDist ? MinDist(q, e.box) : MaxDist(q, e.box);
@@ -174,13 +114,6 @@ EpochIndex::NNResult EpochIndex::Snapshot::Nearest(const Point& q,
     r.neighbor = knn.front();
   }
   return r;
-}
-
-Rect EpochIndex::Snapshot::bounds() const {
-  Rect box = base_ ? base_->bounds() : Rect();
-  for (const Entry& e : delta_) box = box.Union(e.box);
-  return box;  // May over-cover after removals, like an R-tree root MBR
-               // before condensation; callers treat bounds as a hint.
 }
 
 // --- EpochIndex -------------------------------------------------------
@@ -241,19 +174,14 @@ void EpochIndex::Insert(const Rect& box, uint64_t id) {
 bool EpochIndex::Remove(const Rect& box, uint64_t id) {
   // Prefer cancelling a pending delta insert; only entries already in
   // the packed base need a tombstone, and only while the base still
-  // holds a copy that no earlier tombstone hides.
+  // holds a copy whose row is not dead.
   auto it = std::find_if(delta_.rbegin(), delta_.rend(), [&](const Entry& e) {
-    return SameEntry(e, box, id);
+    return e.id == id && e.box == box;
   });
   if (it != delta_.rend()) {
     delta_.erase(std::next(it).base());
-  } else {
-    const size_t copies = base_ ? base_->FindExact(box, id) : 0;
-    const auto hidden = static_cast<size_t>(std::count_if(
-        dead_.begin(), dead_.end(),
-        [&](const Entry& e) { return SameEntry(e, box, id); }));
-    if (copies <= hidden) return false;
-    dead_.push_back(Entry{box, id});
+  } else if (!HideRow(base_.get(), box, id, &dead_)) {
+    return false;
   }
   --size_;
   if (delta_.size() + dead_.size() >= rebuild_threshold_) RebuildBase();
@@ -262,12 +190,22 @@ bool EpochIndex::Remove(const Rect& box, uint64_t id) {
 }
 
 void EpochIndex::RebuildBase() {
-  // Remove tombstones only a base copy that no earlier tombstone hides,
-  // so the merge cannot fail here.
-  Result<std::vector<Entry>> live = LiveEntries(base_.get(), delta_, dead_);
-  CASPER_DCHECK(live.ok());
+  // The live base rows, in row order, then the delta; `dead_` is sorted,
+  // so one merge pass skips the tombstoned rows.
+  std::vector<Entry> live;
+  live.reserve(size_);
+  const size_t base_size = base_ ? base_->size() : 0;
+  auto dead = dead_.begin();
+  for (size_t row = 0; row < base_size; ++row) {
+    if (dead != dead_.end() && *dead == row) {
+      ++dead;
+    } else {
+      live.push_back(base_->entry(row));
+    }
+  }
+  live.insert(live.end(), delta_.begin(), delta_.end());
   base_ = std::make_shared<const FlatRTree>(
-      FlatRTree::Build(std::move(live).value(), max_entries_));
+      FlatRTree::Build(std::move(live), max_entries_));
   delta_.clear();
   dead_.clear();
   ++rebuilds_;
@@ -302,7 +240,12 @@ Result<storage::PageId> EpochIndex::Checkpoint(
   w.U64(rebuild_threshold_);
   w.U64(base_root);
   PutEntries(w, delta_);
-  PutEntries(w, dead_);
+  // Tombstones go out as the (box, id) values of their rows, so the
+  // page does not depend on the base's row order.
+  std::vector<Entry> dead;
+  dead.reserve(dead_.size());
+  for (const uint32_t row : dead_) dead.push_back(base_->entry(row));
+  PutEntries(w, dead);
   const std::string page = w.Take();
   return sm->Store(storage::kNoPage, page);
 }
@@ -332,10 +275,15 @@ Result<EpochIndex> EpochIndex::Restore(storage::IStorageManager* sm,
     CASPER_ASSIGN_OR_RETURN(base, FlatRTree::LoadFrom(sm, base_root));
     index.base_ = std::make_shared<const FlatRTree>(std::move(base));
   }
-  CASPER_ASSIGN_OR_RETURN(live, LiveEntries(index.base_.get(), delta, dead));
-  index.size_ = live.size();
+  for (const Entry& d : dead) {
+    if (!HideRow(index.base_.get(), d.box, d.id, &index.dead_)) {
+      return Status::InvalidArgument(
+          "epoch-index checkpoint tombstone has no base entry");
+    }
+  }
+  index.size_ = (index.base_ ? index.base_->size() : 0) - dead.size() +
+                delta.size();
   index.delta_ = std::move(delta);
-  index.dead_ = std::move(dead);
   if (index.base_) ++index.rebuilds_;
   index.Publish();
   return index;

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -16,9 +15,10 @@
 /// Epoch-published read snapshots over a mutable spatial index. The
 /// index is a packed FlatRTree base (cache-friendly, built with STR)
 /// plus a small overlay: entries inserted since the base was packed
-/// (the delta) and tombstones for base entries removed since. There is
-/// no other copy of the entry set; base minus tombstones plus delta *is*
-/// the index, a multiset of (box, id) pairs.
+/// (the delta) and tombstones, the sorted storage rows of base entries
+/// removed since. There is no other copy of the entry set; base minus
+/// tombstoned rows plus delta *is* the index, a multiset of (box, id)
+/// pairs.
 ///
 /// Every mutation publishes a new immutable Snapshot of that state into
 /// an atomically swapped shared_ptr slot, and readers grab the current
@@ -29,10 +29,12 @@
 /// holder frees the epoch, counted in Stats::reclaimed).
 ///
 /// Insert appends to the delta. Remove cancels a matching delta entry
-/// if there is one, and otherwise tombstones a base copy, located with
-/// FlatRTree::FindExact. When the overlay grows past
-/// `rebuild_threshold`, the writer repacks a fresh base from base rows
-/// minus tombstones plus delta, and the overlay resets to empty.
+/// if there is one, and otherwise tombstones the first base copy, in
+/// FlatRTree::FindExact order, whose row is not dead yet. Reads pass
+/// the dead rows to the FlatRTree walks, which skip them by binary
+/// search. When the overlay grows past `rebuild_threshold`, the writer
+/// repacks a fresh base from the live base rows plus the delta, and the
+/// overlay resets to empty.
 ///
 /// Threading contract: mutations are single-writer (same as the target
 /// stores); Acquire() and all Snapshot queries are safe from any number
@@ -65,8 +67,14 @@ class EpochIndex {
     Snapshot& operator=(const Snapshot&) = delete;
 
     void RangeQuery(const Rect& window, std::vector<Entry>* out) const;
-    void RangeQuery(const Rect& window,
-                    const std::function<bool(const Entry&)>& visit) const;
+    /// Visitor form; return false from the visitor to stop early.
+    template <typename Visit>
+    void RangeQuery(const Rect& window, Visit&& visit) const {
+      if (base_ && !base_->RangeQuery(window, visit, dead_)) return;
+      for (const Entry& e : delta_) {
+        if (e.box.Intersects(window) && !visit(e)) return;
+      }
+    }
     size_t RangeCount(const Rect& window) const;
     std::vector<Neighbor> KNearest(const Point& q, size_t k,
                                    Metric metric = Metric::kMinDist) const;
@@ -74,7 +82,6 @@ class EpochIndex {
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    Rect bounds() const;
     /// Stamp of this publication: increases with every mutation and is
     /// unique across all indexes in the process, so a cached answer
     /// stamped with it is current exactly while the stamps match.
@@ -85,8 +92,8 @@ class EpochIndex {
     Snapshot() = default;
 
     std::shared_ptr<const FlatRTree> base_;
-    std::vector<Entry> delta_;  ///< Inserted since base was packed.
-    std::vector<Entry> dead_;   ///< Removed base entries (tombstones).
+    std::vector<Entry> delta_;    ///< Inserted since base was packed.
+    std::vector<uint32_t> dead_;  ///< Tombstoned base rows, ascending.
     size_t size_ = 0;
     uint64_t epoch_ = 0;
     std::shared_ptr<std::atomic<uint64_t>> reclaimed_;
@@ -125,10 +132,12 @@ class EpochIndex {
   /// almost entirely the packed base.
   Result<storage::PageId> Checkpoint(storage::IStorageManager* sm) const;
 
-  /// Rebuild an index from a Checkpoint root page. The restored index
-  /// publishes a snapshot with the same base/delta/tombstone overlay
-  /// the checkpointed one had, so queries answer identically. A
-  /// tombstone with no base copy to hide fails kInvalidArgument.
+  /// Rebuild an index from a Checkpoint root page. Each checkpointed
+  /// tombstone, a (box, id) value, hides a base row by the same rule
+  /// Remove uses, so the restored index publishes the same base/delta/
+  /// tombstone overlay the checkpointed one had and queries answer
+  /// identically. A tombstone with no unhidden base copy left fails
+  /// kInvalidArgument.
   static Result<EpochIndex> Restore(storage::IStorageManager* sm,
                                     storage::PageId root);
 
@@ -180,7 +189,7 @@ class EpochIndex {
 
   std::shared_ptr<const FlatRTree> base_;
   std::vector<Entry> delta_;
-  std::vector<Entry> dead_;
+  std::vector<uint32_t> dead_;  ///< Tombstoned base rows, ascending.
   size_t size_ = 0;  ///< Live entries: base - tombstones + delta.
 
   PublishedSlot published_;

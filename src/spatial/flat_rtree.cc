@@ -158,29 +158,6 @@ void FlatRTree::RangeQuery(const Rect& window, std::vector<Entry>* out) const {
   });
 }
 
-void FlatRTree::RangeQuery(
-    const Rect& window, const std::function<bool(const Entry&)>& visit) const {
-  if (nodes_.empty()) return;
-  std::vector<int32_t> stack{0};
-  while (!stack.empty()) {
-    const int32_t i = stack.back();
-    stack.pop_back();
-    if (!NodeBox(i).Intersects(window)) continue;
-    const Node& node = nodes_[i];
-    const int32_t end = node.first + node.count;
-    if (node.level == 0) {
-      for (int32_t j = node.first; j < end; ++j) {
-        const Rect box = EntryBox(j);
-        if (box.Intersects(window)) {
-          if (!visit(Entry{box, entry_ids_[j]})) return;
-        }
-      }
-    } else {
-      for (int32_t j = node.first; j < end; ++j) stack.push_back(j);
-    }
-  }
-}
-
 size_t FlatRTree::RangeCount(const Rect& window) const {
   size_t count = 0;
   RangeQuery(window, [&count](const Entry&) {
@@ -215,14 +192,9 @@ size_t FlatRTree::FindExact(const Rect& box, uint64_t id,
   return count;
 }
 
-std::vector<FlatRTree::Neighbor> FlatRTree::KNearest(const Point& q, size_t k,
-                                                     Metric metric) const {
-  return KNearestFiltered(q, k, metric, nullptr);
-}
-
-std::vector<FlatRTree::Neighbor> FlatRTree::KNearestFiltered(
+std::vector<FlatRTree::Neighbor> FlatRTree::KNearest(
     const Point& q, size_t k, Metric metric,
-    const std::function<bool(const Entry&)>& keep) const {
+    std::span<const uint32_t> skip) const {
   std::vector<Neighbor> result;
   if (nodes_.empty() || k == 0) return result;
 
@@ -255,8 +227,12 @@ std::vector<FlatRTree::Neighbor> FlatRTree::KNearestFiltered(
     const Item item = heap.top();
     heap.pop();
     if (item.is_entry) {
-      result.push_back(
-          Neighbor{EntryBox(item.idx), entry_ids_[item.idx], item.key});
+      // Skipped rows are dropped as they pop, not as they are pushed:
+      // far fewer entries pop than get scored.
+      if (!Skipped(skip, item.idx)) {
+        result.push_back(
+            Neighbor{EntryBox(item.idx), entry_ids_[item.idx], item.key});
+      }
       continue;
     }
     const Node& node = nodes_[item.idx];
@@ -268,9 +244,7 @@ std::vector<FlatRTree::Neighbor> FlatRTree::KNearestFiltered(
         BatchedMaxDist(q, EntryBoxes(node.first), count, dist.data());
       }
       for (size_t j = 0; j < count; ++j) {
-        const int32_t row = node.first + static_cast<int32_t>(j);
-        if (keep && !keep(Entry{EntryBox(row), entry_ids_[row]})) continue;
-        heap.push(Item{dist[j], row, true});
+        heap.push(Item{dist[j], node.first + static_cast<int32_t>(j), true});
       }
     } else {
       // MinDist to the child MBR lower-bounds both metrics for every
@@ -504,8 +478,10 @@ Result<FlatRTree> FlatRTree::LoadFrom(storage::IStorageManager* sm,
       return Status::InvalidArgument("flat-rtree node run out of bounds");
     }
   }
-  if (tree.nodes_.empty() && !tree.entry_ids_.empty()) {
-    return Status::InvalidArgument("flat-rtree entries without nodes");
+  // Fan-out within max_entries (the k-NN scratch is sized by it), and
+  // child runs that form a tree, or walks would overrun or never end.
+  if (!tree.CheckInvariants()) {
+    return Status::InvalidArgument("flat-rtree pages do not form a tree");
   }
   return tree;
 }

@@ -1,8 +1,9 @@
 #ifndef CASPER_SPATIAL_FLAT_RTREE_H_
 #define CASPER_SPATIAL_FLAT_RTREE_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "src/common/geometry.h"
@@ -23,10 +24,11 @@
 /// batched MinDist/MaxDist kernels in one linear pass.
 ///
 /// The tree is never mutated in place. spatial::EpochIndex puts a small
-/// insert delta and a tombstone list over a packed base and repacks a
-/// fresh FlatRTree when the overlay grows (see epoch_index.h). The
-/// differential tests in tests/flat_rtree_test.cc check every query
-/// against a linear scan of the same entries.
+/// insert delta and a sorted list of dead storage rows over a packed
+/// base, which both walks take as `skip`, and repacks a fresh FlatRTree
+/// when the overlay grows (see epoch_index.h). The differential tests
+/// in tests/flat_rtree_test.cc check every query against a linear scan
+/// of the same entries.
 
 namespace casper::spatial {
 
@@ -74,12 +76,16 @@ class FlatRTree {
   /// fan-out M (clamped to >= 4).
   static FlatRTree Build(std::vector<Entry> entries, int max_entries = 16);
 
+  /// Call `visit(entry)` for every entry whose rectangle intersects
+  /// `window`, except the storage rows listed in `skip` (ascending; see
+  /// entry()). Return false from the visitor to stop early; the walk
+  /// then returns false too.
+  template <typename Visit>
+  bool RangeQuery(const Rect& window, Visit&& visit,
+                  std::span<const uint32_t> skip = {}) const;
+
   /// Append every entry whose rectangle intersects `window` to `*out`.
   void RangeQuery(const Rect& window, std::vector<Entry>* out) const;
-
-  /// Visitor form; return false from the visitor to stop early.
-  void RangeQuery(const Rect& window,
-                  const std::function<bool(const Entry&)>& visit) const;
 
   /// Number of entries intersecting `window`.
   size_t RangeCount(const Rect& window) const;
@@ -92,17 +98,12 @@ class FlatRTree {
   size_t FindExact(const Rect& box, uint64_t id,
                    std::vector<size_t>* rows = nullptr) const;
 
-  /// Nearest entries to `q` under `metric`, closest first; equal
-  /// distances come back in ascending id order.
+  /// Nearest entries to `q` under `metric`, closest first, leaving out
+  /// the storage rows in `skip` (ascending); equal distances come back
+  /// in ascending id order.
   std::vector<Neighbor> KNearest(const Point& q, size_t k,
-                                 Metric metric = Metric::kMinDist) const;
-
-  /// KNearest over the subset of entries for which `keep` returns true
-  /// (nullptr keeps everything). Lets snapshot readers mask tombstoned
-  /// entries without rebuilding.
-  std::vector<Neighbor> KNearestFiltered(
-      const Point& q, size_t k, Metric metric,
-      const std::function<bool(const Entry&)>& keep) const;
+                                 Metric metric = Metric::kMinDist,
+                                 std::span<const uint32_t> skip = {}) const;
 
   NNResult Nearest(const Point& q, Metric metric = Metric::kMinDist) const;
 
@@ -116,8 +117,9 @@ class FlatRTree {
   /// Entry i in storage order (for enumeration in tests).
   Entry entry(size_t i) const;
 
-  /// Structural invariant check for tests: MBRs tight and covering,
-  /// child runs in bounds, every entry reachable exactly once.
+  /// Structural invariant check: fan-out within `max_entries`, levels
+  /// descending by one, MBRs tight and covering, child runs in bounds,
+  /// every node and entry reached at most once and every entry reached.
   bool CheckInvariants() const;
 
   /// Serialize the packed arrays to pages on `sm` — node and entry rows
@@ -126,10 +128,10 @@ class FlatRTree {
   /// are a complete, self-contained image.
   Result<storage::PageId> SaveTo(storage::IStorageManager* sm) const;
 
-  /// Rebuild a tree previously written by SaveTo. Structural bounds are
-  /// re-validated (child runs, row counts); a page that decodes but
-  /// violates them fails kInvalidArgument rather than producing a tree
-  /// that would crash on query.
+  /// Rebuild a tree previously written by SaveTo. Row counts, child-run
+  /// bounds and CheckInvariants() are re-validated; pages that decode
+  /// but violate them fail kInvalidArgument rather than producing a
+  /// tree that would crash or loop on query.
   static Result<FlatRTree> LoadFrom(storage::IStorageManager* sm,
                                     storage::PageId root);
 
@@ -159,6 +161,10 @@ class FlatRTree {
   Rect EntryBox(int32_t i) const {
     return Rect(entry_xlo_[i], entry_ylo_[i], entry_xhi_[i], entry_yhi_[i]);
   }
+  static bool Skipped(std::span<const uint32_t> skip, int32_t row) {
+    return std::binary_search(skip.begin(), skip.end(),
+                              static_cast<uint32_t>(row));
+  }
 
   /// Root is nodes_[0]; children contiguous by construction (BFS
   /// flattening in Build).
@@ -169,6 +175,31 @@ class FlatRTree {
   int height_ = 0;
   int max_entries_ = 16;
 };
+
+template <typename Visit>
+bool FlatRTree::RangeQuery(const Rect& window, Visit&& visit,
+                           std::span<const uint32_t> skip) const {
+  if (nodes_.empty()) return true;
+  std::vector<int32_t> stack{0};
+  while (!stack.empty()) {
+    const int32_t i = stack.back();
+    stack.pop_back();
+    if (!NodeBox(i).Intersects(window)) continue;
+    const Node& node = nodes_[i];
+    const int32_t end = node.first + node.count;
+    if (node.level == 0) {
+      for (int32_t j = node.first; j < end; ++j) {
+        const Rect box = EntryBox(j);
+        if (box.Intersects(window) && !Skipped(skip, j)) {
+          if (!visit(Entry{box, entry_ids_[j]})) return false;
+        }
+      }
+    } else {
+      for (int32_t j = node.first; j < end; ++j) stack.push_back(j);
+    }
+  }
+  return true;
+}
 
 }  // namespace casper::spatial
 

@@ -177,8 +177,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// The wire answers of the public kinds are a function of the stored
 /// multiset alone, also when ids repeat: the same (position, id) pairs
-/// bulk-loaded, inserted forward and inserted in reverse encode to the
-/// same bytes. Every id is stored twice, at two positions.
+/// bulk-loaded, inserted forward, inserted in reverse, and bulk-loaded
+/// then churned encode to the same bytes. Every id is stored twice, at
+/// two positions.
 TEST(TwinIdOrderTest, AnswersEncodeIdenticallyWhateverTheBuildOrder) {
   using processor::PublicTarget;
   using processor::PublicTargetStore;
@@ -198,6 +199,16 @@ TEST(TwinIdOrderTest, AnswersEncodeIdenticallyWhateverTheBuildOrder) {
     for (auto t = targets.rbegin(); t != targets.rend(); ++t) {
       reverse.Insert(*t);
     }
+    // Remove and re-insert the first copy of every 25th id, id 0
+    // included, so the packed base carries tombstones over twin copies
+    // and the delta holds their re-inserts. 60 ids make 120 overlay
+    // entries, under the default rebuild threshold of 128.
+    PublicTargetStore churned(targets);
+    for (size_t i = 0; i < targets.size(); i += 50) {
+      ASSERT_TRUE(churned.Remove(targets[i]));
+      churned.Insert(targets[i]);
+    }
+    ASSERT_EQ(churned.epoch_stats().tombstones, (targets.size() + 49) / 50);
 
     std::vector<Rect> cloaks = {Rect(0, 0, 1, 1)};
     for (int i = 0; i < 500; ++i) {
@@ -224,6 +235,7 @@ TEST(TwinIdOrderTest, AnswersEncodeIdenticallyWhateverTheBuildOrder) {
       const std::vector<std::string> want = answers(bulk, cloaks[c]);
       const std::vector<std::string> fwd = answers(forward, cloaks[c]);
       const std::vector<std::string> rev = answers(reverse, cloaks[c]);
+      const std::vector<std::string> churn = answers(churned, cloaks[c]);
       for (size_t kind = 0; kind < want.size(); ++kind) {
         ASSERT_TRUE(fwd[kind] == want[kind])
             << ids << " ids, cloak " << c << ", answer " << kind
@@ -231,6 +243,9 @@ TEST(TwinIdOrderTest, AnswersEncodeIdenticallyWhateverTheBuildOrder) {
         ASSERT_TRUE(rev[kind] == want[kind])
             << ids << " ids, cloak " << c << ", answer " << kind
             << ": reverse inserts differ from bulk load";
+        ASSERT_TRUE(churn[kind] == want[kind])
+            << ids << " ids, cloak " << c << ", answer " << kind
+            << ": a churned bulk load differs from the bulk load";
       }
     }
   }

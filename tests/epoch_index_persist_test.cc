@@ -3,13 +3,15 @@
 #include <random>
 #include <vector>
 
+#include "src/common/codec.h"
 #include "src/spatial/epoch_index.h"
 #include "src/storage/memory_storage.h"
 
 /// EpochIndex checkpoint/restore: a restored index must answer every
 /// query exactly like the index it was checkpointed from — including
 /// when the checkpoint caught a non-empty delta/tombstone overlay — and
-/// must keep working as a writable index afterwards.
+/// must keep working as a writable index afterwards. An overlay whose
+/// tombstones the base cannot back must fail to restore.
 
 namespace casper::spatial {
 namespace {
@@ -144,6 +146,71 @@ TEST(EpochIndexPersistSingleTest, GarbageRootFails) {
   auto id = sm.Store(storage::kNoPage, "not an epoch checkpoint");
   ASSERT_TRUE(id.ok());
   const auto restored = EpochIndex::Restore(&sm, *id);
+  EXPECT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Writes an EPX1 overlay page by hand: no delta, `dead` as the
+/// tombstones, over the packed base at `base_root`.
+storage::PageId WriteOverlay(storage::MemoryStorageManager* sm,
+                             storage::PageId base_root,
+                             const std::vector<EpochIndex::Entry>& dead) {
+  wire::Writer w;
+  w.U32(0x31585045u);  // "EPX1"
+  w.I32(16);           // max_entries
+  w.U64(128);          // rebuild_threshold
+  w.U64(base_root);
+  w.Count(0);
+  w.Count(dead.size());
+  for (const EpochIndex::Entry& e : dead) {
+    w.R(e.box);
+    w.U64(e.id);
+  }
+  auto id = sm->Store(storage::kNoPage, w.Take());
+  EXPECT_TRUE(id.ok());
+  return id.ok() ? *id : storage::kNoPage;
+}
+
+class EpochIndexTombstoneRestoreTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // 50 entries, one of them stored twice: id 7 at `twin_`.
+    std::vector<EpochIndex::Entry> entries;
+    std::mt19937 rng(404);
+    for (uint64_t id = 0; id < 50; ++id) entries.push_back({BoxAt(rng), id});
+    entries.push_back({twin_, 7});
+    entries[7].box = twin_;
+    auto root = FlatRTree::Build(entries, 16).SaveTo(&sm_);
+    ASSERT_TRUE(root.ok());
+    base_root_ = *root;
+  }
+
+  Result<EpochIndex> RestoreWith(const std::vector<EpochIndex::Entry>& dead) {
+    return EpochIndex::Restore(&sm_, WriteOverlay(&sm_, base_root_, dead));
+  }
+
+  const Rect twin_{600, 600, 601, 601};
+  storage::MemoryStorageManager sm_;
+  storage::PageId base_root_ = storage::kNoPage;
+};
+
+TEST_F(EpochIndexTombstoneRestoreTest, EachTwinCopyTakesOneTombstone) {
+  auto restored = RestoreWith({{twin_, 7}, {twin_, 7}});
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->size(), 49u);
+  EXPECT_EQ(restored->stats().tombstones, 2u);
+  EXPECT_EQ(restored->Acquire()->RangeCount(twin_), 0u);
+}
+
+TEST_F(EpochIndexTombstoneRestoreTest, TombstoneWithNoBaseEntryFails) {
+  // Right box, wrong id: the base holds no such (box, id).
+  const auto restored = RestoreWith({{twin_, 8}});
+  EXPECT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(EpochIndexTombstoneRestoreTest, MoreTombstonesThanTwinCopiesFails) {
+  const auto restored = RestoreWith({{twin_, 7}, {twin_, 7}, {twin_, 7}});
   EXPECT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/codec.h"
 #include "src/spatial/flat_rtree.h"
 #include "src/storage/disk_storage.h"
 #include "src/storage/memory_storage.h"
@@ -14,7 +15,8 @@
 /// FlatRTree page round-trips: a tree saved with SaveTo and rebuilt
 /// with LoadFrom must pass the same structural invariants and answer
 /// every query identically — the loaded tree IS the saved tree, not an
-/// approximation of it.
+/// approximation of it. Pages that decode but do not describe a valid
+/// tree must fail to load.
 
 namespace casper::spatial {
 namespace {
@@ -176,6 +178,58 @@ TEST(FlatRTreePersistTest, GarbageRootPageFailsInvalidArgument) {
   auto id = sm.Store(storage::kNoPage, "definitely not a tree root page");
   ASSERT_TRUE(id.ok());
   const auto loaded = FlatRTree::LoadFrom(&sm, *id);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Overwrites the little-endian int32 at `offset` of page `id`.
+void PatchI32(storage::MemoryStorageManager* sm, PageId id, size_t offset,
+              int32_t value) {
+  std::string page;
+  ASSERT_TRUE(sm->Load(id, &page).ok());
+  ASSERT_LE(offset + 4, page.size());
+  const auto bits = static_cast<uint32_t>(value);
+  for (size_t b = 0; b < 4; ++b) {
+    page[offset + b] = static_cast<char>(bits >> (8 * b));
+  }
+  ASSERT_TRUE(sm->Store(id, page).ok());
+}
+
+TEST(FlatRTreePersistTest, FanoutAboveMaxEntriesFailsInvalidArgument) {
+  // 3,000 entries at fan-out 16 fill nodes past 4 children; a root page
+  // that claims max_entries 4 would overrun the k-NN distance scratch.
+  const auto tree = FlatRTree::Build(RandomEntries(3000, 41), 16);
+  storage::MemoryStorageManager sm;
+  auto root = tree.SaveTo(&sm);
+  ASSERT_TRUE(root.ok());
+  PatchI32(&sm, *root, 4, 4);  // max_entries follows the 4-byte magic.
+  const auto loaded = FlatRTree::LoadFrom(&sm, *root);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FlatRTreePersistTest, NodeThatIsItsOwnChildFailsInvalidArgument) {
+  // Point the root's child run at the root itself: the run stays in
+  // bounds, but every walk would push the root forever.
+  const auto tree = FlatRTree::Build(RandomEntries(500, 43), 8);
+  ASSERT_GT(tree.height(), 1);
+  storage::MemoryStorageManager sm;
+  auto root = tree.SaveTo(&sm);
+  ASSERT_TRUE(root.ok());
+  std::string bytes;
+  ASSERT_TRUE(sm.Load(*root, &bytes).ok());
+  wire::Reader r(bytes);
+  r.U32();  // Magic.
+  r.I32();  // max_entries.
+  r.I32();  // Height.
+  r.U64();  // Node rows.
+  r.U64();  // Entry rows.
+  ASSERT_GE(r.Count(8), 1u);
+  const PageId first_node_page = r.U64();
+  ASSERT_FALSE(r.failed());
+  // Node 0's `first` follows the page's 8-byte row count.
+  PatchI32(&sm, first_node_page, 8, 0);
+  const auto loaded = FlatRTree::LoadFrom(&sm, *root);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }

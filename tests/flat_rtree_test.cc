@@ -164,17 +164,29 @@ TEST(FlatRTreeTest, VisitorEarlyStopAndFilteredKnn) {
   Rng rng(7);
   FlatRTree tree = FlatRTree::Build(RandomRectEntries(200, &rng, 0.05), 8);
   size_t seen = 0;
-  tree.RangeQuery(kSpace, [&seen](const Entry&) {
+  EXPECT_FALSE(tree.RangeQuery(kSpace, [&seen](const Entry&) {
     ++seen;
     return seen < 10;
-  });
+  }));
   EXPECT_EQ(seen, 10u);
 
-  // Filtering away even ids must yield the odd-id k-NN answer.
+  // Skipping the rows of even ids must yield the odd-id answers.
+  std::vector<uint32_t> even_rows;
+  for (uint32_t row = 0; row < tree.size(); ++row) {
+    if (tree.entry(row).id % 2 == 0) even_rows.push_back(row);
+  }
+  size_t odd = 0;
+  EXPECT_TRUE(tree.RangeQuery(
+      kSpace,
+      [&odd](const Entry& e) {
+        EXPECT_EQ(e.id % 2, 1u);
+        ++odd;
+        return true;
+      },
+      even_rows));
+  EXPECT_EQ(odd, tree.size() - even_rows.size());
   const Point q{0.5, 0.5};
-  auto odd_only = tree.KNearestFiltered(
-      q, 8, Metric::kMinDist,
-      [](const Entry& e) { return e.id % 2 == 1; });
+  auto odd_only = tree.KNearest(q, 8, Metric::kMinDist, even_rows);
   ASSERT_EQ(odd_only.size(), 8u);
   for (const auto& n : odd_only) EXPECT_EQ(n.id % 2, 1u);
   // Ascending distance, and no unfiltered entry closer than the last.
