@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 
 #include "src/anonymizer/adaptive_anonymizer.h"
@@ -130,6 +131,33 @@ void BM_EpochIndexMove(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EpochIndexMove)->Arg(10000)->Arg(100000);
+
+/// One base repack as the epoch index runs it: merge 64 added regions
+/// into a freshly built base and drop 64 dead rows. Arg = base entries.
+void BM_EpochIndexRepack(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const spatial::FlatRTree base =
+      spatial::FlatRTree::Build(RandomEntries(n, 29));
+  Rng rng(30);
+  std::vector<uint32_t> dead;
+  while (dead.size() < 64) {
+    const auto row = static_cast<uint32_t>(rng.UniformInt(0, n - 1));
+    if (std::find(dead.begin(), dead.end(), row) == dead.end()) {
+      dead.push_back(row);
+    }
+  }
+  std::sort(dead.begin(), dead.end());
+  std::vector<spatial::Entry> added;
+  for (uint64_t i = 0; i < 64; ++i) {
+    const Point c = rng.PointIn(Rect(0, 0, 0.99, 0.99));
+    added.push_back({Rect(c.x, c.y, c.x + 0.01, c.y + 0.01), n + i});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(base.Repack(dead, added));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EpochIndexRepack)->Arg(10000)->Arg(100000);
 
 template <typename Anonymizer>
 std::unique_ptr<Anonymizer> BuildAnon(size_t users, int height,

@@ -1,6 +1,7 @@
 #include "src/spatial/epoch_index.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/common/codec.h"
@@ -87,20 +88,31 @@ size_t EpochIndex::Snapshot::RangeCount(const Rect& window) const {
 
 std::vector<EpochIndex::Neighbor> EpochIndex::Snapshot::KNearest(
     const Point& q, size_t k, Metric metric) const {
-  std::vector<Neighbor> merged;
-  if (k == 0 || size_ == 0) return merged;
+  if (k == 0 || size_ == 0) return {};
+  const auto before = [](const Neighbor& a, const Neighbor& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.id < b.id;  // Deterministic tie-break.
+  };
+  std::vector<Neighbor> from_base;
+  if (base_) from_base = base_->KNearest(q, k, metric, dead_);
 
-  if (base_) merged = base_->KNearest(q, k, metric, dead_);
+  // Only delta entries that beat the base's k-th answer can make the
+  // cut; they are sorted and merged into the base's sorted answer.
+  std::vector<Neighbor> from_delta;
   for (const Entry& e : delta_) {
     const double d =
         metric == Metric::kMinDist ? MinDist(q, e.box) : MaxDist(q, e.box);
-    merged.push_back(Neighbor{e.box, e.id, d});
+    const Neighbor n{e.box, e.id, d};
+    if (from_base.size() < k || before(n, from_base.back())) {
+      from_delta.push_back(n);
+    }
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.id < b.id;  // Deterministic tie-break.
-            });
+  if (from_delta.empty()) return from_base;
+  std::sort(from_delta.begin(), from_delta.end(), before);
+  std::vector<Neighbor> merged;
+  merged.reserve(from_base.size() + from_delta.size());
+  std::merge(from_base.begin(), from_base.end(), from_delta.begin(),
+             from_delta.end(), std::back_inserter(merged), before);
   if (merged.size() > k) merged.resize(k);
   return merged;
 }
@@ -190,22 +202,9 @@ bool EpochIndex::Remove(const Rect& box, uint64_t id) {
 }
 
 void EpochIndex::RebuildBase() {
-  // The live base rows, in row order, then the delta; `dead_` is sorted,
-  // so one merge pass skips the tombstoned rows.
-  std::vector<Entry> live;
-  live.reserve(size_);
-  const size_t base_size = base_ ? base_->size() : 0;
-  auto dead = dead_.begin();
-  for (size_t row = 0; row < base_size; ++row) {
-    if (dead != dead_.end() && *dead == row) {
-      ++dead;
-    } else {
-      live.push_back(base_->entry(row));
-    }
-  }
-  live.insert(live.end(), delta_.begin(), delta_.end());
   base_ = std::make_shared<const FlatRTree>(
-      FlatRTree::Build(std::move(live), max_entries_));
+      base_ ? base_->Repack(dead_, delta_)
+            : FlatRTree::Build(delta_, max_entries_));
   delta_.clear();
   dead_.clear();
   ++rebuilds_;

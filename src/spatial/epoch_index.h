@@ -33,8 +33,12 @@
 /// FlatRTree::FindExact order, whose row is not dead yet. Reads pass
 /// the dead rows to the FlatRTree walks, which skip them by binary
 /// search. When the overlay grows past `rebuild_threshold`, the writer
-/// repacks a fresh base from the live base rows plus the delta, and the
-/// overlay resets to empty.
+/// repacks the next base with FlatRTree::Repack, and the overlay resets
+/// to empty. Repack merges the delta into the base's STR slabs, which
+/// it derives from the row order alone, so a restored index repacks in
+/// lockstep with the one it was checkpointed from; when the slabs have
+/// drifted too far from the STR shape for the new size it falls back to
+/// a full Build.
 ///
 /// Threading contract: mutations are single-writer (same as the target
 /// stores); Acquire() and all Snapshot queries are safe from any number
@@ -53,7 +57,7 @@ class EpochIndex {
   struct Stats {
     uint64_t published = 0;  ///< Snapshots published so far.
     uint64_t reclaimed = 0;  ///< Snapshots fully released by readers.
-    uint64_t rebuilds = 0;   ///< Flat-base repacks.
+    uint64_t rebuilds = 0;   ///< Flat-base repacks (merges and builds).
     size_t delta_entries = 0;
     size_t tombstones = 0;
   };

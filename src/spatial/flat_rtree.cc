@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <tuple>
 #include <utility>
 
 #include "src/common/codec.h"
@@ -25,27 +26,46 @@ struct Temp {
 double CenterX(const Rect& r) { return (r.min.x + r.max.x) / 2.0; }
 double CenterY(const Rect& r) { return (r.min.y + r.max.y) / 2.0; }
 
+/// STR slab count for `n` entries at fan-out `fanout`: ceil(sqrt(leaves)).
+size_t StrSlabs(size_t n, size_t fanout) {
+  const size_t leaves = (n + fanout - 1) / fanout;
+  return static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(leaves))));
+}
+
+/// The first i in [lo, hi) for which `before(i)` is false, by
+/// bisection; `before` must hold on a prefix of the range and nowhere
+/// after it. Without that, the result is still some i in [lo, hi].
+template <typename Before>
+size_t Bisect(size_t lo, size_t hi, Before before) {
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (before(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 }  // namespace
 
 FlatRTree FlatRTree::Build(std::vector<Entry> entries, int max_entries) {
   FlatRTree tree;
-  tree.max_entries_ = std::max(max_entries, 4);
+  tree.max_entries_ = std::clamp(max_entries, 4, kMaxFanout);
   if (entries.empty()) return tree;
   const size_t fanout = static_cast<size_t>(tree.max_entries_);
   const size_t n = entries.size();
+  const size_t num_slabs = StrSlabs(n, fanout);
+  const size_t slab_size = (n + num_slabs - 1) / num_slabs;
 
-  // Leaf level: sort by center x, cut into sqrt(num_leaves) slabs, sort
-  // each slab by center y, chunk at the fan-out.
+  // Leaf order: sort by center x, cut into sqrt(leaves) slabs, sort
+  // each slab by center y.
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) {
               return CenterX(a.box) < CenterX(b.box);
             });
-  const size_t num_leaves = (n + fanout - 1) / fanout;
-  const size_t num_slabs = static_cast<size_t>(
-      std::ceil(std::sqrt(static_cast<double>(num_leaves))));
-  const size_t slab_size = (n + num_slabs - 1) / num_slabs;
-
-  std::vector<std::vector<Temp>> levels(1);
+  std::vector<size_t> slab_begin;
   for (size_t s = 0; s < n; s += slab_size) {
     const size_t end = std::min(s + slab_size, n);
     std::sort(entries.begin() + static_cast<ptrdiff_t>(s),
@@ -53,30 +73,175 @@ FlatRTree FlatRTree::Build(std::vector<Entry> entries, int max_entries) {
               [](const Entry& a, const Entry& b) {
                 return CenterY(a.box) < CenterY(b.box);
               });
-    for (size_t i = s; i < end; i += fanout) {
+    slab_begin.push_back(s);
+  }
+  tree.ReserveEntries(n);
+  for (const Entry& e : entries) tree.AppendRow(e);
+  tree.PackLevels(slab_begin);
+  return tree;
+}
+
+FlatRTree FlatRTree::Repack(std::span<const uint32_t> dead,
+                            std::span<const Entry> added) const {
+  const size_t old_n = size();
+  const size_t n = old_n - dead.size() + added.size();
+  const auto fall_back = [&] {
+    std::vector<Entry> live;
+    live.reserve(n);
+    auto d = dead.begin();
+    for (size_t row = 0; row < old_n; ++row) {
+      if (d != dead.end() && *d == row) {
+        ++d;
+      } else {
+        live.push_back(entry(row));
+      }
+    }
+    live.insert(live.end(), added.begin(), added.end());
+    return Build(std::move(live), max_entries_);
+  };
+  const auto center_x = [this](size_t row) {
+    return (entry_xlo_[row] + entry_xhi_[row]) / 2.0;
+  };
+  const auto center_y = [this](size_t row) {
+    return (entry_ylo_[row] + entry_yhi_[row]) / 2.0;
+  };
+
+  // The slabs: maximal runs of rows whose center y does not decrease.
+  // Fewer than half the STR slab count would also fall back, but then
+  // some slab always holds more than the size cap below allows.
+  std::vector<size_t> slabs;
+  for (size_t row = 0; row < old_n; ++row) {
+    if (row == 0 || center_y(row) < center_y(row - 1)) slabs.push_back(row);
+  }
+  const size_t num_slabs = slabs.size();
+  const size_t want = StrSlabs(n, static_cast<size_t>(max_entries_));
+  if (num_slabs == 0 || num_slabs > 2 * want) return fall_back();
+  const auto slab_end = [&](size_t s) {
+    return s + 1 < num_slabs ? slabs[s + 1] : old_n;
+  };
+
+  // Route each added entry to the last slab whose lowest center x is <=
+  // its own (the first slab when none is). Keys from rows in any order
+  // still route every entry to some slab.
+  std::vector<double> slab_key(num_slabs);
+  for (size_t s = 0; s < num_slabs; ++s) {
+    double key = center_x(slabs[s]);
+    for (size_t row = slabs[s] + 1; row < slab_end(s); ++row) {
+      key = std::min(key, center_x(row));
+    }
+    slab_key[s] = key;
+  }
+  struct Routed {
+    size_t slab;
+    double y;
+    uint32_t index;
+  };
+  std::vector<Routed> routed(added.size());
+  for (size_t i = 0; i < added.size(); ++i) {
+    const double x = CenterX(added[i].box);
+    const size_t above =
+        Bisect(0, num_slabs, [&](size_t s) { return slab_key[s] <= x; });
+    routed[i] = {above == 0 ? 0 : above - 1, CenterY(added[i].box),
+                 static_cast<uint32_t>(i)};
+  }
+  std::sort(routed.begin(), routed.end(), [](const Routed& a, const Routed& b) {
+    return std::tie(a.slab, a.y, a.index) < std::tie(b.slab, b.y, b.index);
+  });
+
+  // No slab may grow past twice the STR slab size for the new size.
+  const size_t cap = 2 * ((n + want - 1) / want);
+  auto d = dead.begin();
+  auto r = routed.begin();
+  for (size_t s = 0; s < num_slabs; ++s) {
+    size_t rows = slab_end(s) - slabs[s];
+    for (; d != dead.end() && *d < slab_end(s); ++d) --rows;
+    for (; r != routed.end() && r->slab == s; ++r) ++rows;
+    if (rows > cap) return fall_back();
+  }
+
+  // Merge each slab's live rows with its added entries in center-y
+  // order. Live rows move in runs between dead rows and insertion points.
+  FlatRTree tree;
+  tree.max_entries_ = max_entries_;
+  tree.ReserveEntries(n);
+  d = dead.begin();
+  const auto copy_live = [&](size_t from, size_t to) {
+    while (from < to) {
+      const size_t stop = d != dead.end() && *d < to ? *d : to;
+      tree.AppendRows(*this, from, stop);
+      from = stop;
+      if (stop < to) {
+        ++from;
+        ++d;
+      }
+    }
+  };
+  std::vector<size_t> slab_begin;
+  r = routed.begin();
+  for (size_t s = 0; s < num_slabs; ++s) {
+    const size_t start = tree.size();
+    size_t row = slabs[s];
+    for (; r != routed.end() && r->slab == s; ++r) {
+      // Insert after every row whose center y is <= the entry's.
+      const size_t at = Bisect(row, slab_end(s),
+                               [&](size_t i) { return center_y(i) <= r->y; });
+      copy_live(row, at);
+      tree.AppendRow(added[r->index]);
+      row = at;
+    }
+    copy_live(row, slab_end(s));
+    if (tree.size() > start) slab_begin.push_back(start);
+  }
+  CASPER_DCHECK(tree.size() == n);
+  tree.PackLevels(slab_begin);
+  return tree;
+}
+
+void FlatRTree::ReserveEntries(size_t n) {
+  entry_xlo_.reserve(n);
+  entry_ylo_.reserve(n);
+  entry_xhi_.reserve(n);
+  entry_yhi_.reserve(n);
+  entry_ids_.reserve(n);
+}
+
+void FlatRTree::AppendRow(const Entry& e) {
+  entry_xlo_.push_back(e.box.min.x);
+  entry_ylo_.push_back(e.box.min.y);
+  entry_xhi_.push_back(e.box.max.x);
+  entry_yhi_.push_back(e.box.max.y);
+  entry_ids_.push_back(e.id);
+}
+
+void FlatRTree::AppendRows(const FlatRTree& from, size_t begin, size_t end) {
+  const auto append = [&](const auto& in, auto& out) {
+    out.insert(out.end(), in.begin() + static_cast<ptrdiff_t>(begin),
+               in.begin() + static_cast<ptrdiff_t>(end));
+  };
+  append(from.entry_xlo_, entry_xlo_);
+  append(from.entry_ylo_, entry_ylo_);
+  append(from.entry_xhi_, entry_xhi_);
+  append(from.entry_yhi_, entry_yhi_);
+  append(from.entry_ids_, entry_ids_);
+}
+
+void FlatRTree::PackLevels(const std::vector<size_t>& slab_begin) {
+  CASPER_DCHECK(!slab_begin.empty() && slab_begin.front() == 0);
+  const size_t fanout = static_cast<size_t>(max_entries_);
+  const size_t n = entry_ids_.size();
+  std::vector<std::vector<Temp>> levels(1);
+  for (size_t s = 0; s < slab_begin.size(); ++s) {
+    const size_t end = s + 1 < slab_begin.size() ? slab_begin[s + 1] : n;
+    for (size_t i = slab_begin[s]; i < end; i += fanout) {
       const size_t chunk_end = std::min(i + fanout, end);
       Temp leaf;
       leaf.begin = static_cast<int32_t>(i);
       leaf.end = static_cast<int32_t>(chunk_end);
-      for (size_t j = i; j < chunk_end; ++j)
-        leaf.mbr = leaf.mbr.Union(entries[j].box);
+      for (int32_t j = leaf.begin; j < leaf.end; ++j) {
+        leaf.mbr = leaf.mbr.Union(EntryBox(j));
+      }
       levels[0].push_back(leaf);
     }
-  }
-
-  // Entries are now in their final order; freeze them into the
-  // struct-of-arrays coordinate blocks.
-  tree.entry_xlo_.reserve(n);
-  tree.entry_ylo_.reserve(n);
-  tree.entry_xhi_.reserve(n);
-  tree.entry_yhi_.reserve(n);
-  tree.entry_ids_.reserve(n);
-  for (const Entry& e : entries) {
-    tree.entry_xlo_.push_back(e.box.min.x);
-    tree.entry_ylo_.push_back(e.box.min.y);
-    tree.entry_xhi_.push_back(e.box.max.x);
-    tree.entry_yhi_.push_back(e.box.max.y);
-    tree.entry_ids_.push_back(e.id);
   }
 
   // Pack upper levels until a single root remains. Sorting a level here
@@ -88,9 +253,7 @@ FlatRTree FlatRTree::Build(std::vector<Entry> entries, int max_entries) {
       return CenterX(a.mbr) < CenterX(b.mbr);
     });
     const size_t m = below.size();
-    const size_t num_parents = (m + fanout - 1) / fanout;
-    const size_t parent_slabs = static_cast<size_t>(
-        std::ceil(std::sqrt(static_cast<double>(num_parents))));
+    const size_t parent_slabs = StrSlabs(m, fanout);
     const size_t pslab = (m + parent_slabs - 1) / parent_slabs;
 
     std::vector<Temp> parents;
@@ -113,18 +276,18 @@ FlatRTree FlatRTree::Build(std::vector<Entry> entries, int max_entries) {
     }
     levels.push_back(std::move(parents));
   }
-  tree.height_ = static_cast<int>(levels.size());
+  height_ = static_cast<int>(levels.size());
 
   // Flatten breadth-first, root at index 0. Children are appended as a
   // block the moment their parent is visited, which is exactly what
   // makes every child run contiguous in the packed arrays.
   size_t total = 0;
   for (const auto& level : levels) total += level.size();
-  tree.nodes_.resize(total);
-  tree.node_xlo_.resize(total);
-  tree.node_ylo_.resize(total);
-  tree.node_xhi_.resize(total);
-  tree.node_yhi_.resize(total);
+  nodes_.resize(total);
+  node_xlo_.resize(total);
+  node_ylo_.resize(total);
+  node_xhi_.resize(total);
+  node_yhi_.resize(total);
 
   // order[i] = (level, position) of the temp node assigned flat index i.
   std::vector<std::pair<int, int32_t>> order;
@@ -133,13 +296,13 @@ FlatRTree FlatRTree::Build(std::vector<Entry> entries, int max_entries) {
   for (size_t i = 0; i < order.size(); ++i) {
     const auto [lvl, pos] = order[i];
     const Temp& temp = levels[static_cast<size_t>(lvl)][static_cast<size_t>(pos)];
-    Node& node = tree.nodes_[i];
+    Node& node = nodes_[i];
     node.level = lvl;
     node.count = temp.end - temp.begin;
-    tree.node_xlo_[i] = temp.mbr.min.x;
-    tree.node_ylo_[i] = temp.mbr.min.y;
-    tree.node_xhi_[i] = temp.mbr.max.x;
-    tree.node_yhi_[i] = temp.mbr.max.y;
+    node_xlo_[i] = temp.mbr.min.x;
+    node_ylo_[i] = temp.mbr.min.y;
+    node_xhi_[i] = temp.mbr.max.x;
+    node_yhi_[i] = temp.mbr.max.y;
     if (lvl == 0) {
       node.first = temp.begin;  // Row range in the entry arrays.
     } else {
@@ -148,7 +311,6 @@ FlatRTree FlatRTree::Build(std::vector<Entry> entries, int max_entries) {
         order.emplace_back(lvl - 1, c);
     }
   }
-  return tree;
 }
 
 void FlatRTree::RangeQuery(const Rect& window, std::vector<Entry>* out) const {
@@ -418,14 +580,12 @@ Result<FlatRTree> FlatRTree::LoadFrom(storage::IStorageManager* sm,
 
   constexpr uint64_t kMaxRows = 0x7fffffffull;  // int32 offsets.
   if (node_count > kMaxRows || entry_count > kMaxRows ||
-      tree.max_entries_ < 4 || tree.height_ < 0) {
+      tree.max_entries_ < 4 || tree.max_entries_ > kMaxFanout ||
+      tree.height_ < 0) {
     return Status::InvalidArgument("malformed flat-rtree root page");
   }
-  tree.nodes_.reserve(node_count);
-  tree.node_xlo_.reserve(node_count);
-  tree.node_ylo_.reserve(node_count);
-  tree.node_xhi_.reserve(node_count);
-  tree.node_yhi_.reserve(node_count);
+  // The arrays grow with the rows actually read, never from the root
+  // page's counts, which are checked against them afterwards.
   for (const storage::PageId id : node_pages) {
     std::string page;
     CASPER_RETURN_IF_ERROR(sm->Load(id, &page));
@@ -444,11 +604,6 @@ Result<FlatRTree> FlatRTree::LoadFrom(storage::IStorageManager* sm,
     }
     CASPER_RETURN_IF_ERROR(pr.Finish("flat-rtree node page"));
   }
-  tree.entry_ids_.reserve(entry_count);
-  tree.entry_xlo_.reserve(entry_count);
-  tree.entry_ylo_.reserve(entry_count);
-  tree.entry_xhi_.reserve(entry_count);
-  tree.entry_yhi_.reserve(entry_count);
   for (const storage::PageId id : entry_pages) {
     std::string page;
     CASPER_RETURN_IF_ERROR(sm->Load(id, &page));

@@ -23,12 +23,18 @@
 /// coordinate blocks so search scores a whole node's children with the
 /// batched MinDist/MaxDist kernels in one linear pass.
 ///
+/// Entry rows are in STR leaf order: slab-major, and non-decreasing in
+/// center y inside each slab. Nothing else records the slabs; a slab is
+/// a maximal run of rows whose center y does not decrease, so they can
+/// be derived again from the rows alone, also after LoadFrom.
+///
 /// The tree is never mutated in place. spatial::EpochIndex puts a small
 /// insert delta and a sorted list of dead storage rows over a packed
-/// base, which both walks take as `skip`, and repacks a fresh FlatRTree
-/// when the overlay grows (see epoch_index.h). The differential tests
-/// in tests/flat_rtree_test.cc check every query against a linear scan
-/// of the same entries.
+/// base, which both walks take as `skip`. When the overlay grows it
+/// calls Repack, which merges the delta into the derived slabs instead
+/// of re-sorting every entry (see epoch_index.h). The differential
+/// tests in tests/flat_rtree_test.cc check every query against a linear
+/// scan of the same entries.
 
 namespace casper::spatial {
 
@@ -67,14 +73,31 @@ class FlatRTree {
   using Neighbor = spatial::Neighbor;
   using NNResult = spatial::NNResult;
 
+  /// The largest fan-out a tree may have. Build clamps to it and
+  /// LoadFrom rejects a root page above it: the k-NN scratch is sized by
+  /// the fan-out.
+  static constexpr int kMaxFanout = 4096;
+
   /// Empty tree; all queries return nothing.
   FlatRTree() = default;
 
   /// Build a packed tree from `entries` with Sort-Tile-Recursive (sort
   /// by center x, cut into sqrt(leaves) slabs, sort each slab by center
   /// y, chunk at the fan-out; repeat per level). `max_entries` is the
-  /// fan-out M (clamped to >= 4).
+  /// fan-out M (clamped to [4, kMaxFanout]).
   static FlatRTree Build(std::vector<Entry> entries, int max_entries = 16);
+
+  /// The tree that holds this one's entries minus the storage rows in
+  /// `dead` (strictly ascending, each < size()) plus `added`, with this tree's
+  /// fan-out. Each added entry goes to the last derived slab whose
+  /// lowest center x is <= its own, and is merged into that slab's rows
+  /// by center y; the leaves and upper levels are then re-cut. There is
+  /// no global sort. It falls back to Build over the live rows (in row
+  /// order) then `added` when the tree has no slabs, when the slab count
+  /// is outside [1/2, 2] x the STR slab count for the new size, or when
+  /// a slab would hold more than twice the STR slab size.
+  FlatRTree Repack(std::span<const uint32_t> dead,
+                   std::span<const Entry> added) const;
 
   /// Call `visit(entry)` for every entry whose rectangle intersects
   /// `window`, except the storage rows listed in `skip` (ascending; see
@@ -165,6 +188,16 @@ class FlatRTree {
     return std::binary_search(skip.begin(), skip.end(),
                               static_cast<uint32_t>(row));
   }
+
+  /// Entry rows are written in order: reserve room for `n`, then append
+  /// one entry, or rows [begin, end) of `from`.
+  void ReserveEntries(size_t n);
+  void AppendRow(const Entry& e);
+  void AppendRows(const FlatRTree& from, size_t begin, size_t end);
+  /// Cut the leaves at the fan-out inside each slab (`slab_begin`:
+  /// ascending start rows, the first 0), pack the upper STR levels and
+  /// flatten them breadth-first into the node arrays.
+  void PackLevels(const std::vector<size_t>& slab_begin);
 
   /// Root is nodes_[0]; children contiguous by construction (BFS
   /// flattening in Build).

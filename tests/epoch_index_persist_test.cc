@@ -141,6 +141,42 @@ TEST(EpochIndexPersistSingleTest, RestoredIndexStaysWritable) {
   ExpectIndexesAnswerIdentically(index, *restored, 911);
 }
 
+TEST(EpochIndexPersistSingleTest, RestoredIndexMergesInLockstep) {
+  // 3,000 moves at threshold 64 leave a base that has been through many
+  // merge repacks since its last full build.
+  EpochIndex index = BuildWorkloadIndex(3000, 64, 505);
+  ASSERT_GT(index.stats().rebuilds, 20u);
+  storage::MemoryStorageManager sm;
+  auto root = index.Checkpoint(&sm);
+  ASSERT_TRUE(root.ok());
+  auto restored = EpochIndex::Restore(&sm, *root);
+  ASSERT_TRUE(restored.ok());
+
+  // Move entries in both indexes identically, through more merges; the
+  // repacked bases must match row for row, so even the raw range order
+  // stays equal.
+  std::mt19937 rng(707);
+  std::vector<EpochIndex::Entry> live;
+  index.Acquire()->RangeQuery(Rect(-1e9, -1e9, 1e9, 1e9), &live);
+  const uint64_t rebuilds = index.stats().rebuilds;
+  const uint64_t restored_rebuilds = restored->stats().rebuilds;
+  for (int round = 0; round < 4; ++round) {
+    for (int move = 0; move < 200; ++move) {
+      EpochIndex::Entry& e = live[rng() % live.size()];
+      const Rect box = BoxAt(rng);
+      ASSERT_TRUE(index.Remove(e.box, e.id));
+      ASSERT_TRUE(restored->Remove(e.box, e.id));
+      index.Insert(box, e.id);
+      restored->Insert(box, e.id);
+      e.box = box;
+    }
+    ExpectIndexesAnswerIdentically(index, *restored, 800 + round);
+  }
+  EXPECT_GE(index.stats().rebuilds - rebuilds, 12u);
+  EXPECT_EQ(restored->stats().rebuilds - restored_rebuilds,
+            index.stats().rebuilds - rebuilds);
+}
+
 TEST(EpochIndexPersistSingleTest, GarbageRootFails) {
   storage::MemoryStorageManager sm;
   auto id = sm.Store(storage::kNoPage, "not an epoch checkpoint");

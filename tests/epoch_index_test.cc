@@ -68,10 +68,15 @@ TEST(EpochIndexTest, SnapshotMatchesBruteForceAfterEachMutation) {
     EXPECT_EQ(oracle::SortedIds(from_snap), want);
     EXPECT_EQ(snap->RangeCount(window), want.size());
 
+    // k past the live count: the base returns fewer than k, so every
+    // delta entry must join its answer.
     const Point q = rng.PointIn(kSpace);
     for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
-      EXPECT_EQ(oracle::Distances(oracle::Ranks(snap->KNearest(q, 5, metric))),
-                oracle::Distances(oracle::Knn(alive, q, 5, metric)));
+      for (const size_t k : {size_t{5}, alive.size() + 1}) {
+        EXPECT_EQ(
+            oracle::Distances(oracle::Ranks(snap->KNearest(q, k, metric))),
+            oracle::Distances(oracle::Knn(alive, q, k, metric)));
+      }
     }
   }
 }

@@ -234,5 +234,61 @@ TEST(FlatRTreePersistTest, NodeThatIsItsOwnChildFailsInvalidArgument) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(FlatRTreePersistTest, RootCountsBeyondThePagesFailInvalidArgument) {
+  // A root page claiming 2^31 - 1 node and entry rows over one page of
+  // each: the arrays grow with the rows read, so nothing is sized from
+  // the claim, and the counts then disagree.
+  const auto tree = FlatRTree::Build(RandomEntries(50, 47), 16);
+  storage::MemoryStorageManager sm;
+  auto root = tree.SaveTo(&sm);
+  ASSERT_TRUE(root.ok());
+  std::string bytes;
+  ASSERT_TRUE(sm.Load(*root, &bytes).ok());
+  wire::Reader r(bytes);
+  wire::Writer w;
+  w.U32(r.U32());  // Magic.
+  w.I32(r.I32());  // max_entries.
+  w.I32(r.I32());  // Height.
+  r.U64();
+  r.U64();
+  w.U64(0x7fffffffu);
+  w.U64(0x7fffffffu);
+  for (int kind = 0; kind < 2; ++kind) {
+    const size_t pages = r.Count(8);
+    ASSERT_EQ(pages, 1u);
+    w.Count(pages);
+    w.U64(r.U64());
+  }
+  ASSERT_TRUE(r.Finish("root").ok());
+  ASSERT_TRUE(sm.Store(*root, w.Take()).ok());
+  const auto loaded = FlatRTree::LoadFrom(&sm, *root);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FlatRTreePersistTest, FanoutIsCappedOnBuildAndLoad) {
+  // Build clamps a fan-out of 2^30 to the cap, so the saved root page
+  // says kMaxFanout; a root page that says 2^30 does not load (every
+  // k-NN would size its scratch by it).
+  const auto tree = FlatRTree::Build(RandomEntries(200, 53), 1 << 30);
+  EXPECT_TRUE(tree.CheckInvariants());
+  storage::MemoryStorageManager sm;
+  auto root = tree.SaveTo(&sm);
+  ASSERT_TRUE(root.ok());
+  std::string bytes;
+  ASSERT_TRUE(sm.Load(*root, &bytes).ok());
+  wire::Reader r(bytes);
+  r.U32();  // Magic.
+  ASSERT_EQ(r.I32(), FlatRTree::kMaxFanout);
+  auto loaded = FlatRTree::LoadFrom(&sm, *root);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectTreesAnswerIdentically(tree, *loaded, 59);
+
+  PatchI32(&sm, *root, 4, 1 << 30);  // max_entries follows the magic.
+  const auto patched = FlatRTree::LoadFrom(&sm, *root);
+  EXPECT_FALSE(patched.ok());
+  EXPECT_EQ(patched.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace casper::spatial

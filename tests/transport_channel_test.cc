@@ -135,7 +135,7 @@ TEST_F(EndpointTest, QueryErrorTravelsAsTypedAck) {
 }
 
 TEST_F(EndpointTest, UndecodableRequestAcksDataLossWithIdZero) {
-  for (const std::string request :
+  for (const std::string& request :
        {std::string("garbage"), Encode(NearestQuery(3)).substr(0, 5),
         std::string()}) {
     Result<std::string> bytes = channel_.Call(request, CallContext{});
@@ -149,7 +149,7 @@ TEST_F(EndpointTest, UndecodableRequestAcksDataLossWithIdZero) {
 }
 
 TEST_F(EndpointTest, ResponseMessagesSentAsRequestsAreRejected) {
-  for (const std::string request :
+  for (const std::string& request :
        {Encode(AckMsg::For(1, Status::OK())), Encode(CandidateListMsg{})}) {
     Result<std::string> bytes = channel_.Call(request, CallContext{});
     ASSERT_TRUE(bytes.ok());
