@@ -69,23 +69,6 @@ EpochIndex::Snapshot::~Snapshot() {
   if (reclaimed_) reclaimed_->fetch_add(1, std::memory_order_relaxed);
 }
 
-void EpochIndex::Snapshot::RangeQuery(const Rect& window,
-                                      std::vector<Entry>* out) const {
-  RangeQuery(window, [out](const Entry& e) {
-    out->push_back(e);
-    return true;
-  });
-}
-
-size_t EpochIndex::Snapshot::RangeCount(const Rect& window) const {
-  size_t count = 0;
-  RangeQuery(window, [&count](const Entry&) {
-    ++count;
-    return true;
-  });
-  return count;
-}
-
 std::vector<EpochIndex::Neighbor> EpochIndex::Snapshot::KNearest(
     const Point& q, size_t k, Metric metric) const {
   if (k == 0 || size_ == 0) return {};
@@ -177,6 +160,7 @@ EpochIndex& EpochIndex::operator=(EpochIndex&& other) noexcept {
 }
 
 void EpochIndex::Insert(const Rect& box, uint64_t id) {
+  CASPER_DCHECK(Storable(box));
   delta_.push_back(Entry{box, id});
   ++size_;
   if (delta_.size() + dead_.size() >= rebuild_threshold_) RebuildBase();
@@ -263,7 +247,8 @@ Result<EpochIndex> EpochIndex::Restore(storage::IStorageManager* sm,
   std::vector<Entry> delta = GetEntries(r);
   std::vector<Entry> dead = GetEntries(r);
   CASPER_RETURN_IF_ERROR(r.Finish("epoch-index checkpoint page"));
-  if (max_entries < 4) {
+  const auto storable = [](const Entry& e) { return Storable(e.box); };
+  if (max_entries < 4 || !std::all_of(delta.begin(), delta.end(), storable)) {
     return Status::InvalidArgument("malformed epoch-index checkpoint");
   }
 

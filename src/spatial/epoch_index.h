@@ -70,8 +70,8 @@ class EpochIndex {
     Snapshot(const Snapshot&) = delete;
     Snapshot& operator=(const Snapshot&) = delete;
 
-    void RangeQuery(const Rect& window, std::vector<Entry>* out) const;
-    /// Visitor form; return false from the visitor to stop early.
+    /// Visit every entry intersecting `window`; return false from the
+    /// visitor to stop early.
     template <typename Visit>
     void RangeQuery(const Rect& window, Visit&& visit) const {
       if (base_ && !base_->RangeQuery(window, visit, dead_)) return;
@@ -79,7 +79,6 @@ class EpochIndex {
         if (e.box.Intersects(window) && !visit(e)) return;
       }
     }
-    size_t RangeCount(const Rect& window) const;
     std::vector<Neighbor> KNearest(const Point& q, size_t k,
                                    Metric metric = Metric::kMinDist) const;
     NNResult Nearest(const Point& q, Metric metric = Metric::kMinDist) const;
@@ -114,6 +113,7 @@ class EpochIndex {
   EpochIndex(const EpochIndex&) = delete;
   EpochIndex& operator=(const EpochIndex&) = delete;
 
+  /// Add one copy of (box, id); `box` must be Storable.
   void Insert(const Rect& box, uint64_t id);
 
   /// Remove one copy of exactly (box, id). Returns false, changing
@@ -140,8 +140,8 @@ class EpochIndex {
   /// tombstone, a (box, id) value, hides a base row by the same rule
   /// Remove uses, so the restored index publishes the same base/delta/
   /// tombstone overlay the checkpointed one had and queries answer
-  /// identically. A tombstone with no unhidden base copy left fails
-  /// kInvalidArgument.
+  /// identically. A tombstone with no unhidden base copy left, or a
+  /// delta box that is not Storable, fails kInvalidArgument.
   static Result<EpochIndex> Restore(storage::IStorageManager* sm,
                                     storage::PageId root);
 

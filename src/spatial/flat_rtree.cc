@@ -53,6 +53,7 @@ size_t Bisect(size_t lo, size_t hi, Before before) {
 FlatRTree FlatRTree::Build(std::vector<Entry> entries, int max_entries) {
   FlatRTree tree;
   tree.max_entries_ = std::clamp(max_entries, 4, kMaxFanout);
+  for (const Entry& e : entries) CASPER_DCHECK(Storable(e.box));
   if (entries.empty()) return tree;
   const size_t fanout = static_cast<size_t>(tree.max_entries_);
   const size_t n = entries.size();
@@ -83,6 +84,7 @@ FlatRTree FlatRTree::Build(std::vector<Entry> entries, int max_entries) {
 
 FlatRTree FlatRTree::Repack(std::span<const uint32_t> dead,
                             std::span<const Entry> added) const {
+  for (const Entry& e : added) CASPER_DCHECK(Storable(e.box));
   const size_t old_n = size();
   const size_t n = old_n - dead.size() + added.size();
   const auto fall_back = [&] {
@@ -313,22 +315,6 @@ void FlatRTree::PackLevels(const std::vector<size_t>& slab_begin) {
   }
 }
 
-void FlatRTree::RangeQuery(const Rect& window, std::vector<Entry>* out) const {
-  RangeQuery(window, [out](const Entry& e) {
-    out->push_back(e);
-    return true;
-  });
-}
-
-size_t FlatRTree::RangeCount(const Rect& window) const {
-  size_t count = 0;
-  RangeQuery(window, [&count](const Entry&) {
-    ++count;
-    return true;
-  });
-  return count;
-}
-
 size_t FlatRTree::FindExact(const Rect& box, uint64_t id,
                             std::vector<size_t>* rows) const {
   if (nodes_.empty()) return 0;
@@ -462,7 +448,9 @@ bool FlatRTree::CheckInvariants() const {
         break;
       }
       for (int32_t j = node.first; j < node.first + node.count; ++j) {
-        if (entry_seen[static_cast<size_t>(j)]) ok = false;
+        if (entry_seen[static_cast<size_t>(j)] || !Storable(EntryBox(j))) {
+          ok = false;
+        }
         entry_seen[static_cast<size_t>(j)] = true;
         expect = expect.Union(EntryBox(j));
       }

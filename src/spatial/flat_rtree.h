@@ -28,6 +28,14 @@
 /// a maximal run of rows whose center y does not decrease, so they can
 /// be derived again from the rows alone, also after LoadFrom.
 ///
+/// RangeQuery stacks only nodes whose MBR intersects the window, and
+/// marks one the window also contains. It tests each child box once,
+/// as it pushes the child, and pops children in ascending order. A
+/// contained node's children and entries go out untested: MBRs are
+/// tight and covering and entry boxes are Storable, which
+/// CheckInvariants checks, so all of them intersect. Each leaf pushed
+/// by a level-1 node has its rows prefetched.
+///
 /// The tree is never mutated in place. spatial::EpochIndex puts a small
 /// insert delta and a sorted list of dead storage rows over a packed
 /// base, which both walks take as `skip`. When the overlay grows it
@@ -43,6 +51,13 @@ struct Entry {
   Rect box;
   uint64_t id = 0;
 };
+
+/// Whether a box may be stored: non-empty and free of NaN. Build,
+/// Repack and EpochIndex::Insert refuse any other box, and LoadFrom
+/// rejects one.
+inline bool Storable(const Rect& box) {
+  return box.min.x <= box.max.x && box.min.y <= box.max.y;
+}
 
 /// Distance used to rank *entries* in NN search. Interior nodes are
 /// always ranked by MinDist to their MBR, which lower-bounds both
@@ -107,12 +122,6 @@ class FlatRTree {
   bool RangeQuery(const Rect& window, Visit&& visit,
                   std::span<const uint32_t> skip = {}) const;
 
-  /// Append every entry whose rectangle intersects `window` to `*out`.
-  void RangeQuery(const Rect& window, std::vector<Entry>* out) const;
-
-  /// Number of entries intersecting `window`.
-  size_t RangeCount(const Rect& window) const;
-
   /// Number of stored copies of exactly (box, id); when `rows` is
   /// non-null their storage rows (see entry()) are appended to it. The
   /// descent enters only nodes whose MBR contains `box` — Guttman's
@@ -141,8 +150,9 @@ class FlatRTree {
   Entry entry(size_t i) const;
 
   /// Structural invariant check: fan-out within `max_entries`, levels
-  /// descending by one, MBRs tight and covering, child runs in bounds,
-  /// every node and entry reached at most once and every entry reached.
+  /// descending by one, MBRs tight and covering, entry boxes Storable,
+  /// child runs in bounds, every node and entry reached at most once
+  /// and every entry reached.
   bool CheckInvariants() const;
 
   /// Serialize the packed arrays to pages on `sm` — node and entry rows
@@ -188,6 +198,28 @@ class FlatRTree {
     return std::binary_search(skip.begin(), skip.end(),
                               static_cast<uint32_t>(row));
   }
+  /// Closed-boundary tests of box i against a non-empty window: the
+  /// box meets it, or lies inside it. `&`, not `&&`: one branch per box
+  /// instead of one mispredicted branch per coordinate.
+  static bool Meets(const RectSoA& b, int32_t i, const Rect& w) {
+    return (b.xlo[i] <= w.max.x) & (w.min.x <= b.xhi[i]) &
+           (b.ylo[i] <= w.max.y) & (w.min.y <= b.yhi[i]);
+  }
+  static bool Within(const RectSoA& b, int32_t i, const Rect& w) {
+    return (w.min.x <= b.xlo[i]) & (b.xhi[i] <= w.max.x) &
+           (w.min.y <= b.ylo[i]) & (b.yhi[i] <= w.max.y);
+  }
+  /// Start loading a leaf's rows: one prefetch per 8 rows of each
+  /// entry array, a cache line of doubles or ids.
+  void PrefetchRows(const Node& leaf) const {
+    for (int32_t j = leaf.first; j < leaf.first + leaf.count; j += 8) {
+      __builtin_prefetch(entry_xlo_.data() + j);
+      __builtin_prefetch(entry_ylo_.data() + j);
+      __builtin_prefetch(entry_xhi_.data() + j);
+      __builtin_prefetch(entry_yhi_.data() + j);
+      __builtin_prefetch(entry_ids_.data() + j);
+    }
+  }
 
   /// Entry rows are written in order: reserve room for `n`, then append
   /// one entry, or rows [begin, end) of `from`.
@@ -212,23 +244,31 @@ class FlatRTree {
 template <typename Visit>
 bool FlatRTree::RangeQuery(const Rect& window, Visit&& visit,
                            std::span<const uint32_t> skip) const {
-  if (nodes_.empty()) return true;
-  std::vector<int32_t> stack{0};
+  const RectSoA nodes = NodeBoxes(0), rows = EntryBoxes(0);
+  if (nodes_.empty() || window.is_empty() || !Meets(nodes, 0, window)) {
+    return true;
+  }
+  // Every stacked node meets `window`; ~i marks node i as inside it.
+  std::vector<int32_t> stack{Within(nodes, 0, window) ? ~0 : 0};
   while (!stack.empty()) {
-    const int32_t i = stack.back();
+    const int32_t top = stack.back();
     stack.pop_back();
-    if (!NodeBox(i).Intersects(window)) continue;
-    const Node& node = nodes_[i];
+    const bool inside = top < 0;
+    const Node node = nodes_[inside ? ~top : top];
     const int32_t end = node.first + node.count;
     if (node.level == 0) {
       for (int32_t j = node.first; j < end; ++j) {
-        const Rect box = EntryBox(j);
-        if (box.Intersects(window) && !Skipped(skip, j)) {
-          if (!visit(Entry{box, entry_ids_[j]})) return false;
+        if ((inside || Meets(rows, j, window)) && !Skipped(skip, j) &&
+            !visit(Entry{EntryBox(j), entry_ids_[j]})) {
+          return false;
         }
       }
-    } else {
-      for (int32_t j = node.first; j < end; ++j) stack.push_back(j);
+      continue;
+    }
+    for (int32_t j = end - 1; j >= node.first; --j) {
+      if (!inside && !Meets(nodes, j, window)) continue;
+      stack.push_back(inside || Within(nodes, j, window) ? ~j : j);
+      if (node.level == 1) PrefetchRows(nodes_[j]);
     }
   }
   return true;

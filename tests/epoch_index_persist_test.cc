@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 #include <vector>
 
 #include "src/common/codec.h"
 #include "src/spatial/epoch_index.h"
 #include "src/storage/memory_storage.h"
+#include "tests/spatial_oracle.h"
 
 /// EpochIndex checkpoint/restore: a restored index must answer every
 /// query exactly like the index it was checkpointed from — including
@@ -37,10 +39,8 @@ void ExpectIndexesAnswerIdentically(const EpochIndex& want_index,
     const Point q{coord(rng), coord(rng)};
     const Rect window(q.x, q.y, q.x + 80.0, q.y + 80.0);
 
-    EXPECT_EQ(got->RangeCount(window), want->RangeCount(window));
-    std::vector<EpochIndex::Entry> want_hits, got_hits;
-    want->RangeQuery(window, &want_hits);
-    got->RangeQuery(window, &got_hits);
+    const auto want_hits = oracle::RangeHits(*want, window);
+    const auto got_hits = oracle::RangeHits(*got, window);
     ASSERT_EQ(got_hits.size(), want_hits.size());
     for (size_t i = 0; i < want_hits.size(); ++i)
       EXPECT_EQ(got_hits[i].id, want_hits[i].id);
@@ -119,7 +119,9 @@ TEST(EpochIndexPersistSingleTest, EmptyIndexRoundTrip) {
   auto restored = EpochIndex::Restore(&sm, *root);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_TRUE(restored->empty());
-  EXPECT_EQ(restored->Acquire()->RangeCount(Rect(-1e9, -1e9, 1e9, 1e9)), 0u);
+  EXPECT_TRUE(
+      oracle::RangeHits(*restored->Acquire(), Rect(-1e9, -1e9, 1e9, 1e9))
+          .empty());
 }
 
 TEST(EpochIndexPersistSingleTest, RestoredIndexStaysWritable) {
@@ -156,8 +158,8 @@ TEST(EpochIndexPersistSingleTest, RestoredIndexMergesInLockstep) {
   // repacked bases must match row for row, so even the raw range order
   // stays equal.
   std::mt19937 rng(707);
-  std::vector<EpochIndex::Entry> live;
-  index.Acquire()->RangeQuery(Rect(-1e9, -1e9, 1e9, 1e9), &live);
+  std::vector<EpochIndex::Entry> live =
+      oracle::RangeHits(*index.Acquire(), Rect(-1e9, -1e9, 1e9, 1e9));
   const uint64_t rebuilds = index.stats().rebuilds;
   const uint64_t restored_rebuilds = restored->stats().rebuilds;
   for (int round = 0; round < 4; ++round) {
@@ -207,6 +209,26 @@ storage::PageId WriteOverlay(storage::MemoryStorageManager* sm,
   return id.ok() ? *id : storage::kNoPage;
 }
 
+TEST(EpochIndexPersistSingleTest, DeltaBoxThatIsNotStorableFails) {
+  for (const Rect& box : {Rect(), Rect(0, 0, std::nan(""), 1)}) {
+    storage::MemoryStorageManager sm;
+    wire::Writer w;
+    w.U32(0x31585045u);  // "EPX1"
+    w.I32(16);           // max_entries
+    w.U64(128);          // rebuild_threshold
+    w.U64(storage::kNoPage);
+    w.Count(1);
+    w.R(box);
+    w.U64(9);
+    w.Count(0);
+    auto id = sm.Store(storage::kNoPage, w.Take());
+    ASSERT_TRUE(id.ok());
+    const auto restored = EpochIndex::Restore(&sm, *id);
+    EXPECT_FALSE(restored.ok()) << box.ToString();
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 class EpochIndexTombstoneRestoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -235,7 +257,7 @@ TEST_F(EpochIndexTombstoneRestoreTest, EachTwinCopyTakesOneTombstone) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->size(), 49u);
   EXPECT_EQ(restored->stats().tombstones, 2u);
-  EXPECT_EQ(restored->Acquire()->RangeCount(twin_), 0u);
+  EXPECT_TRUE(oracle::RangeHits(*restored->Acquire(), twin_).empty());
 }
 
 TEST_F(EpochIndexTombstoneRestoreTest, TombstoneWithNoBaseEntryFails) {

@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "src/spatial/flat_rtree.h"
 #include "src/storage/disk_storage.h"
 #include "src/storage/memory_storage.h"
+#include "tests/spatial_oracle.h"
 
 /// FlatRTree page round-trips: a tree saved with SaveTo and rebuilt
 /// with LoadFrom must pass the same structural invariants and answer
@@ -61,10 +64,8 @@ void ExpectTreesAnswerIdentically(const FlatRTree& original,
     const Point q{coord(rng), coord(rng)};
     const Rect window(q.x, q.y, q.x + 120.0, q.y + 120.0);
 
-    EXPECT_EQ(loaded.RangeCount(window), original.RangeCount(window));
-    std::vector<FlatRTree::Entry> want, got;
-    original.RangeQuery(window, &want);
-    loaded.RangeQuery(window, &got);
+    const auto want = oracle::RangeHits(original, window);
+    const auto got = oracle::RangeHits(loaded, window);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i].id, want[i].id);
 
@@ -120,7 +121,7 @@ TEST(FlatRTreePersistTest, EmptyTreeRoundTrip) {
   auto loaded = FlatRTree::LoadFrom(&sm, *root);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->empty());
-  EXPECT_EQ(loaded->RangeCount(Rect(-1e9, -1e9, 1e9, 1e9)), 0u);
+  EXPECT_TRUE(oracle::RangeHits(*loaded, Rect(-1e9, -1e9, 1e9, 1e9)).empty());
   EXPECT_FALSE(loaded->Nearest({0, 0}).found);
 }
 
@@ -264,6 +265,60 @@ TEST(FlatRTreePersistTest, RootCountsBeyondThePagesFailInvalidArgument) {
   const auto loaded = FlatRTree::LoadFrom(&sm, *root);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Overwrites the little-endian double at `offset` of page `id`.
+void PatchF64(storage::MemoryStorageManager* sm, PageId id, size_t offset,
+              double value) {
+  std::string page;
+  ASSERT_TRUE(sm->Load(id, &page).ok());
+  ASSERT_LE(offset + 8, page.size());
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  for (size_t b = 0; b < 8; ++b) {
+    page[offset + b] = static_cast<char>(bits >> (8 * b));
+  }
+  ASSERT_TRUE(sm->Store(id, page).ok());
+}
+
+TEST(FlatRTreePersistTest, EmptyOrNaNEntryBoxFailsInvalidArgument) {
+  // The middle point's box is turned empty, or given a NaN min x. The
+  // other two still span the leaf's MBR, so it stays tight; the walk's
+  // contained shortcut would report the entry, which no window
+  // intersects.
+  const Rect bad[] = {Rect(0.6, 0.5, 0.4, 0.5),
+                      Rect(std::nan(""), 0.5, 0.5, 0.5)};
+  for (const Rect& box : bad) {
+    const auto tree = FlatRTree::Build({{Rect(0, 0, 0, 0), 1},
+                                        {Rect(0.5, 0.5, 0.5, 0.5), 2},
+                                        {Rect(1, 1, 1, 1), 3}},
+                                       4);
+    ASSERT_EQ(tree.entry(1).id, 2u);
+    storage::MemoryStorageManager sm;
+    auto root = tree.SaveTo(&sm);
+    ASSERT_TRUE(root.ok());
+    ASSERT_TRUE(FlatRTree::LoadFrom(&sm, *root).ok());
+    std::string bytes;
+    ASSERT_TRUE(sm.Load(*root, &bytes).ok());
+    wire::Reader r(bytes);
+    r.U32();  // Magic.
+    r.I32();  // max_entries.
+    r.I32();  // Height.
+    r.U64();  // Node rows.
+    r.U64();  // Entry rows.
+    ASSERT_EQ(r.Count(8), 1u);
+    r.U64();  // The node page.
+    ASSERT_EQ(r.Count(8), 1u);
+    const PageId entry_page = r.U64();
+    ASSERT_FALSE(r.failed());
+    // Row 1 starts after the 8-byte row count and one 40-byte row; its
+    // 8-byte id comes before xlo, ylo, xhi, yhi.
+    PatchF64(&sm, entry_page, 8 + 40 + 8, box.min.x);
+    PatchF64(&sm, entry_page, 8 + 40 + 24, box.max.x);
+    const auto loaded = FlatRTree::LoadFrom(&sm, *root);
+    EXPECT_FALSE(loaded.ok()) << box.ToString();
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(FlatRTreePersistTest, FanoutIsCappedOnBuildAndLoad) {

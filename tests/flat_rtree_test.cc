@@ -9,6 +9,7 @@
 
 #include "src/common/codec.h"
 #include "src/common/rng.h"
+#include "src/spatial/epoch_index.h"
 #include "src/storage/memory_storage.h"
 #include "tests/spatial_oracle.h"
 
@@ -36,10 +37,7 @@ TEST(FlatRTreeTest, EmptyTree) {
   FlatRTree tree;
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.size(), 0u);
-  std::vector<Entry> hits;
-  tree.RangeQuery(kSpace, &hits);
-  EXPECT_TRUE(hits.empty());
-  EXPECT_EQ(tree.RangeCount(kSpace), 0u);
+  EXPECT_TRUE(oracle::RangeHits(tree, kSpace).empty());
   EXPECT_TRUE(tree.KNearest(Point{0.5, 0.5}, 3).empty());
   EXPECT_FALSE(tree.Nearest(Point{0.5, 0.5}).found);
   EXPECT_TRUE(tree.CheckInvariants());
@@ -52,8 +50,8 @@ TEST(FlatRTreeTest, SingleEntry) {
   auto nn = tree.Nearest(Point{0.0, 0.0});
   ASSERT_TRUE(nn.found);
   EXPECT_EQ(nn.neighbor.id, 7u);
-  EXPECT_EQ(tree.RangeCount(Rect(0.0, 0.0, 0.25, 0.25)), 1u);
-  EXPECT_EQ(tree.RangeCount(Rect(0.5, 0.5, 0.6, 0.6)), 0u);
+  EXPECT_EQ(oracle::RangeHits(tree, Rect(0.0, 0.0, 0.25, 0.25)).size(), 1u);
+  EXPECT_TRUE(oracle::RangeHits(tree, Rect(0.5, 0.5, 0.6, 0.6)).empty());
 }
 
 TEST(FlatRTreeTest, InvariantsAcrossSizesAndFanouts) {
@@ -86,11 +84,8 @@ TEST(FlatRTreeTest, DifferentialAgainstBruteForce) {
       const Point b = rng.PointIn(kSpace);
       const Rect window(std::min(a.x, b.x), std::min(a.y, b.y),
                         std::max(a.x, b.x), std::max(a.y, b.y));
-      std::vector<Entry> flat_hits;
-      flat.RangeQuery(window, &flat_hits);
-      const std::vector<uint64_t> want = oracle::RangeIds(entries, window);
-      EXPECT_EQ(oracle::SortedIds(flat_hits), want);
-      EXPECT_EQ(flat.RangeCount(window), want.size());
+      EXPECT_EQ(oracle::SortedIds(oracle::RangeHits(flat, window)),
+                oracle::RangeIds(entries, window));
 
       const Point q = rng.PointIn(kSpace);
       for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
@@ -199,6 +194,109 @@ TEST(FlatRTreeTest, VisitorEarlyStopAndFilteredKnn) {
   }
 }
 
+/// Points and one-cell rectangles on an integer grid: windows with
+/// integer corners then share edges with entries and node MBRs exactly.
+std::vector<Entry> GridEntries(int side) {
+  std::vector<Entry> entries;
+  for (int x = 0; x < side; ++x) {
+    for (int y = 0; y < side; ++y) {
+      const double span = (x + y) % 3 == 0 ? 1.0 : 0.0;
+      entries.push_back({Rect(x, y, x + span, y + span),
+                         static_cast<uint64_t>(x * side + y)});
+    }
+  }
+  return entries;
+}
+
+/// The live rows of `tree` outside `skip` (ascending).
+std::vector<Entry> RowsNotSkipped(const FlatRTree& tree,
+                                  const std::vector<uint32_t>& skip) {
+  std::vector<Entry> rows;
+  for (uint32_t row = 0; row < tree.size(); ++row) {
+    if (!std::binary_search(skip.begin(), skip.end(), row)) {
+      rows.push_back(tree.entry(row));
+    }
+  }
+  return rows;
+}
+
+TEST(FlatRTreeTest, ContainedSubtreesKeepClosedEdgesAndSkips) {
+  Rng rng(31);
+  const std::vector<Entry> entries = GridEntries(24);
+  for (int fanout : {4, 8, 16}) {
+    const FlatRTree tree = FlatRTree::Build(entries, fanout);
+    ASSERT_TRUE(tree.CheckInvariants());
+    std::vector<uint32_t> skip;
+    for (uint32_t row = 0; row < tree.size(); ++row) {
+      if (rng.Bernoulli(0.3)) skip.push_back(row);
+    }
+    const std::vector<Entry> live = RowsNotSkipped(tree, skip);
+    std::vector<Rect> windows = {tree.bounds(), Rect(3, 3, 3, 3),
+                                 Rect(5, -1, 5, 30), Rect(24, 24, 30, 30)};
+    for (int trial = 0; trial < 200; ++trial) {
+      const auto lo_x = static_cast<double>(rng.UniformInt(0, 25)) - 1;
+      const auto lo_y = static_cast<double>(rng.UniformInt(0, 25)) - 1;
+      windows.emplace_back(lo_x, lo_y, lo_x + rng.UniformInt(0, 12),
+                           lo_y + rng.UniformInt(0, 12));
+    }
+    for (const Rect& window : windows) {
+      EXPECT_EQ(oracle::SortedIds(oracle::RangeHits(tree, window)),
+                oracle::RangeIds(entries, window))
+          << "fanout " << fanout << " window " << window.ToString();
+      std::vector<Entry> hits;
+      tree.RangeQuery(
+          window,
+          [&hits](const Entry& e) {
+            hits.push_back(e);
+            return true;
+          },
+          skip);
+      EXPECT_EQ(oracle::SortedIds(hits), oracle::RangeIds(live, window))
+          << "fanout " << fanout << " window " << window.ToString();
+    }
+  }
+}
+
+TEST(FlatRTreeTest, VisitorStopsInsideContainedSubtree) {
+  const std::vector<Entry> entries = GridEntries(20);
+  const FlatRTree tree = FlatRTree::Build(entries, 8);
+  // The whole tree, and a window that contains some subtrees and cuts
+  // others.
+  for (const Rect& window : {tree.bounds(), Rect(2, 2, 13, 17)}) {
+    const std::vector<uint64_t> want = oracle::RangeIds(entries, window);
+    for (const size_t stop_at : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                                 want.size() / 2, want.size()}) {
+      std::vector<Entry> seen;
+      EXPECT_FALSE(tree.RangeQuery(window, [&](const Entry& e) {
+        seen.push_back(e);
+        return seen.size() < stop_at;
+      }));
+      ASSERT_EQ(seen.size(), stop_at);
+      for (const uint64_t id : oracle::SortedIds(seen)) {
+        EXPECT_TRUE(std::binary_search(want.begin(), want.end(), id));
+      }
+    }
+    size_t all = 0;
+    EXPECT_TRUE(tree.RangeQuery(window, [&all](const Entry&) {
+      ++all;
+      return true;
+    }));
+    EXPECT_EQ(all, want.size());
+  }
+}
+
+TEST(FlatRTreeDeathTest, BuildAndInsertRefuseEmptyAndNaNBoxes) {
+  const Rect nan_box(std::nan(""), 0.0, 1.0, 1.0);
+  EXPECT_DEATH(FlatRTree::Build({{Rect(), 1}}), "Storable");
+  EXPECT_DEATH(FlatRTree::Build({{kSpace, 1}, {nan_box, 2}}), "Storable");
+  const std::vector<Entry> empty_added = {{Rect(), 2}};
+  EXPECT_DEATH(FlatRTree::Build({{kSpace, 1}}).Repack({}, empty_added),
+               "Storable");
+  EpochIndex index;
+  EXPECT_DEATH(index.Insert(Rect(0.5, 0.0, 0.4, 1.0), 1), "Storable");
+  EXPECT_DEATH(index.Insert(nan_box, 1), "Storable");
+}
+
 TEST(FlatRTreeTest, BatchedKernelsMatchScalar) {
   Rng rng(99);
   std::vector<Entry> entries = RandomRectEntries(100, &rng, 0.1);
@@ -298,9 +396,8 @@ void ExpectBruteForceAnswers(const FlatRTree& tree,
   for (int trial = 0; trial < 20; ++trial) {
     const Point a = rng->PointIn(kSpace);
     const Rect window(a.x, a.y, a.x + 0.2, a.y + 0.2);
-    std::vector<Entry> hits;
-    tree.RangeQuery(window, &hits);
-    EXPECT_EQ(oracle::SortedIds(hits), oracle::RangeIds(entries, window));
+    EXPECT_EQ(oracle::SortedIds(oracle::RangeHits(tree, window)),
+              oracle::RangeIds(entries, window));
 
     const Point q = rng->PointIn(kSpace);
     for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {

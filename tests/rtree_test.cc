@@ -39,9 +39,7 @@ std::vector<Entry> RandomRectEntries(size_t n, Rng* rng, double max_extent) {
 }
 
 std::vector<uint64_t> RangeIds(const EpochIndex& index, const Rect& window) {
-  std::vector<Entry> hits;
-  index.Acquire()->RangeQuery(window, &hits);
-  return oracle::SortedIds(hits);
+  return oracle::SortedIds(oracle::RangeHits(*index.Acquire(), window));
 }
 
 /// The index holds exactly `live`: same size, and every entry is found
@@ -58,9 +56,7 @@ TEST(RTreeTest, EmptyTree) {
   EXPECT_EQ(index.size(), 0u);
   const auto snap = index.Acquire();
   EXPECT_FALSE(snap->Nearest({0, 0}).found);
-  std::vector<Entry> out;
-  snap->RangeQuery(kSpace, &out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(oracle::RangeHits(*snap, kSpace).empty());
   EXPECT_TRUE(FlatRTree::Build({}).CheckInvariants());
 }
 
@@ -106,11 +102,11 @@ TEST(RTreeTest, RangeQueryMatchesBruteForce) {
 
 TEST(RTreeTest, RangeCountMatchesQuery) {
   Rng rng(6);
-  FlatRTree tree = FlatRTree::Build(RandomPointEntries(200, &rng));
+  const auto entries = RandomPointEntries(200, &rng);
+  FlatRTree tree = FlatRTree::Build(entries);
   const Rect window(0.2, 0.2, 0.7, 0.6);
-  std::vector<Entry> out;
-  tree.RangeQuery(window, &out);
-  EXPECT_EQ(tree.RangeCount(window), out.size());
+  EXPECT_EQ(oracle::RangeHits(tree, window).size(),
+            oracle::RangeIds(entries, window).size());
 }
 
 TEST(RTreeTest, NearestMatchesBruteForceMinDist) {
@@ -217,9 +213,8 @@ TEST(RTreeTest, BulkLoadInvariantsAndQueries) {
     EXPECT_EQ(tree.size(), n);
     EXPECT_TRUE(tree.CheckInvariants()) << "n=" << n;
     const Rect window(0.25, 0.25, 0.75, 0.75);
-    std::vector<Entry> out;
-    tree.RangeQuery(window, &out);
-    EXPECT_EQ(oracle::SortedIds(out), oracle::RangeIds(entries, window));
+    EXPECT_EQ(oracle::SortedIds(oracle::RangeHits(tree, window)),
+              oracle::RangeIds(entries, window));
   }
 }
 

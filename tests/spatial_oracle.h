@@ -37,6 +37,19 @@ inline std::vector<uint64_t> RangeIds(const std::vector<Entry>& entries,
   return SortedIds(hits);
 }
 
+/// Every entry an index's visitor walk reports for `window`, in walk
+/// order; `index` is a FlatRTree or an EpochIndex::Snapshot. Range
+/// counts are the size of this list.
+template <typename Index>
+std::vector<Entry> RangeHits(const Index& index, const Rect& window) {
+  std::vector<Entry> hits;
+  index.RangeQuery(window, [&hits](const Entry& e) {
+    hits.push_back(e);
+    return true;
+  });
+  return hits;
+}
+
 inline double Distance(const Point& q, const Rect& box, Metric metric) {
   return metric == Metric::kMinDist ? MinDist(q, box) : MaxDist(q, box);
 }
