@@ -23,7 +23,6 @@ std::vector<spatial::Entry> ToEntries(
   std::vector<spatial::Entry> entries;
   entries.reserve(targets.size());
   for (const PrivateTarget& t : targets) {
-    CASPER_DCHECK(!t.region.is_empty());
     entries.push_back({t.region, t.id});
   }
   return entries;
@@ -117,7 +116,6 @@ PrivateTargetStore::PrivateTargetStore(
     : index_(spatial::EpochIndex::BulkLoad(ToEntries(targets))) {}
 
 void PrivateTargetStore::Insert(const PrivateTarget& target) {
-  CASPER_DCHECK(!target.region.is_empty());
   index_.Insert(target.region, target.id);
 }
 

@@ -100,6 +100,9 @@ Status QueryServer::Apply(const RegionUpsertMsg& msg) {
 }
 
 Status QueryServer::ApplyUpsert(const RegionUpsertMsg& msg) {
+  if (!spatial::Storable(msg.region)) {
+    return Status::InvalidArgument("upsert region is empty or NaN");
+  }
   if (retired_.count(msg.handle) > 0) {
     // A replay old enough to have fallen out of the outcome window,
     // arriving after its handle was already replaced or removed:
@@ -150,6 +153,11 @@ Status QueryServer::ApplyRemove(const RegionRemoveMsg& msg) {
 Status QueryServer::Load(const SnapshotView& snapshot) {
   const std::vector<processor::PrivateTarget> regions =
       snapshot.regions.Materialize();
+  for (const processor::PrivateTarget& target : regions) {
+    if (!spatial::Storable(target.region)) {
+      return Status::InvalidArgument("snapshot region is empty or NaN");
+    }
+  }
   stored_regions_.clear();
   stored_regions_.reserve(regions.size());
   for (const processor::PrivateTarget& target : regions) {

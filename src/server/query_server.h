@@ -66,13 +66,16 @@ class QueryServer : public PrivateStoreSink {
   /// carry a non-zero request_id are idempotent: a duplicated delivery
   /// (an at-least-once transport retrying a request whose response was
   /// lost) replays the originally recorded outcome instead of
-  /// double-applying the mutation.
+  /// double-applying the mutation. An upsert whose region is empty or
+  /// NaN (not spatial::Storable) fails kInvalidArgument unapplied.
   Status Apply(const RegionUpsertMsg& msg) override;
   Status Apply(const RegionRemoveMsg& msg) override;
 
   /// Bulk snapshot replacing the whole private store (the batch
   /// SyncPrivateData model): the (handle, region) records are copied
-  /// out of the decoded frame once and STR bulk-loaded.
+  /// out of the decoded frame once and STR bulk-loaded. A snapshot
+  /// holding an empty or NaN region fails kInvalidArgument and leaves
+  /// the store as it was.
   Status Load(const SnapshotView& snapshot);
 
   // --- Query evaluation -----------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -117,6 +118,54 @@ TEST_F(EndpointTest, SnapshotAcksWithIdZero) {
   EXPECT_TRUE(ack->ok());
   EXPECT_EQ(ack->request_id, 0u);
   EXPECT_EQ(PrivateSnapshot(server_.private_store()).size(), 1u);
+}
+
+TEST_F(EndpointTest, EmptyOrNaNRegionsAckInvalidArgumentAndStoreIsKept) {
+  const auto ack_of = [this](const std::string& request) {
+    Result<std::string> bytes = channel_.Call(request, CallContext{});
+    EXPECT_TRUE(bytes.ok());
+    Result<AckMsg> ack = DecodeAck(bytes.value());
+    EXPECT_TRUE(ack.ok());
+    return ack.value();
+  };
+  ASSERT_TRUE(ack_of(Encode(Upsert(1, 5))).ok());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Rect bad_regions[] = {Rect(), Rect(0.5, 0.1, 0.4, 0.3),
+                              Rect(nan, 0.1, 0.3, 0.3),
+                              Rect(0.1, 0.1, 0.3, nan)};
+  uint64_t request_id = 10;
+  for (const Rect& region : bad_regions) {
+    RegionUpsertMsg upsert = Upsert(++request_id, 6);
+    upsert.has_replaces = true;
+    upsert.replaces = 5;
+    upsert.region = region;
+    for (int delivery = 0; delivery < 2; ++delivery) {  // Replay too.
+      const AckMsg ack = ack_of(Encode(upsert));
+      EXPECT_EQ(ack.code, StatusCode::kInvalidArgument);
+      EXPECT_EQ(ack.request_id, request_id);
+    }
+
+    SnapshotMsg snapshot;
+    snapshot.regions = {{42, Rect(0.1, 0.1, 0.2, 0.2)}, {43, region}};
+    const AckMsg ack = ack_of(Encode(snapshot));
+    EXPECT_EQ(ack.code, StatusCode::kInvalidArgument);
+    EXPECT_EQ(ack.request_id, 0u);
+  }
+
+  // Nothing was applied: handle 5 is still the one stored region, and
+  // the server keeps answering queries and maintenance.
+  const PrivateSnapshot store(server_.private_store());
+  ASSERT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.Overlapping(Rect(0, 0, 1, 1)),
+            (std::vector<processor::PrivateTarget>{
+                {5, Rect(0.1, 0.1, 0.3, 0.3)}}));
+  Result<std::string> bytes =
+      channel_.Call(Encode(NearestQuery(30)), CallContext{});
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_TRUE(DecodeCandidateList(bytes.value()).ok());
+  EXPECT_TRUE(ack_of(Encode(Upsert(31, 7))).ok());
+  EXPECT_EQ(PrivateSnapshot(server_.private_store()).size(), 2u);
 }
 
 TEST_F(EndpointTest, QueryErrorTravelsAsTypedAck) {
