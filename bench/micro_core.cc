@@ -292,7 +292,7 @@ void BM_ExpectedDensity(benchmark::State& state) {
         processor::ExpectedDensity(store, config.space, grid, grid));
   }
 }
-BENCHMARK(BM_ExpectedDensity)->Arg(8)->Arg(32);
+BENCHMARK(BM_ExpectedDensity)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_CachedQueryHit(benchmark::State& state) {
   Rng rng(22);

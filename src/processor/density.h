@@ -1,6 +1,7 @@
 #ifndef CASPER_PROCESSOR_DENSITY_H_
 #define CASPER_PROCESSOR_DENSITY_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/common/result.h"
@@ -15,6 +16,12 @@
 /// the fraction of her cloaked region overlapping that cell.
 
 namespace casper::processor {
+
+/// Most cells one map may have: 256 x 256, a 512 KiB answer that fits a
+/// transport frame (4 MiB) with room to spare. ExpectedDensity rejects
+/// a larger grid before it allocates anything, since its cols and rows
+/// arrive from the wire.
+inline constexpr int64_t kMaxDensityCells = int64_t{1} << 16;
 
 /// An `rows x cols` grid of expected counts over `extent`.
 class DensityMap {
@@ -61,7 +68,13 @@ class DensityMap {
 };
 
 /// Builds the expected-density map of `store` over `extent`.
-/// InvalidArgument on a degenerate extent or non-positive grid.
+/// InvalidArgument on a degenerate extent, a non-positive grid or one
+/// of more than kMaxDensityCells cells; FailedPrecondition on a store
+/// of more than 2^27 regions, whose sums could overflow. Each cell is
+/// the exact sum of its per-region shares, each share truncated to a
+/// multiple of 2^-100, rounded to a double once; so the map is a
+/// function of the stored multiset alone, whatever the tree's shape or
+/// walk order.
 Result<DensityMap> ExpectedDensity(const PrivateTargetStore::Snapshot& store,
                                    const Rect& extent, int cols, int rows);
 

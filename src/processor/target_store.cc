@@ -139,10 +139,8 @@ Result<PrivateTarget> PrivateTargetStore::Snapshot::NearestByMaxDist(
 std::vector<PrivateTarget> PrivateTargetStore::Snapshot::Overlapping(
     const Rect& window) const {
   std::vector<PrivateTarget> out;
-  index_->RangeQuery(window, [&out](const spatial::Entry& e) {
-    out.push_back(PrivateTarget{e.id, e.box});
-    return true;
-  });
+  ForEachOverlapping(window,
+                     [&out](const PrivateTarget& t) { out.push_back(t); });
   return out;
 }
 
@@ -150,15 +148,12 @@ std::vector<PrivateTarget> PrivateTargetStore::Snapshot::OverlappingAtLeast(
     const Rect& window, double min_overlap_fraction) const {
   CASPER_DCHECK(min_overlap_fraction >= 0.0 && min_overlap_fraction <= 1.0);
   std::vector<PrivateTarget> out;
-  index_->RangeQuery(window, [&](const spatial::Entry& e) {
-    const double area = e.box.Area();
-    const double overlap = e.box.IntersectionArea(window);
+  ForEachOverlapping(window, [&](const PrivateTarget& t) {
+    const double area = t.region.Area();
+    const double overlap = t.region.IntersectionArea(window);
     // Degenerate (zero-area) regions count as fully overlapped.
     const double fraction = area > 0.0 ? overlap / area : 1.0;
-    if (fraction >= min_overlap_fraction) {
-      out.push_back(PrivateTarget{e.id, e.box});
-    }
-    return true;
+    if (fraction >= min_overlap_fraction) out.push_back(t);
   });
   return out;
 }

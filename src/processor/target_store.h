@@ -261,6 +261,18 @@ class PrivateTargetStore {
     /// All targets whose region overlaps `window`.
     std::vector<PrivateTarget> Overlapping(const Rect& window) const;
 
+    /// Calls `visit(const PrivateTarget&)` for every target whose
+    /// region overlaps `window`, in walk order, without building a
+    /// list. The order depends on the tree's shape, so what `visit`
+    /// accumulates must not depend on it.
+    template <typename Visit>
+    void ForEachOverlapping(const Rect& window, Visit&& visit) const {
+      index_->RangeQuery(window, [&visit](const spatial::Entry& e) {
+        visit(PrivateTarget{e.id, e.box});
+        return true;
+      });
+    }
+
     /// Targets with at least `min_overlap_fraction` of their own area
     /// inside `window` (the probabilistic x%-policy of §5.2.1 step 4;
     /// 0 reduces to plain overlap).

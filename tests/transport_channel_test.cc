@@ -168,6 +168,50 @@ TEST_F(EndpointTest, EmptyOrNaNRegionsAckInvalidArgumentAndStoreIsKept) {
   EXPECT_EQ(PrivateSnapshot(server_.private_store()).size(), 2u);
 }
 
+TEST_F(EndpointTest, OversizeDensityGridsAckInvalidArgumentAndServerAnswers) {
+  ASSERT_TRUE(channel_.Call(Encode(Upsert(1, 5)), CallContext{}).ok());
+  const auto density = [](uint64_t request_id, int cols, int rows) {
+    CloakedQueryMsg query;
+    query.kind = QueryKind::kDensity;
+    query.request_id = request_id;
+    query.cols = cols;
+    query.rows = rows;
+    return query;
+  };
+  const int max = std::numeric_limits<int>::max();
+  // Over the cell cap; 65536^2 and max^2 also overflow 32-bit products.
+  const std::pair<int, int> grids[] = {
+      {257, 256}, {1 << 16, 2}, {1 << 16, 1 << 16}, {max, max}, {max, 1}};
+  uint64_t request_id = 20;
+  for (const auto& [cols, rows] : grids) {
+    Result<std::string> bytes =
+        channel_.Call(Encode(density(++request_id, cols, rows)), CallContext{});
+    ASSERT_TRUE(bytes.ok());
+    Result<AckMsg> ack = DecodeAck(bytes.value());
+    ASSERT_TRUE(ack.ok()) << cols << "x" << rows;
+    EXPECT_EQ(ack->code, StatusCode::kInvalidArgument) << cols << "x" << rows;
+    EXPECT_EQ(ack->request_id, request_id);
+  }
+
+  // The server is still up and serves a map at the cap and a 16x16 one.
+  for (const auto& [cols, rows] : {std::pair{256, 256}, std::pair{16, 16}}) {
+    Result<std::string> bytes =
+        channel_.Call(Encode(density(++request_id, cols, rows)), CallContext{});
+    ASSERT_TRUE(bytes.ok());
+    Result<CandidateListMsg> answer = DecodeCandidateList(bytes.value());
+    ASSERT_TRUE(answer.ok()) << answer.status().message();
+    const auto* map = std::get_if<processor::DensityMap>(&answer->payload);
+    ASSERT_NE(map, nullptr);
+    EXPECT_EQ(map->cols(), cols);
+    EXPECT_EQ(map->rows(), rows);
+    EXPECT_NEAR(map->Total(), 1.0, 1e-12);
+  }
+  Result<std::string> bytes =
+      channel_.Call(Encode(NearestQuery(40)), CallContext{});
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_TRUE(DecodeCandidateList(bytes.value()).ok());
+}
+
 TEST_F(EndpointTest, QueryErrorTravelsAsTypedAck) {
   CloakedQueryMsg bad;
   bad.kind = QueryKind::kDensity;
