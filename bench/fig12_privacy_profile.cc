@@ -35,8 +35,8 @@ int main() {
     dist.k_min = g.first;
     dist.k_max = g.second;
     Row row;
-    row.label =
-        "[" + std::to_string(g.first) + "-" + std::to_string(g.second) + "]";
+    row.label.append("[").append(std::to_string(g.first)).append("-");
+    row.label.append(std::to_string(g.second)).append("]");
     for (int adaptive = 0; adaptive <= 1; ++adaptive) {
       auto anon =
           BuildAnonymizer(adaptive == 1, config, city, users, dist, 13);

@@ -107,6 +107,30 @@ void BM_FlatKnn(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatKnn)->Arg(10000)->Arg(100000);
 
+/// The shape of the private-data filter probe (§5.2.1): MaxDist k-NN
+/// at a cloak vertex, which lies on the pyramid grid, over 10K
+/// pyramid-cell regions that about eight users share each, so
+/// distances tie everywhere. Arg = k: 1, or 2 when a buddy query
+/// excludes the user's own region.
+void BM_FlatKnnMaxDistCells(benchmark::State& state) {
+  Rng rng(27);
+  const spatial::FlatRTree tree =
+      spatial::FlatRTree::Build(spatial::oracle::PyramidCells(10000, &rng));
+  std::vector<Point> vertices;
+  for (size_t i = 0; i < kInputs; ++i) {
+    vertices.push_back(spatial::oracle::GridPoint(&rng));
+  }
+  const auto k = static_cast<size_t>(state.range(0));
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tree.KNearest(vertices[next], k, spatial::Metric::kMaxDist));
+    next = (next + 1) % kInputs;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FlatKnnMaxDistCells)->Arg(1)->Arg(2);
+
 /// A 1%-area window collected into a vector. Arg = entries; at 1M the
 /// tree (~40 MB) exceeds the last-level cache, as in big_lists.
 void BM_FlatRange1Pct(benchmark::State& state) {

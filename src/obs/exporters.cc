@@ -117,7 +117,8 @@ std::string ExportJson(const MetricsSnapshot& snapshot) {
       for (const auto& [name, value] : sample.labels) {
         if (!first_label) out += ", ";
         first_label = false;
-        out += "\"" + Escape(name) + "\": \"" + Escape(value) + "\"";
+        out.append("\"").append(Escape(name)).append("\": \"");
+        out.append(Escape(value)).append("\"");
       }
       out += "}";
       if (family.type != MetricType::kHistogram) {

@@ -87,9 +87,9 @@ PublicTargetStore::Snapshot::Snapshot(const PublicTargetStore& store)
 
 Result<PublicTarget> PublicTargetStore::Snapshot::Nearest(
     const Point& q) const {
-  const auto nn = index_->Nearest(q, spatial::Metric::kMinDist);
-  if (!nn.found) return Status::NotFound("target store is empty");
-  return PublicTarget{nn.neighbor.id, nn.neighbor.box.min};
+  const auto nn = index_->KNearest(q, 1, spatial::Metric::kMinDist);
+  if (nn.empty()) return Status::NotFound("target store is empty");
+  return PublicTarget{nn[0].id, nn[0].box.min};
 }
 
 std::vector<PublicTarget> PublicTargetStore::Snapshot::KNearest(

@@ -71,44 +71,8 @@ EpochIndex::Snapshot::~Snapshot() {
 
 std::vector<EpochIndex::Neighbor> EpochIndex::Snapshot::KNearest(
     const Point& q, size_t k, Metric metric) const {
-  if (k == 0 || size_ == 0) return {};
-  const auto before = [](const Neighbor& a, const Neighbor& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.id < b.id;  // Deterministic tie-break.
-  };
-  std::vector<Neighbor> from_base;
-  if (base_) from_base = base_->KNearest(q, k, metric, dead_);
-
-  // Only delta entries that beat the base's k-th answer can make the
-  // cut; they are sorted and merged into the base's sorted answer.
-  std::vector<Neighbor> from_delta;
-  for (const Entry& e : delta_) {
-    const double d =
-        metric == Metric::kMinDist ? MinDist(q, e.box) : MaxDist(q, e.box);
-    const Neighbor n{e.box, e.id, d};
-    if (from_base.size() < k || before(n, from_base.back())) {
-      from_delta.push_back(n);
-    }
-  }
-  if (from_delta.empty()) return from_base;
-  std::sort(from_delta.begin(), from_delta.end(), before);
-  std::vector<Neighbor> merged;
-  merged.reserve(from_base.size() + from_delta.size());
-  std::merge(from_base.begin(), from_base.end(), from_delta.begin(),
-             from_delta.end(), std::back_inserter(merged), before);
-  if (merged.size() > k) merged.resize(k);
-  return merged;
-}
-
-EpochIndex::NNResult EpochIndex::Snapshot::Nearest(const Point& q,
-                                                   Metric metric) const {
-  NNResult r;
-  auto knn = KNearest(q, 1, metric);
-  if (!knn.empty()) {
-    r.found = true;
-    r.neighbor = knn.front();
-  }
-  return r;
+  static const FlatRTree kNoBase;
+  return (base_ ? *base_ : kNoBase).KNearest(q, k, metric, dead_, delta_);
 }
 
 // --- EpochIndex -------------------------------------------------------

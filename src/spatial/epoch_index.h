@@ -51,7 +51,6 @@ class EpochIndex {
   using Entry = spatial::Entry;
   using Metric = spatial::Metric;
   using Neighbor = spatial::Neighbor;
-  using NNResult = spatial::NNResult;
 
   /// Writer-side counters, exported through obs by the owning tier.
   struct Stats {
@@ -79,9 +78,10 @@ class EpochIndex {
         if (e.box.Intersects(window) && !visit(e)) return;
       }
     }
+    /// FlatRTree::KNearest over the base minus the tombstoned rows,
+    /// with the delta competing in the same walk.
     std::vector<Neighbor> KNearest(const Point& q, size_t k,
                                    Metric metric = Metric::kMinDist) const;
-    NNResult Nearest(const Point& q, Metric metric = Metric::kMinDist) const;
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }

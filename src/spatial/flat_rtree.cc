@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <limits>
 #include <tuple>
 #include <utility>
 
@@ -341,79 +341,73 @@ size_t FlatRTree::FindExact(const Rect& box, uint64_t id,
 }
 
 std::vector<FlatRTree::Neighbor> FlatRTree::KNearest(
-    const Point& q, size_t k, Metric metric,
-    std::span<const uint32_t> skip) const {
-  std::vector<Neighbor> result;
-  if (nodes_.empty() || k == 0) return result;
-
-  struct Item {
-    double key;
-    int32_t idx;
-    bool is_entry;
+    const Point& q, size_t k, Metric metric, std::span<const uint32_t> skip,
+    std::span<const Entry> extra) const {
+  // The k best so far, a max-heap under NeighborLess: the front is the
+  // one a better neighbor evicts. Once it holds k, `bound` is the k-th
+  // distance, and nothing farther can enter.
+  std::vector<Neighbor> best;
+  if (k == 0) return best;
+  best.reserve(std::min(k, size() + extra.size()));
+  double bound = std::numeric_limits<double>::infinity();
+  const auto enters = [&](const Neighbor& n) {
+    return best.size() < k || NeighborLess(n, best.front());
   };
-  struct Cmp {
-    const FlatRTree* tree;
-    bool operator()(const Item& a, const Item& b) const {
-      // Min-heap on key; equal keys pop nodes before entries, then
-      // entries ascending by id — a canonical tie order, so the answer
-      // on distance ties does not depend on the packing.
-      if (a.key != b.key) return a.key > b.key;
-      if (a.is_entry != b.is_entry) return a.is_entry;
-      if (a.is_entry) {
-        return tree->entry_ids_[a.idx] > tree->entry_ids_[b.idx];
-      }
-      return false;
+  const auto admit = [&](const Neighbor& n) {
+    if (best.size() == k) {
+      std::pop_heap(best.begin(), best.end(), NeighborLess);
+      best.pop_back();
     }
+    best.push_back(n);
+    std::push_heap(best.begin(), best.end(), NeighborLess);
+    if (best.size() == k) bound = best.front().distance;
   };
-  std::priority_queue<Item, std::vector<Item>, Cmp> heap(Cmp{this});
-  heap.push(Item{MinDist(q, NodeBox(0)), 0, false});
 
-  // Scratch for one node block's batched distances.
+  for (const Entry& e : extra) {
+    const Neighbor n{e.box, e.id,
+                     metric == Metric::kMinDist ? MinDist(q, e.box)
+                                                : MaxDist(q, e.box)};
+    if (enters(n)) admit(n);
+  }
+  // Best-first over nodes only, keyed by MinDist to the MBR, which
+  // lower-bounds both metrics for every entry below it. A node keyed
+  // above `bound` holds nothing that can enter; one keyed at it may
+  // hold a tie that wins on id and box, so it is still expanded.
+  using Item = std::pair<double, int32_t>;
+  const auto later = [](const Item& a, const Item& b) {
+    return a.first > b.first;
+  };
+  std::vector<Item> heap;
+  if (!nodes_.empty()) heap.emplace_back(MinDist(q, NodeBox(0)), 0);
   std::vector<double> dist(static_cast<size_t>(max_entries_));
-
-  while (!heap.empty() && result.size() < k) {
-    const Item item = heap.top();
-    heap.pop();
-    if (item.is_entry) {
-      // Skipped rows are dropped as they pop, not as they are pushed:
-      // far fewer entries pop than get scored.
-      if (!Skipped(skip, item.idx)) {
-        result.push_back(
-            Neighbor{EntryBox(item.idx), entry_ids_[item.idx], item.key});
+  while (!heap.empty() && heap.front().first <= bound) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const Node& node = nodes_[heap.back().second];
+    heap.pop_back();
+    const size_t count = static_cast<size_t>(node.count);
+    if (node.level > 0) {
+      BatchedMinDist(q, NodeBoxes(node.first), count, dist.data());
+      for (size_t j = 0; j < count; ++j) {
+        if (dist[j] > bound) continue;
+        heap.emplace_back(dist[j], node.first + static_cast<int32_t>(j));
+        std::push_heap(heap.begin(), heap.end(), later);
       }
       continue;
     }
-    const Node& node = nodes_[item.idx];
-    const size_t count = static_cast<size_t>(node.count);
-    if (node.level == 0) {
-      if (metric == Metric::kMinDist) {
-        BatchedMinDist(q, EntryBoxes(node.first), count, dist.data());
-      } else {
-        BatchedMaxDist(q, EntryBoxes(node.first), count, dist.data());
-      }
-      for (size_t j = 0; j < count; ++j) {
-        heap.push(Item{dist[j], node.first + static_cast<int32_t>(j), true});
-      }
+    if (metric == Metric::kMinDist) {
+      BatchedMinDist(q, EntryBoxes(node.first), count, dist.data());
     } else {
-      // MinDist to the child MBR lower-bounds both metrics for every
-      // entry inside, so the best-first order stays admissible.
-      BatchedMinDist(q, NodeBoxes(node.first), count, dist.data());
-      for (size_t j = 0; j < count; ++j) {
-        heap.push(Item{dist[j], node.first + static_cast<int32_t>(j), false});
-      }
+      BatchedMaxDist(q, EntryBoxes(node.first), count, dist.data());
+    }
+    for (size_t j = 0; j < count; ++j) {
+      if (dist[j] > bound) continue;
+      const int32_t row = node.first + static_cast<int32_t>(j);
+      const Neighbor n{EntryBox(row), entry_ids_[row], dist[j]};
+      if (enters(n) && !Skipped(skip, row)) admit(n);
     }
   }
-  return result;
-}
-
-FlatRTree::NNResult FlatRTree::Nearest(const Point& q, Metric metric) const {
-  NNResult r;
-  auto knn = KNearest(q, 1, metric);
-  if (!knn.empty()) {
-    r.found = true;
-    r.neighbor = knn.front();
-  }
-  return r;
+  std::sort_heap(best.begin(), best.end(), NeighborLess);
+  return best;
 }
 
 Rect FlatRTree::bounds() const {

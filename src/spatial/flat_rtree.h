@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "src/common/geometry.h"
@@ -73,20 +74,27 @@ struct Neighbor {
   Rect box;
   uint64_t id = 0;
   double distance = 0.0;
+
+  friend bool operator==(const Neighbor&, const Neighbor&) = default;
 };
 
-/// Single-NN result. `found` is false only on an empty index.
-struct NNResult {
-  bool found = false;
-  Neighbor neighbor;
-};
+/// The order of every k-NN answer: distance, then the candidate lists'
+/// canonical (id, min.x, min.y, max.x, max.y) order. The index holds a
+/// multiset of (box, id), so this order is total on its entries up to
+/// exact copies, and the k best are a function of the multiset alone,
+/// not of the packing or the insert order.
+inline bool NeighborLess(const Neighbor& a, const Neighbor& b) {
+  return std::tie(a.distance, a.id, a.box.min.x, a.box.min.y, a.box.max.x,
+                  a.box.max.y) < std::tie(b.distance, b.id, b.box.min.x,
+                                          b.box.min.y, b.box.max.x,
+                                          b.box.max.y);
+}
 
 class FlatRTree {
  public:
   using Entry = spatial::Entry;
   using Metric = spatial::Metric;
   using Neighbor = spatial::Neighbor;
-  using NNResult = spatial::NNResult;
 
   /// The largest fan-out a tree may have. Build clamps to it and
   /// LoadFrom rejects a root page above it: the k-NN scratch is sized by
@@ -130,14 +138,15 @@ class FlatRTree {
   size_t FindExact(const Rect& box, uint64_t id,
                    std::vector<size_t>* rows = nullptr) const;
 
-  /// Nearest entries to `q` under `metric`, closest first, leaving out
-  /// the storage rows in `skip` (ascending); equal distances come back
-  /// in ascending id order.
+  /// The k nearest to `q` under `metric`, in NeighborLess order, of
+  /// this tree's entries minus the storage rows in `skip` (ascending)
+  /// plus the entries in `extra`, which compete as if stored (the epoch
+  /// index's insert delta). The walk keeps the k best in a bounded
+  /// heap, and expands only nodes no farther than the k-th of them.
   std::vector<Neighbor> KNearest(const Point& q, size_t k,
                                  Metric metric = Metric::kMinDist,
-                                 std::span<const uint32_t> skip = {}) const;
-
-  NNResult Nearest(const Point& q, Metric metric = Metric::kMinDist) const;
+                                 std::span<const uint32_t> skip = {},
+                                 std::span<const Entry> extra = {}) const;
 
   size_t size() const { return entry_ids_.size(); }
   bool empty() const { return entry_ids_.empty(); }

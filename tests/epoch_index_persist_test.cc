@@ -45,19 +45,8 @@ void ExpectIndexesAnswerIdentically(const EpochIndex& want_index,
     for (size_t i = 0; i < want_hits.size(); ++i)
       EXPECT_EQ(got_hits[i].id, want_hits[i].id);
 
-    const auto want_knn = want->KNearest(q, 5);
-    const auto got_knn = got->KNearest(q, 5);
-    ASSERT_EQ(got_knn.size(), want_knn.size());
-    for (size_t i = 0; i < want_knn.size(); ++i) {
-      EXPECT_EQ(got_knn[i].id, want_knn[i].id);
-      EXPECT_DOUBLE_EQ(got_knn[i].distance, want_knn[i].distance);
-    }
-
-    const auto want_nn = want->Nearest(q);
-    const auto got_nn = got->Nearest(q);
-    ASSERT_EQ(got_nn.found, want_nn.found);
-    if (want_nn.found) {
-      EXPECT_EQ(got_nn.neighbor.id, want_nn.neighbor.id);
+    for (const size_t k : {size_t{1}, size_t{5}}) {
+      EXPECT_EQ(got->KNearest(q, k), want->KNearest(q, k));
     }
   }
 }

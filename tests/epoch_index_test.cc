@@ -34,7 +34,7 @@ TEST(EpochIndexTest, EmptyIndexPublishesUsableSnapshot) {
   ASSERT_NE(snap, nullptr);
   EXPECT_TRUE(snap->empty());
   EXPECT_EQ(oracle::RangeHits(*snap, kSpace).size(), 0u);
-  EXPECT_FALSE(snap->Nearest(Point{0.5, 0.5}).found);
+  EXPECT_TRUE(snap->KNearest(Point{0.5, 0.5}, 1).empty());
 }
 
 /// Every mutation publishes a new epoch, and queries on the current
@@ -65,14 +65,62 @@ TEST(EpochIndexTest, SnapshotMatchesBruteForceAfterEachMutation) {
     EXPECT_EQ(oracle::SortedIds(oracle::RangeHits(*snap, window)),
               oracle::RangeIds(alive, window));
 
-    // k past the live count: the base returns fewer than k, so every
-    // delta entry must join its answer.
+    // k at and past the live count: every delta entry must join the
+    // answer.
     const Point q = rng.PointIn(kSpace);
     for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
-      for (const size_t k : {size_t{5}, alive.size() + 1}) {
-        EXPECT_EQ(
-            oracle::Distances(oracle::Ranks(snap->KNearest(q, k, metric))),
-            oracle::Distances(oracle::Knn(alive, q, k, metric)));
+      for (const size_t k : {size_t{1}, size_t{2}, size_t{5}, alive.size(),
+                             alive.size() + 3}) {
+        EXPECT_EQ(snap->KNearest(q, k, metric),
+                  oracle::Knn(alive, q, k, metric));
+      }
+    }
+  }
+}
+
+/// Pyramid-cell regions, where distances tie everywhere, over a packed
+/// base with tombstones plus a delta, and in an index that is all
+/// delta: the delta competes in the same best-k walk as the base, so
+/// every k-NN answer equals the oracle's, boxes included.
+TEST(EpochIndexTest, PyramidCellKnnIsExactOverTombstonesAndDelta) {
+  Rng rng(26);
+  std::vector<Entry> alive = oracle::PyramidCells(10000, &rng);
+  EpochIndex overlay =
+      EpochIndex::BulkLoad(alive, 16, /*rebuild_threshold=*/1000);
+  for (int i = 0; i < 200; ++i) {
+    const size_t victim = rng.UniformInt(0, alive.size() - 1);
+    ASSERT_TRUE(overlay.Remove(alive[victim].box, alive[victim].id));
+    alive.erase(alive.begin() + static_cast<ptrdiff_t>(victim));
+  }
+  for (const Entry& e : oracle::PyramidCells(300, &rng)) {
+    overlay.Insert(e.box, e.id);
+    alive.push_back(e);
+  }
+  ASSERT_EQ(overlay.stats().tombstones, 200u);
+  ASSERT_EQ(overlay.stats().delta_entries, 300u);
+
+  std::vector<Entry> cells = oracle::PyramidCells(500, &rng);
+  EpochIndex delta_only(16, /*rebuild_threshold=*/1000);
+  for (const Entry& e : cells) delta_only.Insert(e.box, e.id);
+  ASSERT_EQ(delta_only.stats().rebuilds, 0u);
+
+  for (const auto& [index, live] :
+       {std::pair{&overlay, &alive}, std::pair{&delta_only, &cells}}) {
+    const auto snap = index->Acquire();
+    for (int trial = 0; trial < 30; ++trial) {
+      const Point q =
+          trial % 2 == 0 ? oracle::GridPoint(&rng) : rng.PointIn(kSpace);
+      for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
+        std::vector<size_t> ks = {1, 2, 40};
+        if (trial % 10 == 0) {
+          ks.push_back(live->size());
+          ks.push_back(live->size() + 3);
+        }
+        for (const size_t k : ks) {
+          ASSERT_EQ(snap->KNearest(q, k, metric),
+                    oracle::Knn(*live, q, k, metric))
+              << live->size() << " entries, trial " << trial << " k=" << k;
+        }
       }
     }
   }

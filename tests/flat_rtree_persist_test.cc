@@ -71,18 +71,9 @@ void ExpectTreesAnswerIdentically(const FlatRTree& original,
 
     for (const auto metric :
          {FlatRTree::Metric::kMinDist, FlatRTree::Metric::kMaxDist}) {
-      const auto want_knn = original.KNearest(q, 7, metric);
-      const auto got_knn = loaded.KNearest(q, 7, metric);
-      ASSERT_EQ(got_knn.size(), want_knn.size());
-      for (size_t i = 0; i < want_knn.size(); ++i) {
-        EXPECT_EQ(got_knn[i].id, want_knn[i].id);
-        EXPECT_DOUBLE_EQ(got_knn[i].distance, want_knn[i].distance);
-      }
-      const auto want_nn = original.Nearest(q, metric);
-      const auto got_nn = loaded.Nearest(q, metric);
-      ASSERT_EQ(got_nn.found, want_nn.found);
-      if (want_nn.found) {
-        EXPECT_EQ(got_nn.neighbor.id, want_nn.neighbor.id);
+      for (const size_t k : {size_t{1}, size_t{7}}) {
+        EXPECT_EQ(loaded.KNearest(q, k, metric),
+                  original.KNearest(q, k, metric));
       }
     }
   }
@@ -122,7 +113,7 @@ TEST(FlatRTreePersistTest, EmptyTreeRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->empty());
   EXPECT_TRUE(oracle::RangeHits(*loaded, Rect(-1e9, -1e9, 1e9, 1e9)).empty());
-  EXPECT_FALSE(loaded->Nearest({0, 0}).found);
+  EXPECT_TRUE(loaded->KNearest({0, 0}, 1).empty());
 }
 
 TEST(FlatRTreePersistTest, SingleEntryRoundTrip) {

@@ -30,8 +30,17 @@ std::vector<Entry> RandomRectEntries(size_t n, Rng* rng,
   return entries;
 }
 
-using oracle::Distances;
-using oracle::Ranks;
+/// The live rows of `tree` outside `skip` (ascending).
+std::vector<Entry> RowsNotSkipped(const FlatRTree& tree,
+                                  const std::vector<uint32_t>& skip) {
+  std::vector<Entry> rows;
+  for (uint32_t row = 0; row < tree.size(); ++row) {
+    if (!std::binary_search(skip.begin(), skip.end(), row)) {
+      rows.push_back(tree.entry(row));
+    }
+  }
+  return rows;
+}
 
 TEST(FlatRTreeTest, EmptyTree) {
   FlatRTree tree;
@@ -39,7 +48,6 @@ TEST(FlatRTreeTest, EmptyTree) {
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_TRUE(oracle::RangeHits(tree, kSpace).empty());
   EXPECT_TRUE(tree.KNearest(Point{0.5, 0.5}, 3).empty());
-  EXPECT_FALSE(tree.Nearest(Point{0.5, 0.5}).found);
   EXPECT_TRUE(tree.CheckInvariants());
 }
 
@@ -47,9 +55,9 @@ TEST(FlatRTreeTest, SingleEntry) {
   FlatRTree tree = FlatRTree::Build({{Rect(0.2, 0.2, 0.4, 0.4), 7}});
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_TRUE(tree.CheckInvariants());
-  auto nn = tree.Nearest(Point{0.0, 0.0});
-  ASSERT_TRUE(nn.found);
-  EXPECT_EQ(nn.neighbor.id, 7u);
+  auto nn = tree.KNearest(Point{0.0, 0.0}, 1);
+  ASSERT_EQ(nn.size(), 1u);
+  EXPECT_EQ(nn[0].id, 7u);
   EXPECT_EQ(oracle::RangeHits(tree, Rect(0.0, 0.0, 0.25, 0.25)).size(), 1u);
   EXPECT_TRUE(oracle::RangeHits(tree, Rect(0.5, 0.5, 0.6, 0.6)).empty());
 }
@@ -89,24 +97,20 @@ TEST(FlatRTreeTest, DifferentialAgainstBruteForce) {
 
       const Point q = rng.PointIn(kSpace);
       for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
-        for (size_t k : {1u, 5u, 23u}) {
-          EXPECT_EQ(Distances(Ranks(flat.KNearest(q, k, metric))),
-                    Distances(oracle::Knn(entries, q, k, metric)))
+        for (size_t k : {size_t{1}, size_t{2}, size_t{23}, entries.size(),
+                         entries.size() + 3}) {
+          EXPECT_EQ(flat.KNearest(q, k, metric),
+                    oracle::Knn(entries, q, k, metric))
               << "M=" << fanout << " metric=" << static_cast<int>(metric)
               << " k=" << k;
         }
-        const auto packed = flat.Nearest(q, metric);
-        ASSERT_TRUE(packed.found);
-        EXPECT_EQ(packed.neighbor.distance,
-                  oracle::Knn(entries, q, 1, metric)[0].first);
       }
     }
   }
 }
 
-/// Point entries: the k-NN answer must match the oracle's canonical
-/// (distance, id) sequence exactly, under both metrics (which coincide
-/// for points).
+/// Point entries: the k-NN answer must match the oracle's exactly,
+/// under both metrics (which coincide for points).
 TEST(FlatRTreeTest, DifferentialPointEntriesExactIds) {
   Rng rng(1234);
   std::vector<Entry> entries;
@@ -119,7 +123,7 @@ TEST(FlatRTreeTest, DifferentialPointEntriesExactIds) {
     const Point q = rng.PointIn(kSpace);
     for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
       for (size_t k : {1u, 10u}) {
-        EXPECT_EQ(Ranks(flat.KNearest(q, k, metric)),
+        EXPECT_EQ(flat.KNearest(q, k, metric),
                   oracle::Knn(entries, q, k, metric));
       }
     }
@@ -185,12 +189,46 @@ TEST(FlatRTreeTest, VisitorEarlyStopAndFilteredKnn) {
       even_rows));
   EXPECT_EQ(odd, tree.size() - even_rows.size());
   const Point q{0.5, 0.5};
-  auto odd_only = tree.KNearest(q, 8, Metric::kMinDist, even_rows);
-  ASSERT_EQ(odd_only.size(), 8u);
-  for (const auto& n : odd_only) EXPECT_EQ(n.id % 2, 1u);
-  // Ascending distance, and no unfiltered entry closer than the last.
-  for (size_t i = 1; i < odd_only.size(); ++i) {
-    EXPECT_LE(odd_only[i - 1].distance, odd_only[i].distance);
+  for (const size_t k : {size_t{1}, size_t{8}, tree.size()}) {
+    EXPECT_EQ(tree.KNearest(q, k, Metric::kMinDist, even_rows),
+              oracle::Knn(RowsNotSkipped(tree, even_rows), q, k,
+                          Metric::kMinDist));
+  }
+}
+
+/// Many ids share each pyramid cell, so nearly every k-NN answer is
+/// decided by ties, under both metrics and for every k: the walk must
+/// still return exactly the oracle's neighbors, boxes included, also
+/// with rows skipped and with entries competing from outside the tree.
+TEST(FlatRTreeTest, PyramidCellTiesMatchTheOracleExactly) {
+  Rng rng(26);
+  const std::vector<Entry> entries = oracle::PyramidCells(10000, &rng);
+  const FlatRTree tree = FlatRTree::Build(entries, 16);
+  std::vector<uint32_t> skip;
+  for (uint32_t row = 0; row < tree.size(); row += 7) skip.push_back(row);
+  const std::vector<Entry> extra = oracle::PyramidCells(50, &rng);
+  std::vector<Entry> live = RowsNotSkipped(tree, skip);
+  live.insert(live.end(), extra.begin(), extra.end());
+
+  for (int trial = 0; trial < 40; ++trial) {
+    const Point q =
+        trial % 2 == 0 ? oracle::GridPoint(&rng) : rng.PointIn(kSpace);
+    for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
+      for (size_t k : {size_t{1}, size_t{2}, size_t{40}}) {
+        ASSERT_EQ(tree.KNearest(q, k, metric),
+                  oracle::Knn(entries, q, k, metric))
+            << "trial " << trial << " k=" << k;
+        ASSERT_EQ(tree.KNearest(q, k, metric, skip, extra),
+                  oracle::Knn(live, q, k, metric))
+            << "trial " << trial << " k=" << k;
+      }
+      if (trial % 10 != 0) continue;
+      for (size_t k : {entries.size(), entries.size() + 3}) {
+        ASSERT_EQ(tree.KNearest(q, k, metric),
+                  oracle::Knn(entries, q, k, metric))
+            << "trial " << trial << " k=" << k;
+      }
+    }
   }
 }
 
@@ -206,18 +244,6 @@ std::vector<Entry> GridEntries(int side) {
     }
   }
   return entries;
-}
-
-/// The live rows of `tree` outside `skip` (ascending).
-std::vector<Entry> RowsNotSkipped(const FlatRTree& tree,
-                                  const std::vector<uint32_t>& skip) {
-  std::vector<Entry> rows;
-  for (uint32_t row = 0; row < tree.size(); ++row) {
-    if (!std::binary_search(skip.begin(), skip.end(), row)) {
-      rows.push_back(tree.entry(row));
-    }
-  }
-  return rows;
 }
 
 TEST(FlatRTreeTest, ContainedSubtreesKeepClosedEdgesAndSkips) {
@@ -401,8 +427,8 @@ void ExpectBruteForceAnswers(const FlatRTree& tree,
 
     const Point q = rng->PointIn(kSpace);
     for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
-      EXPECT_EQ(Distances(Ranks(tree.KNearest(q, 9, metric))),
-                Distances(oracle::Knn(entries, q, 9, metric)));
+      EXPECT_EQ(tree.KNearest(q, 9, metric),
+                oracle::Knn(entries, q, 9, metric));
     }
     if (entries.empty()) continue;
     const Entry& e = entries[rng->UniformInt(0, entries.size() - 1)];

@@ -55,7 +55,7 @@ TEST(RTreeTest, EmptyTree) {
   EXPECT_TRUE(index.empty());
   EXPECT_EQ(index.size(), 0u);
   const auto snap = index.Acquire();
-  EXPECT_FALSE(snap->Nearest({0, 0}).found);
+  EXPECT_TRUE(snap->KNearest({0, 0}, 1).empty());
   EXPECT_TRUE(oracle::RangeHits(*snap, kSpace).empty());
   EXPECT_TRUE(FlatRTree::Build({}).CheckInvariants());
 }
@@ -64,10 +64,10 @@ TEST(RTreeTest, SingleEntry) {
   EpochIndex index;
   index.Insert(Rect::FromPoint({0.5, 0.5}), 42);
   EXPECT_EQ(index.size(), 1u);
-  const auto nn = index.Acquire()->Nearest({0, 0});
-  ASSERT_TRUE(nn.found);
-  EXPECT_EQ(nn.neighbor.id, 42u);
-  EXPECT_NEAR(nn.neighbor.distance, Distance({0, 0}, {0.5, 0.5}), 1e-12);
+  const auto nn = index.Acquire()->KNearest({0, 0}, 1);
+  ASSERT_EQ(nn.size(), 1u);
+  EXPECT_EQ(nn[0].id, 42u);
+  EXPECT_NEAR(nn[0].distance, Distance({0, 0}, {0.5, 0.5}), 1e-12);
 }
 
 TEST(RTreeTest, InsertManyMaintainsInvariants) {
@@ -115,11 +115,8 @@ TEST(RTreeTest, NearestMatchesBruteForceMinDist) {
   FlatRTree tree = FlatRTree::Build(entries);
   for (int i = 0; i < 100; ++i) {
     const Point q = rng.PointIn(kSpace);
-    const auto nn = tree.Nearest(q, Metric::kMinDist);
-    ASSERT_TRUE(nn.found);
-    // Compare by distance (ties possible).
-    EXPECT_NEAR(nn.neighbor.distance,
-                oracle::Knn(entries, q, 1, Metric::kMinDist)[0].first, 1e-12);
+    EXPECT_EQ(tree.KNearest(q, 1, Metric::kMinDist),
+              oracle::Knn(entries, q, 1, Metric::kMinDist));
   }
 }
 
@@ -129,10 +126,8 @@ TEST(RTreeTest, NearestMatchesBruteForceMaxDist) {
   FlatRTree tree = FlatRTree::Build(entries);
   for (int i = 0; i < 100; ++i) {
     const Point q = rng.PointIn(kSpace);
-    const auto nn = tree.Nearest(q, Metric::kMaxDist);
-    ASSERT_TRUE(nn.found);
-    EXPECT_NEAR(nn.neighbor.distance,
-                oracle::Knn(entries, q, 1, Metric::kMaxDist)[0].first, 1e-12);
+    EXPECT_EQ(tree.KNearest(q, 1, Metric::kMaxDist),
+              oracle::Knn(entries, q, 1, Metric::kMaxDist));
   }
 }
 
@@ -147,10 +142,7 @@ TEST(RTreeTest, KNearestSortedAndComplete) {
   for (size_t i = 1; i < knn.size(); ++i) {
     EXPECT_LE(knn[i - 1].distance, knn[i].distance);
   }
-  const auto brute = oracle::Knn(entries, q, 10, Metric::kMinDist);
-  for (size_t i = 0; i < knn.size(); ++i) {
-    EXPECT_NEAR(knn[i].distance, brute[i].first, 1e-12);
-  }
+  EXPECT_EQ(knn, oracle::Knn(entries, q, 10, Metric::kMinDist));
 }
 
 TEST(RTreeTest, KNearestMoreThanSizeReturnsAll) {
@@ -184,10 +176,7 @@ TEST(RTreeTest, RemoveExistingAndMissing) {
   const auto snap = index.Acquire();
   for (int i = 0; i < 20; ++i) {
     const Point q = rng.PointIn(kSpace);
-    const auto nn = snap->Nearest(q);
-    ASSERT_TRUE(nn.found);
-    EXPECT_NEAR(nn.neighbor.distance,
-                oracle::Knn(rest, q, 1, Metric::kMinDist)[0].first, 1e-12);
+    EXPECT_EQ(snap->KNearest(q, 1), oracle::Knn(rest, q, 1, Metric::kMinDist));
   }
 }
 
@@ -199,10 +188,10 @@ TEST(RTreeTest, RemoveAllLeavesEmptyUsableTree) {
   for (const auto& e : entries) ASSERT_TRUE(index.Remove(e.box, e.id));
   EXPECT_EQ(index.size(), 0u);
   EXPECT_TRUE(RangeIds(index, kSpace).empty());
-  EXPECT_FALSE(index.Acquire()->Nearest({0.5, 0.5}).found);
+  EXPECT_TRUE(index.Acquire()->KNearest({0.5, 0.5}, 1).empty());
   index.Insert(Rect::FromPoint({0.5, 0.5}), 1);
   EXPECT_EQ(index.size(), 1u);
-  EXPECT_TRUE(index.Acquire()->Nearest({0, 0}).found);
+  EXPECT_EQ(index.Acquire()->KNearest({0, 0}, 1).size(), 1u);
 }
 
 TEST(RTreeTest, BulkLoadInvariantsAndQueries) {
@@ -252,7 +241,7 @@ TEST(RTreeTest, MoveSemantics) {
   EpochIndex c;
   c = std::move(b);
   EXPECT_EQ(c.size(), 1u);
-  EXPECT_TRUE(c.Acquire()->Nearest({0, 0}).found);
+  EXPECT_EQ(c.Acquire()->KNearest({0, 0}, 1).size(), 1u);
 }
 
 TEST(RTreeTest, DuplicatePositionsAllowed) {

@@ -96,8 +96,9 @@ TEST(SocketChannelTest, ConcurrentCallsEachGetTheirOwnResponse) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&channel, &mismatches, &failures, t] {
       for (int i = 0; i < kCallsPerThread; ++i) {
-        const std::string request =
-            "t" + std::to_string(t) + "-" + std::to_string(i);
+        std::string request = "t";
+        request.append(std::to_string(t)).append("-").append(
+            std::to_string(i));
         auto response = channel.Call(request, CallContext{});
         if (!response.ok()) {
           ++failures;

@@ -3,7 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
+#include <ostream>
 #include <vector>
 
 #include "src/common/geometry.h"
@@ -15,9 +15,6 @@
 /// once per copy, as they do in the indexes.
 
 namespace casper::spatial::oracle {
-
-/// (distance, id) pairs; a k-NN answer reduced to what is comparable.
-using Ranked = std::vector<std::pair<double, uint64_t>>;
 
 inline std::vector<uint64_t> SortedIds(const std::vector<Entry>& entries) {
   std::vector<uint64_t> ids;
@@ -37,6 +34,33 @@ inline std::vector<uint64_t> RangeIds(const std::vector<Entry>& entries,
   return SortedIds(hits);
 }
 
+/// `n` regions the anonymizer would cloak to: pyramid cells on levels
+/// 4 and 5 of the unit square, about eight ids per cell, and every
+/// tenth entry a twin, an earlier id in another cell. Distances tie
+/// everywhere: the ids of one cell tie under both metrics, and so do
+/// the cells around any query point on the level-5 grid.
+template <typename Rng>
+std::vector<Entry> PyramidCells(size_t n, Rng* rng) {
+  std::vector<Entry> entries;
+  entries.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t side = rng->UniformInt(0, 1) == 0 ? 16 : 32;
+    const auto x = static_cast<double>(rng->UniformInt(0, side - 1));
+    const auto y = static_cast<double>(rng->UniformInt(0, side - 1));
+    const double w = 1.0 / static_cast<double>(side);
+    const uint64_t id = i % 10 == 9 ? rng->UniformInt(0, i - 1) : i;
+    entries.push_back({Rect(x * w, y * w, (x + 1) * w, (y + 1) * w), id});
+  }
+  return entries;
+}
+
+/// A query point on the level-5 grid, where pyramid cells tie.
+template <typename Rng>
+Point GridPoint(Rng* rng) {
+  return {static_cast<double>(rng->UniformInt(0, 32)) / 32.0,
+          static_cast<double>(rng->UniformInt(0, 32)) / 32.0};
+}
+
 /// Every entry an index's visitor walk reports for `window`, in walk
 /// order; `index` is a FlatRTree or an EpochIndex::Snapshot. Range
 /// counts are the size of this list.
@@ -54,39 +78,32 @@ inline double Distance(const Point& q, const Rect& box, Metric metric) {
   return metric == Metric::kMinDist ? MinDist(q, box) : MaxDist(q, box);
 }
 
-/// The k smallest (distance, id) pairs, ascending — the canonical order
-/// the indexes promise, ties broken by id.
-inline Ranked Knn(const std::vector<Entry>& entries, const Point& q, size_t k,
-                  Metric metric) {
-  Ranked all;
+/// The first k entries under NeighborLess, the one order the indexes
+/// promise: whole neighbors, so an answer that picks the wrong twin box
+/// at a tie differs from this one.
+inline std::vector<Neighbor> Knn(const std::vector<Entry>& entries,
+                                 const Point& q, size_t k, Metric metric) {
+  std::vector<Neighbor> all;
   all.reserve(entries.size());
   for (const Entry& e : entries) {
-    all.emplace_back(Distance(q, e.box, metric), e.id);
+    all.push_back(Neighbor{e.box, e.id, Distance(q, e.box, metric)});
   }
-  std::sort(all.begin(), all.end());
+  std::sort(all.begin(), all.end(), NeighborLess);
   if (all.size() > k) all.resize(k);
   return all;
 }
 
-/// An index answer in the oracle's shape, in the order it was returned.
-inline Ranked Ranks(const std::vector<Neighbor>& neighbors) {
-  Ranked out;
-  out.reserve(neighbors.size());
-  for (const Neighbor& n : neighbors) out.emplace_back(n.distance, n.id);
-  return out;
-}
-
-/// Sorted distance multiset. Rectangles tie exactly (MinDist is 0 for
-/// every rectangle containing the query point), so which ids win a tie
-/// is a tie-break rule; the k smallest distances are not.
-inline std::vector<double> Distances(const Ranked& ranked) {
-  std::vector<double> out;
-  out.reserve(ranked.size());
-  for (const auto& r : ranked) out.push_back(r.first);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace casper::spatial::oracle
+
+namespace casper::spatial {
+
+/// gtest prints a mismatched neighbor by its fields, not its bytes.
+inline void PrintTo(const Neighbor& n, std::ostream* os) {
+  *os << "{id " << n.id << ", box (" << n.box.min.x << ", " << n.box.min.y
+      << ", " << n.box.max.x << ", " << n.box.max.y << "), distance "
+      << n.distance << "}";
+}
+
+}  // namespace casper::spatial
 
 #endif  // CASPER_TESTS_SPATIAL_ORACLE_H_
