@@ -36,20 +36,21 @@ int main() {
       const casper::Rect cloak =
           casper::workload::RandomCellAlignedRegion(config, side, side, &rng);
       const casper::Point user = rng.PointIn(cloak);
-      auto truth =
-          casper::processor::PublicTargetStore::Snapshot(store).Nearest(user);
-      CASPER_DCHECK(truth.ok());
+      const auto truth =
+          casper::processor::PublicTargetStore::Snapshot(store)
+              .KNearest(user, 1)
+              .front();
 
       auto naive = casper::processor::NaiveCenterNearest(store, cloak);
       CASPER_DCHECK(naive.ok());
-      if (naive->id == truth->id) ++center_right;
+      if (naive->id == truth.id) ++center_right;
 
       auto answer = casper::processor::PrivateNearestNeighbor(store, cloak);
       CASPER_DCHECK(answer.ok());
       auto refined =
           casper::processor::RefineNearest(answer->candidates, user);
       CASPER_DCHECK(refined.ok());
-      if (refined->id == truth->id) ++casper_right;
+      if (refined->id == truth.id) ++casper_right;
       casper_bytes += static_cast<double>(channel.BytesFor(answer->size()));
     }
     std::printf("%-10d %10.1f %7zu %10.1f %7zu %10.1f %7.0f\n", side * side,

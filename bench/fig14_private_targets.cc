@@ -6,7 +6,7 @@
 //          private data, but the smaller candidate list wins end-to-end)
 
 #include "bench/bench_common.h"
-#include "src/processor/private_nn_private.h"
+#include "src/processor/private_nn.h"
 
 int main() {
   using namespace casper::bench;

@@ -4,7 +4,7 @@
 // paper-default query cloaks).
 
 #include "bench/bench_common.h"
-#include "src/processor/private_nn_private.h"
+#include "src/processor/private_nn.h"
 
 int main() {
   using namespace casper::bench;

@@ -10,7 +10,6 @@
 #include "bench/bench_common.h"
 #include "src/casper/transmission.h"
 #include "src/processor/private_nn.h"
-#include "src/processor/private_nn_private.h"
 
 namespace casper::bench {
 namespace {

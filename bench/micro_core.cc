@@ -124,7 +124,7 @@ void BM_FlatKnnMaxDistCells(benchmark::State& state) {
   size_t next = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        tree.KNearest(vertices[next], k, spatial::Metric::kMaxDist));
+        tree.KNearest(vertices[next], k));
     next = (next + 1) % kInputs;
   }
   state.SetItemsProcessed(state.iterations());

@@ -68,9 +68,9 @@ int main() {
       // The client refines locally; verify inclusiveness on the fly.
       const Point user = ClampToRect(sim.PositionOf(uid), config.space);
       auto refined = processor::RefineNearest(answer->candidates, user);
-      auto truth =
-          processor::PublicTargetStore::Snapshot(store).Nearest(user);
-      if (!refined.ok() || !truth.ok() || refined->id != truth->id) {
+      const auto truth =
+          processor::PublicTargetStore::Snapshot(store).KNearest(user, 1);
+      if (!refined.ok() || truth.empty() || refined->id != truth[0].id) {
         std::fprintf(stderr, "BUG: stale continuous answer at tick %d\n",
                      tick);
         return 1;

@@ -88,8 +88,8 @@ int main() {
   // 6. Sanity: the candidate list is *inclusive* — the refined answer
   //    equals the true nearest neighbor computed with full knowledge.
   const processor::PublicTargetStore::Snapshot targets(service.public_store());
-  auto truth = targets.Nearest(position);
-  if (truth.ok() && truth->id == r.exact.id) {
+  const auto truth = targets.KNearest(position, 1);
+  if (!truth.empty() && truth[0].id == r.exact.id) {
     std::printf("verified: candidate list contained the true nearest "
                 "station, with the server never seeing the location.\n");
     return 0;

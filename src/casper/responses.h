@@ -8,7 +8,6 @@
 #include "src/processor/density.h"
 #include "src/processor/private_knn.h"
 #include "src/processor/private_nn.h"
-#include "src/processor/private_nn_private.h"
 #include "src/processor/private_range.h"
 #include "src/processor/public_nn_private.h"
 #include "src/processor/public_range.h"

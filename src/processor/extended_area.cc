@@ -49,34 +49,58 @@ ExtendedArea ComputeExtendedArea(const Rect& cloak,
   return result;
 }
 
+template <typename Snapshot>
 Result<ExtendedArea> ComputeExtendedAreaForPolicy(
-    const Rect& cloak, FilterPolicy policy, const NearestTargetFn& nearest) {
-  if (policy != FilterPolicy::kTwoFilters) {
-    CASPER_ASSIGN_OR_RETURN(filters, SelectFilters(cloak, policy, nearest));
-    return ComputeExtendedArea(cloak, filters);
-  }
-
+    const Snapshot& store, const Rect& cloak, FilterPolicy policy,
+    std::optional<TargetId> exclude) {
   if (cloak.is_empty()) {
     return Status::InvalidArgument("cloaked area must be non-empty");
   }
+  const auto filter = [&](const Point& q) -> Result<FilterTarget> {
+    const auto nn = store.KNearest(q, 1, exclude);
+    if (nn.empty()) return Status::NotFound("no eligible target in store");
+    return FilterTarget{nn[0].id, nn[0].box()};
+  };
   const std::array<Point, 4> v = cloak.Corners();
-  CASPER_ASSIGN_OR_RETURN(f0, nearest(v[0]));
-  CASPER_ASSIGN_OR_RETURN(f2, nearest(v[2]));
-
-  ExtendedArea best;
-  bool have_best = false;
-  for (int assign1 = 0; assign1 < 2; ++assign1) {
-    for (int assign3 = 0; assign3 < 2; ++assign3) {
-      std::array<FilterTarget, 4> filters = {
-          f0, assign1 == 0 ? f0 : f2, f2, assign3 == 0 ? f0 : f2};
-      const ExtendedArea area = ComputeExtendedArea(cloak, filters);
-      if (!have_best || area.a_ext.Area() < best.a_ext.Area()) {
-        best = area;
-        have_best = true;
+  switch (policy) {
+    case FilterPolicy::kOneFilter: {
+      CASPER_ASSIGN_OR_RETURN(f, filter(cloak.Center()));
+      return ComputeExtendedArea(cloak, {f, f, f, f});
+    }
+    case FilterPolicy::kTwoFilters: {
+      CASPER_ASSIGN_OR_RETURN(f0, filter(v[0]));
+      CASPER_ASSIGN_OR_RETURN(f2, filter(v[2]));
+      ExtendedArea best;
+      bool have_best = false;
+      for (const FilterTarget& f1 : {f0, f2}) {
+        for (const FilterTarget& f3 : {f0, f2}) {
+          const ExtendedArea area =
+              ComputeExtendedArea(cloak, {f0, f1, f2, f3});
+          if (!have_best || area.a_ext.Area() < best.a_ext.Area()) {
+            best = area;
+            have_best = true;
+          }
+        }
       }
+      return best;
+    }
+    case FilterPolicy::kFourFilters: {
+      std::array<FilterTarget, 4> filters;
+      for (size_t i = 0; i < 4; ++i) {
+        CASPER_ASSIGN_OR_RETURN(f, filter(v[i]));
+        filters[i] = f;
+      }
+      return ComputeExtendedArea(cloak, filters);
     }
   }
-  return best;
+  return Status::InvalidArgument("unknown filter policy");
 }
+
+template Result<ExtendedArea> ComputeExtendedAreaForPolicy(
+    const PublicTargetStore::Snapshot&, const Rect&, FilterPolicy,
+    std::optional<TargetId>);
+template Result<ExtendedArea> ComputeExtendedAreaForPolicy(
+    const PrivateTargetStore::Snapshot&, const Rect&, FilterPolicy,
+    std::optional<TargetId>);
 
 }  // namespace casper::processor

@@ -2,16 +2,37 @@
 #define CASPER_PROCESSOR_EXTENDED_AREA_H_
 
 #include <array>
+#include <optional>
 
 #include "src/common/geometry.h"
-#include "src/processor/filter_policy.h"
+#include "src/common/result.h"
+#include "src/processor/target_store.h"
 
 /// \file
-/// Steps 2 and 3 of Algorithm 2 (§5.1.1) generalized to rectangular
-/// filter regions (§5.2.1): the middle-point construction per cloak
-/// edge and the per-side extension distances that form A_EXT.
+/// Steps 1 to 3 of Algorithm 2 (§5.1.1) generalized to rectangular
+/// filter regions (§5.2.1): the filter per cloak vertex, the
+/// middle-point construction per cloak edge and the per-side extension
+/// distances that form A_EXT. A public point target is its degenerate
+/// rectangle, so one code path serves both data kinds: for a point,
+/// MaxDist is the ordinary distance and the furthest corner is the
+/// point itself.
 
 namespace casper::processor {
+
+/// How many filter targets seed the pruning (§6.2): one (nearest to the
+/// cloak center), two (nearest to two opposite corners), or four
+/// (nearest to every corner, the full Algorithm 2).
+enum class FilterPolicy {
+  kOneFilter = 1,
+  kTwoFilters = 2,
+  kFourFilters = 4,
+};
+
+/// A filter target: identity plus its (possibly degenerate) region.
+struct FilterTarget {
+  TargetId id = 0;
+  Rect region;
+};
 
 /// Extension computed for one cloak edge.
 struct EdgeExtension {
@@ -44,9 +65,8 @@ struct ExtendedArea {
   }
 };
 
-/// Builds A_EXT for `cloak` given the per-vertex filters of
-/// SelectFilters(). Handles public data transparently (degenerate
-/// rectangles). For each edge (v_i, v_j):
+/// Builds A_EXT for `cloak` given the filter of each of its four
+/// corners (Rect::Corners() order). For each edge (v_i, v_j):
 ///  * d_i = MaxDist(v_i, filter_i.region) — for private targets this is
 ///    the distance to the furthest corner (§5.2.1 step 3);
 ///  * when filter_i != filter_j (by id and region: twin ids are two
@@ -61,15 +81,20 @@ struct ExtendedArea {
 ExtendedArea ComputeExtendedArea(const Rect& cloak,
                                  const std::array<FilterTarget, 4>& filters);
 
-/// Filter selection + extension for a given policy, in one step.
-///
-/// For kOneFilter and kFourFilters this is SelectFilters followed by
-/// ComputeExtendedArea. For kTwoFilters the assignment of the two free
-/// corners (v1, v3) to the probed anchors is a free parameter — any
-/// assignment yields an inclusive area — so all four assignments are
-/// evaluated and the smallest A_EXT wins.
+/// Steps 1 to 3 for a given policy over one store epoch (a
+/// TargetStore<Target>::Snapshot). Each filter is the store's
+/// MaxDist-nearest record to its probe point whose id is not
+/// `exclude`. kOneFilter probes the cloak center and uses that filter
+/// at every corner; kFourFilters probes every corner. kTwoFilters
+/// probes v0 and v2; which of the two serves v1 and v3 is a free
+/// parameter (any assignment yields an inclusive area), so all four
+/// assignments are evaluated and the smallest A_EXT wins.
+/// InvalidArgument for an empty cloak; NotFound when no record is
+/// eligible.
+template <typename Snapshot>
 Result<ExtendedArea> ComputeExtendedAreaForPolicy(
-    const Rect& cloak, FilterPolicy policy, const NearestTargetFn& nearest);
+    const Snapshot& store, const Rect& cloak, FilterPolicy policy,
+    std::optional<TargetId> exclude = std::nullopt);
 
 }  // namespace casper::processor
 

@@ -45,7 +45,7 @@ Result<KnnCandidateList> PrivateKNearestNeighbors(
   KnnCandidateList result;
   result.k = k;
   result.a_ext = cloak.ExpandedPerSide(left, bottom, right, top);
-  result.candidates = store.RangeQuery(result.a_ext);
+  result.candidates = store.Overlapping(result.a_ext);
   Canonicalize(&result.candidates);
   return result;
 }

@@ -11,20 +11,6 @@ Result<PublicRangeCandidates> PrivateRangeOverPublic(
   if (radius < 0.0) return Status::InvalidArgument("radius must be >= 0");
   PublicRangeCandidates result;
   result.search_window = cloak.Expanded(radius);
-  result.candidates = store.RangeQuery(result.search_window);
-  Canonicalize(&result.candidates);
-  return result;
-}
-
-Result<PrivateRangeCandidates> PrivateRangeOverPrivate(
-    const PrivateTargetStore::Snapshot& store, const Rect& cloak,
-    double radius) {
-  if (cloak.is_empty()) {
-    return Status::InvalidArgument("cloaked area must be non-empty");
-  }
-  if (radius < 0.0) return Status::InvalidArgument("radius must be >= 0");
-  PrivateRangeCandidates result;
-  result.search_window = cloak.Expanded(radius);
   result.candidates = store.Overlapping(result.search_window);
   Canonicalize(&result.candidates);
   return result;

@@ -28,16 +28,6 @@ struct PublicRangeCandidates {
   }
 };
 
-struct PrivateRangeCandidates {
-  std::vector<PrivateTarget> candidates;
-  Rect search_window;
-
-  friend bool operator==(const PrivateRangeCandidates& a,
-                         const PrivateRangeCandidates& b) {
-    return a.candidates == b.candidates && a.search_window == b.search_window;
-  }
-};
-
 /// Candidates for a private circular range query (radius `r`) over
 /// public point data. Inclusive: every target within distance r of any
 /// point of `cloak` is returned.
@@ -45,15 +35,8 @@ Result<PublicRangeCandidates> PrivateRangeOverPublic(
     const PublicTargetStore::Snapshot& store, const Rect& cloak,
     double radius);
 
-/// Same over private (cloaked) target data; a candidate is any region
-/// that could contain an object within distance r of the user.
-Result<PrivateRangeCandidates> PrivateRangeOverPrivate(
-    const PrivateTargetStore::Snapshot& store, const Rect& cloak,
-    double radius);
-
 /// Client-side refinement: the candidates truly within `radius` of the
-/// user's exact position (for private targets: possibly within — their
-/// region intersects the exact query circle's bounding box).
+/// user's exact position.
 std::vector<PublicTarget> RefineRange(
     const std::vector<PublicTarget>& candidates, const Point& user_position,
     double radius);

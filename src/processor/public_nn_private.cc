@@ -9,9 +9,8 @@ Result<PublicNNCandidates> PublicNearestNeighborOverPrivate(
   if (store.empty()) return Status::NotFound("no private targets stored");
 
   // Minimax bound from the MaxDist-nearest region.
-  CASPER_ASSIGN_OR_RETURN(anchor, store.NearestByMaxDist(query));
   PublicNNCandidates result;
-  result.minimax_bound = MaxDist(query, anchor.region);
+  result.minimax_bound = MaxDist(query, store.KNearest(query, 1)[0].region);
 
   // Every region intersecting the closed disk around the query of
   // radius B; the bounding-square range query over-approximates the

@@ -14,16 +14,7 @@ Result<RangeCountResult> PublicRangeCount(
   Canonicalize(&result.overlapping);
   result.possible = result.overlapping.size();
   for (const PrivateTarget& t : result.overlapping) {
-    const double area = t.region.Area();
-    double fraction;
-    if (area > 0.0) {
-      fraction = t.region.IntersectionArea(query) / area;
-    } else {
-      // Degenerate region: the user position is known exactly; the
-      // overlap test already established containment.
-      fraction = 1.0;
-    }
-    result.expected += fraction;
+    result.expected += OverlapFraction(t.region, query);
     if (query.Contains(t.region)) ++result.certain;
   }
   return result;

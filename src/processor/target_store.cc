@@ -8,23 +8,11 @@ namespace casper::processor {
 
 namespace {
 
-std::vector<spatial::Entry> ToEntries(
-    const std::vector<PublicTarget>& targets) {
+template <typename Target>
+std::vector<spatial::Entry> ToEntries(const std::vector<Target>& targets) {
   std::vector<spatial::Entry> entries;
   entries.reserve(targets.size());
-  for (const PublicTarget& t : targets) {
-    entries.push_back({Rect::FromPoint(t.position), t.id});
-  }
-  return entries;
-}
-
-std::vector<spatial::Entry> ToEntries(
-    const std::vector<PrivateTarget>& targets) {
-  std::vector<spatial::Entry> entries;
-  entries.reserve(targets.size());
-  for (const PrivateTarget& t : targets) {
-    entries.push_back({t.region, t.id});
-  }
+  for (const Target& t : targets) entries.push_back({t.box(), t.id});
   return entries;
 }
 
@@ -71,107 +59,39 @@ int MaxRadixSpanBits(size_t n) {
   return std::clamp(static_cast<int>(passes) * kMaxDigitBits, 0, 64);
 }
 
-PublicTargetStore::PublicTargetStore(const std::vector<PublicTarget>& targets)
+template <typename Target>
+TargetStore<Target>::TargetStore(const std::vector<Target>& targets)
     : index_(spatial::EpochIndex::BulkLoad(ToEntries(targets))) {}
 
-void PublicTargetStore::Insert(const PublicTarget& target) {
-  index_.Insert(Rect::FromPoint(target.position), target.id);
-}
-
-bool PublicTargetStore::Remove(const PublicTarget& target) {
-  return index_.Remove(Rect::FromPoint(target.position), target.id);
-}
-
-PublicTargetStore::Snapshot::Snapshot(const PublicTargetStore& store)
-    : index_(store.index_.Acquire()) {}
-
-Result<PublicTarget> PublicTargetStore::Snapshot::Nearest(
-    const Point& q) const {
-  const auto nn = index_->KNearest(q, 1, spatial::Metric::kMinDist);
-  if (nn.empty()) return Status::NotFound("target store is empty");
-  return PublicTarget{nn[0].id, nn[0].box.min};
-}
-
-std::vector<PublicTarget> PublicTargetStore::Snapshot::KNearest(
-    const Point& q, size_t k) const {
-  std::vector<PublicTarget> out;
-  for (const auto& n : index_->KNearest(q, k, spatial::Metric::kMinDist)) {
-    out.push_back(PublicTarget{n.id, n.box.min});
+template <typename Target>
+std::vector<Target> TargetStore<Target>::Snapshot::KNearest(
+    const Point& q, size_t k, std::optional<TargetId> exclude) const {
+  if (k == 0) return {};
+  // Records under `exclude` hold places among the walk's best, so the
+  // walk widens until k others are in or the whole store is ranked.
+  for (size_t want = std::min(k, size()) + exclude.has_value();;
+       want *= 2) {
+    const std::vector<spatial::Neighbor> nn = index_->KNearest(q, want);
+    std::vector<Target> out;
+    for (const spatial::Neighbor& n : nn) {
+      if (n.id == exclude) continue;
+      out.push_back(Target::FromEntry({n.box, n.id}));
+      if (out.size() == k) return out;
+    }
+    if (nn.size() < want || want >= size()) return out;
   }
-  return out;
 }
 
-std::vector<PublicTarget> PublicTargetStore::Snapshot::RangeQuery(
-    const Rect& window) const {
-  std::vector<PublicTarget> out;
-  index_->RangeQuery(window, [&out](const spatial::Entry& e) {
-    out.push_back(PublicTarget{e.id, e.box.min});
-    return true;
-  });
-  return out;
-}
-
-PrivateTargetStore::PrivateTargetStore(
-    const std::vector<PrivateTarget>& targets)
-    : index_(spatial::EpochIndex::BulkLoad(ToEntries(targets))) {}
-
-void PrivateTargetStore::Insert(const PrivateTarget& target) {
-  index_.Insert(target.region, target.id);
-}
-
-bool PrivateTargetStore::Remove(const PrivateTarget& target) {
-  return index_.Remove(target.region, target.id);
-}
-
-PrivateTargetStore::Snapshot::Snapshot(const PrivateTargetStore& store)
-    : index_(store.index_.Acquire()) {}
-
-Result<PrivateTarget> PrivateTargetStore::Snapshot::NearestByMaxDist(
-    const Point& q, std::optional<TargetId> exclude) const {
-  const size_t want = exclude.has_value() ? 2 : 1;
-  for (const auto& n : index_->KNearest(q, want, spatial::Metric::kMaxDist)) {
-    if (exclude.has_value() && n.id == *exclude) continue;
-    return PrivateTarget{n.id, n.box};
-  }
-  return Status::NotFound("no eligible target in store");
-}
-
-std::vector<PrivateTarget> PrivateTargetStore::Snapshot::Overlapping(
-    const Rect& window) const {
-  std::vector<PrivateTarget> out;
-  ForEachOverlapping(window,
-                     [&out](const PrivateTarget& t) { out.push_back(t); });
-  return out;
-}
-
-std::vector<PrivateTarget> PrivateTargetStore::Snapshot::OverlappingAtLeast(
-    const Rect& window, double min_overlap_fraction) const {
-  CASPER_DCHECK(min_overlap_fraction >= 0.0 && min_overlap_fraction <= 1.0);
-  std::vector<PrivateTarget> out;
-  ForEachOverlapping(window, [&](const PrivateTarget& t) {
-    const double area = t.region.Area();
-    const double overlap = t.region.IntersectionArea(window);
-    // Degenerate (zero-area) regions count as fully overlapped.
-    const double fraction = area > 0.0 ? overlap / area : 1.0;
-    if (fraction >= min_overlap_fraction) out.push_back(t);
-  });
-  return out;
-}
-
-Result<PublicTargetStore> PublicTargetStore::LoadFrom(
+template <typename Target>
+Result<TargetStore<Target>> TargetStore<Target>::LoadFrom(
     storage::IStorageManager* sm, storage::PageId root) {
-  PublicTargetStore store;
+  TargetStore store;
   CASPER_ASSIGN_OR_RETURN(index, spatial::EpochIndex::Restore(sm, root));
   store.index_ = std::move(index);
   return store;
 }
 
-Result<PrivateTargetStore> PrivateTargetStore::LoadFrom(
-    storage::IStorageManager* sm, storage::PageId root) {
-  PrivateTargetStore store;
-  CASPER_ASSIGN_OR_RETURN(index, spatial::EpochIndex::Restore(sm, root));
-  store.index_ = std::move(index);
-  return store;
-}
+template class TargetStore<PublicTarget>;
+template class TargetStore<PrivateTarget>;
 
 }  // namespace casper::processor

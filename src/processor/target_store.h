@@ -20,13 +20,22 @@
 ///  * private data — users' cloaked rectangular regions received from
 ///    the location anonymizer; the server never sees exact positions.
 ///
-/// Both stores are backed by spatial::EpochIndex: every mutation
-/// updates the packed FlatRTree base's overlay (delta inserts and
-/// tombstones, repacked into a new base once it grows) and publishes a
-/// new immutable epoch. Stores only take writes; every read goes
-/// through a store's Snapshot, which pins one epoch with one pointer
-/// copy, so all the reads of one evaluation see one store state while
-/// the writer keeps mutating.
+/// One store serves both. The index holds boxes, and a point is its
+/// degenerate box: its MaxDist from any query point is the ordinary
+/// distance, and a box meets it exactly when it contains the point. So
+/// every read ranks by MaxDist (§5.2.1: "the exact location of a target
+/// object within its cloaked area is the furthest corner") and admits
+/// by overlap, and §5.1's public case is §5.2's private case on
+/// degenerate regions. Only how a record maps to its box differs by
+/// kind.
+///
+/// The store is backed by spatial::EpochIndex: every mutation updates
+/// the packed FlatRTree base's overlay (delta inserts and tombstones,
+/// repacked into a new base once it grows) and publishes a new
+/// immutable epoch. A store only takes writes; every read goes through
+/// its Snapshot, which pins one epoch with one pointer copy, so all the
+/// reads of one evaluation see one store state while the writer keeps
+/// mutating.
 
 namespace casper::processor {
 
@@ -37,6 +46,11 @@ struct PublicTarget {
   TargetId id = 0;
   Point position;
 
+  Rect box() const { return Rect::FromPoint(position); }
+  static PublicTarget FromEntry(const spatial::Entry& e) {
+    return {e.id, e.box.min};
+  }
+
   friend bool operator==(const PublicTarget& a, const PublicTarget& b) {
     return a.id == b.id && a.position == b.position;
   }
@@ -46,6 +60,11 @@ struct PublicTarget {
 struct PrivateTarget {
   TargetId id = 0;
   Rect region;
+
+  Rect box() const { return region; }
+  static PrivateTarget FromEntry(const spatial::Entry& e) {
+    return {e.id, e.box};
+  }
 
   friend bool operator==(const PrivateTarget& a, const PrivateTarget& b) {
     return a.id == b.id && a.region == b.region;
@@ -58,17 +77,21 @@ struct PrivateTarget {
 /// included, and this is a total order on it, so an answer's bytes
 /// are a function of the stored multiset alone: independent of tree
 /// shape and insertion order.
-inline bool CanonicalLess(const PublicTarget& a, const PublicTarget& b) {
+template <typename Target>
+bool CanonicalLess(const Target& a, const Target& b) {
   if (a.id != b.id) return a.id < b.id;
-  return std::tie(a.position.x, a.position.y) <
-         std::tie(b.position.x, b.position.y);
+  const Rect x = a.box();
+  const Rect y = b.box();
+  return std::tie(x.min.x, x.min.y, x.max.x, x.max.y) <
+         std::tie(y.min.x, y.min.y, y.max.x, y.max.y);
 }
 
-inline bool CanonicalLess(const PrivateTarget& a, const PrivateTarget& b) {
-  if (a.id != b.id) return a.id < b.id;
-  return std::tie(a.region.min.x, a.region.min.y, a.region.max.x,
-                  a.region.max.y) < std::tie(b.region.min.x, b.region.min.y,
-                                             b.region.max.x, b.region.max.y);
+/// The share of `region`'s own area inside `window`, for a region that
+/// meets it. A zero-area region is a known position, which the overlap
+/// already puts inside: its share is 1.
+inline double OverlapFraction(const Rect& region, const Rect& window) {
+  const double area = region.Area();
+  return area > 0.0 ? region.IntersectionArea(window) / area : 1.0;
 }
 
 /// How Canonicalize orders a list: `passes` LSD radix passes of
@@ -181,8 +204,10 @@ void Canonicalize(std::vector<Target>* targets) {
   std::sort(targets->begin(), targets->end(), kCanonicalLess);
 }
 
-/// Point targets indexed by an epoch-published R-tree.
-class PublicTargetStore {
+/// Targets of one kind (PublicTarget or PrivateTarget) indexed by an
+/// epoch-published R-tree.
+template <typename Target>
+class TargetStore {
  public:
   /// One epoch of the store, and the only way to read it. Implicitly
   /// constructible from the store, as std::string_view is from
@@ -191,15 +216,35 @@ class PublicTargetStore {
   /// from that epoch whatever the writer does meanwhile.
   class Snapshot {
    public:
-    Snapshot(const PublicTargetStore& store);  // NOLINT: implicit.
+    Snapshot(const TargetStore& store)  // NOLINT: implicit.
+        : index_(store.index_.Acquire()) {}
 
-    /// Nearest target to `q`; NotFound on empty store.
-    Result<PublicTarget> Nearest(const Point& q) const;
+    /// The k records nearest to `q` by MaxDist, in the index's
+    /// NeighborLess order, leaving out every record whose id is
+    /// `exclude` (a querying user's own stored regions must not filter
+    /// for that user). Fewer than k when fewer are eligible.
+    std::vector<Target> KNearest(
+        const Point& q, size_t k,
+        std::optional<TargetId> exclude = std::nullopt) const;
 
-    std::vector<PublicTarget> KNearest(const Point& q, size_t k) const;
+    /// Calls `visit(const Target&)` for every record whose box meets
+    /// `window` (closed boundaries), in walk order, without building a
+    /// list. The order depends on the tree's shape, so what `visit`
+    /// accumulates must not depend on it.
+    template <typename Visit>
+    void ForEachOverlapping(const Rect& window, Visit&& visit) const {
+      index_->RangeQuery(window, [&visit](const spatial::Entry& e) {
+        visit(Target::FromEntry(e));
+        return true;
+      });
+    }
 
-    /// All targets inside `window` (closed boundaries).
-    std::vector<PublicTarget> RangeQuery(const Rect& window) const;
+    /// The records ForEachOverlapping visits, as a list in walk order.
+    std::vector<Target> Overlapping(const Rect& window) const {
+      std::vector<Target> out;
+      ForEachOverlapping(window, [&out](const Target& t) { out.push_back(t); });
+      return out;
+    }
 
     size_t size() const { return index_->size(); }
     bool empty() const { return index_->empty(); }
@@ -213,15 +258,17 @@ class PublicTargetStore {
     std::shared_ptr<const spatial::EpochIndex::Snapshot> index_;
   };
 
-  PublicTargetStore() = default;
+  TargetStore() = default;
 
   /// Bulk-build from a target list (STR packing).
-  explicit PublicTargetStore(const std::vector<PublicTarget>& targets);
+  explicit TargetStore(const std::vector<Target>& targets);
 
-  /// Incremental insert. Fails on duplicate id only in debug checks;
-  /// ids are caller-managed.
-  void Insert(const PublicTarget& target);
-  bool Remove(const PublicTarget& target);
+  /// Incremental insert and removal of one copy of a record. Twin ids
+  /// are allowed; ids are caller-managed.
+  void Insert(const Target& target) { index_.Insert(target.box(), target.id); }
+  bool Remove(const Target& target) {
+    return index_.Remove(target.box(), target.id);
+  }
 
   /// Epoch/reclamation counters of the backing index (exported through
   /// obs by the server tier).
@@ -233,80 +280,18 @@ class PublicTargetStore {
   }
 
   /// Rebuild a store from a SaveTo root page.
-  static Result<PublicTargetStore> LoadFrom(storage::IStorageManager* sm,
-                                            storage::PageId root);
+  static Result<TargetStore> LoadFrom(storage::IStorageManager* sm,
+                                      storage::PageId root);
 
  private:
   spatial::EpochIndex index_;
 };
 
-/// Region targets indexed by an epoch-published R-tree. Nearest-neighbor
-/// ranking uses the MaxDist metric (distance to the region's furthest
-/// corner), which is what the private-data filter step requires (§5.2.1:
-/// "the exact location of a target object within its cloaked area is the
-/// furthest corner").
-class PrivateTargetStore {
- public:
-  /// One epoch of the store; see PublicTargetStore::Snapshot.
-  class Snapshot {
-   public:
-    Snapshot(const PrivateTargetStore& store);  // NOLINT: implicit.
+using PublicTargetStore = TargetStore<PublicTarget>;
+using PrivateTargetStore = TargetStore<PrivateTarget>;
 
-    /// Target whose furthest corner is nearest to `q`. When `exclude`
-    /// is set, that target id is skipped (a querying user's own stored
-    /// region must not act as its own filter).
-    Result<PrivateTarget> NearestByMaxDist(
-        const Point& q, std::optional<TargetId> exclude = std::nullopt) const;
-
-    /// All targets whose region overlaps `window`.
-    std::vector<PrivateTarget> Overlapping(const Rect& window) const;
-
-    /// Calls `visit(const PrivateTarget&)` for every target whose
-    /// region overlaps `window`, in walk order, without building a
-    /// list. The order depends on the tree's shape, so what `visit`
-    /// accumulates must not depend on it.
-    template <typename Visit>
-    void ForEachOverlapping(const Rect& window, Visit&& visit) const {
-      index_->RangeQuery(window, [&visit](const spatial::Entry& e) {
-        visit(PrivateTarget{e.id, e.box});
-        return true;
-      });
-    }
-
-    /// Targets with at least `min_overlap_fraction` of their own area
-    /// inside `window` (the probabilistic x%-policy of §5.2.1 step 4;
-    /// 0 reduces to plain overlap).
-    std::vector<PrivateTarget> OverlappingAtLeast(
-        const Rect& window, double min_overlap_fraction) const;
-
-    size_t size() const { return index_->size(); }
-    bool empty() const { return index_->empty(); }
-
-   private:
-    std::shared_ptr<const spatial::EpochIndex::Snapshot> index_;
-  };
-
-  PrivateTargetStore() = default;
-  explicit PrivateTargetStore(const std::vector<PrivateTarget>& targets);
-
-  void Insert(const PrivateTarget& target);
-  bool Remove(const PrivateTarget& target);
-
-  /// See PublicTargetStore::epoch_stats().
-  spatial::EpochIndex::Stats epoch_stats() const { return index_.stats(); }
-
-  /// Checkpoint the store to `sm`; returns the checkpoint root page.
-  Result<storage::PageId> SaveTo(storage::IStorageManager* sm) const {
-    return index_.Checkpoint(sm);
-  }
-
-  /// Rebuild a store from a SaveTo root page.
-  static Result<PrivateTargetStore> LoadFrom(storage::IStorageManager* sm,
-                                             storage::PageId root);
-
- private:
-  spatial::EpochIndex index_;
-};
+extern template class TargetStore<PublicTarget>;
+extern template class TargetStore<PrivateTarget>;
 
 }  // namespace casper::processor
 

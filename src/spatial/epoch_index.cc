@@ -70,9 +70,9 @@ EpochIndex::Snapshot::~Snapshot() {
 }
 
 std::vector<EpochIndex::Neighbor> EpochIndex::Snapshot::KNearest(
-    const Point& q, size_t k, Metric metric) const {
+    const Point& q, size_t k) const {
   static const FlatRTree kNoBase;
-  return (base_ ? *base_ : kNoBase).KNearest(q, k, metric, dead_, delta_);
+  return (base_ ? *base_ : kNoBase).KNearest(q, k, dead_, delta_);
 }
 
 // --- EpochIndex -------------------------------------------------------

@@ -49,7 +49,6 @@ namespace casper::spatial {
 class EpochIndex {
  public:
   using Entry = spatial::Entry;
-  using Metric = spatial::Metric;
   using Neighbor = spatial::Neighbor;
 
   /// Writer-side counters, exported through obs by the owning tier.
@@ -80,8 +79,7 @@ class EpochIndex {
     }
     /// FlatRTree::KNearest over the base minus the tombstoned rows,
     /// with the delta competing in the same walk.
-    std::vector<Neighbor> KNearest(const Point& q, size_t k,
-                                   Metric metric = Metric::kMinDist) const;
+    std::vector<Neighbor> KNearest(const Point& q, size_t k) const;
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }

@@ -341,7 +341,7 @@ size_t FlatRTree::FindExact(const Rect& box, uint64_t id,
 }
 
 std::vector<FlatRTree::Neighbor> FlatRTree::KNearest(
-    const Point& q, size_t k, Metric metric, std::span<const uint32_t> skip,
+    const Point& q, size_t k, std::span<const uint32_t> skip,
     std::span<const Entry> extra) const {
   // The k best so far, a max-heap under NeighborLess: the front is the
   // one a better neighbor evicts. Once it holds k, `bound` is the k-th
@@ -364,13 +364,11 @@ std::vector<FlatRTree::Neighbor> FlatRTree::KNearest(
   };
 
   for (const Entry& e : extra) {
-    const Neighbor n{e.box, e.id,
-                     metric == Metric::kMinDist ? MinDist(q, e.box)
-                                                : MaxDist(q, e.box)};
+    const Neighbor n{e.box, e.id, MaxDist(q, e.box)};
     if (enters(n)) admit(n);
   }
   // Best-first over nodes only, keyed by MinDist to the MBR, which
-  // lower-bounds both metrics for every entry below it. A node keyed
+  // lower-bounds MaxDist for every entry below it. A node keyed
   // above `bound` holds nothing that can enter; one keyed at it may
   // hold a tie that wins on id and box, so it is still expanded.
   using Item = std::pair<double, int32_t>;
@@ -394,11 +392,7 @@ std::vector<FlatRTree::Neighbor> FlatRTree::KNearest(
       }
       continue;
     }
-    if (metric == Metric::kMinDist) {
-      BatchedMinDist(q, EntryBoxes(node.first), count, dist.data());
-    } else {
-      BatchedMaxDist(q, EntryBoxes(node.first), count, dist.data());
-    }
+    BatchedMaxDist(q, EntryBoxes(node.first), count, dist.data());
     for (size_t j = 0; j < count; ++j) {
       if (dist[j] > bound) continue;
       const int32_t row = node.first + static_cast<int32_t>(j);

@@ -60,15 +60,6 @@ inline bool Storable(const Rect& box) {
   return box.min.x <= box.max.x && box.min.y <= box.max.y;
 }
 
-/// Distance used to rank *entries* in NN search. Interior nodes are
-/// always ranked by MinDist to their MBR, which lower-bounds both
-/// metrics and keeps the search correct.
-///  - kMinDist: distance to the closest point of the entry rectangle
-///    (ordinary NN; exact for point entries)
-///  - kMaxDist: distance to the farthest corner of the entry rectangle
-///    (the metric the private-data filter step needs, §5.2.1)
-enum class Metric { kMinDist, kMaxDist };
-
 /// Result of a (k-)NN probe.
 struct Neighbor {
   Rect box;
@@ -93,7 +84,6 @@ inline bool NeighborLess(const Neighbor& a, const Neighbor& b) {
 class FlatRTree {
  public:
   using Entry = spatial::Entry;
-  using Metric = spatial::Metric;
   using Neighbor = spatial::Neighbor;
 
   /// The largest fan-out a tree may have. Build clamps to it and
@@ -138,13 +128,15 @@ class FlatRTree {
   size_t FindExact(const Rect& box, uint64_t id,
                    std::vector<size_t>* rows = nullptr) const;
 
-  /// The k nearest to `q` under `metric`, in NeighborLess order, of
-  /// this tree's entries minus the storage rows in `skip` (ascending)
-  /// plus the entries in `extra`, which compete as if stored (the epoch
-  /// index's insert delta). The walk keeps the k best in a bounded
-  /// heap, and expands only nodes no farther than the k-th of them.
+  /// The k nearest to `q`, in NeighborLess order, of this tree's
+  /// entries minus the storage rows in `skip` (ascending) plus the
+  /// entries in `extra`, which compete as if stored (the epoch index's
+  /// insert delta). An entry's distance is MaxDist, to its furthest
+  /// corner (§5.2.1); for a point entry that is the ordinary distance,
+  /// bit for bit. The walk keeps the k best in a bounded heap, and
+  /// expands only nodes whose MBR MinDist, a lower bound of every
+  /// entry's MaxDist below, is no farther than the k-th of them.
   std::vector<Neighbor> KNearest(const Point& q, size_t k,
-                                 Metric metric = Metric::kMinDist,
                                  std::span<const uint32_t> skip = {},
                                  std::span<const Entry> extra = {}) const;
 

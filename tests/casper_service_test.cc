@@ -45,9 +45,9 @@ TEST(CasperServiceTest, EndToEndPublicNN) {
   EXPECT_TRUE(response->cloak.region.Contains(*pos));
 
   // The refined answer equals the true global NN.
-  auto true_nn = PublicSnapshot(service.public_store()).Nearest(*pos);
-  ASSERT_TRUE(true_nn.ok());
-  EXPECT_EQ(response->exact.id, true_nn->id);
+  auto true_nn = PublicSnapshot(service.public_store()).KNearest(*pos, 1);
+  ASSERT_EQ(true_nn.size(), 1u);
+  EXPECT_EQ(response->exact.id, true_nn[0].id);
 
   // Timing breakdown is populated.
   EXPECT_GE(response->timing.anonymizer_seconds, 0.0);
@@ -63,9 +63,9 @@ TEST(CasperServiceTest, ExactAnswerForEveryUserAndBothAnonymizers) {
       ASSERT_TRUE(response.ok());
       auto pos = service.ClientPosition(uid);
       ASSERT_TRUE(pos.ok());
-      auto true_nn = PublicSnapshot(service.public_store()).Nearest(*pos);
-      ASSERT_TRUE(true_nn.ok());
-      EXPECT_EQ(response->exact.id, true_nn->id) << "adaptive=" << adaptive;
+      auto true_nn = PublicSnapshot(service.public_store()).KNearest(*pos, 1);
+      ASSERT_EQ(true_nn.size(), 1u);
+      EXPECT_EQ(response->exact.id, true_nn[0].id) << "adaptive=" << adaptive;
     }
   }
 }
@@ -169,9 +169,9 @@ TEST(CasperServiceTest, QualityNeverCompromised) {
       ASSERT_TRUE(response.ok());
       auto pos = service.ClientPosition(uid);
       ASSERT_TRUE(pos.ok());
-      auto true_nn = PublicSnapshot(service.public_store()).Nearest(*pos);
-      ASSERT_TRUE(true_nn.ok());
-      EXPECT_EQ(response->exact.id, true_nn->id);
+      auto true_nn = PublicSnapshot(service.public_store()).KNearest(*pos, 1);
+      ASSERT_EQ(true_nn.size(), 1u);
+      EXPECT_EQ(response->exact.id, true_nn[0].id);
     }
   }
 }

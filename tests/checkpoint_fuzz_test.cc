@@ -20,7 +20,7 @@
 ///  1. fail to load with a typed Status (kInvalidArgument, or kNotFound
 ///     for a page id that names no page), or
 ///  2. load a tree that passes CheckInvariants and whose range (with
-///     and without skipped rows) and k-NN answers, under both metrics,
+///     and without skipped rows) and k-NN answers,
 ///     equal a linear scan of its own entry(i) rows.
 ///
 /// Build it with -DCASPER_SANITIZE=address to also catch out-of-bounds
@@ -138,11 +138,8 @@ class CheckpointFuzzTest : public ::testing::Test {
           << window.ToString();
     }
     for (const Point& q : queries_) {
-      for (const Metric metric : {Metric::kMinDist, Metric::kMaxDist}) {
-        for (const size_t k : {size_t{1}, size_t{7}}) {
-          ASSERT_EQ(tree.KNearest(q, k, metric),
-                    oracle::Knn(rows, q, k, metric));
-        }
+      for (const size_t k : {size_t{1}, size_t{7}}) {
+        ASSERT_EQ(tree.KNearest(q, k), oracle::Knn(rows, q, k));
       }
     }
   }

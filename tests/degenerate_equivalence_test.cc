@@ -4,7 +4,6 @@
 
 #include "src/common/rng.h"
 #include "src/processor/private_nn.h"
-#include "src/processor/private_nn_private.h"
 
 /// Differential check between the two halves of the query processor:
 /// private data that happens to be *degenerate* (zero-area regions) is

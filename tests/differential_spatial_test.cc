@@ -8,7 +8,6 @@
 #include "src/common/rng.h"
 #include "src/processor/private_knn.h"
 #include "src/processor/private_nn.h"
-#include "src/processor/private_nn_private.h"
 #include "src/processor/private_range.h"
 #include "src/spatial/epoch_index.h"
 #include "src/storage/memory_storage.h"
@@ -91,13 +90,9 @@ TEST_P(DifferentialSpatialTest, IndexesAgreeUnderChurn) {
     }
 
     const Point q = rng.PointIn(space);
-    for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
-      for (size_t k : {1u, 7u}) {
-        ASSERT_EQ(snap->KNearest(q, k, metric),
-                  oracle::Knn(live, q, k, metric))
-            << "round " << round << " metric=" << static_cast<int>(metric)
-            << " k=" << k;
-      }
+    for (size_t k : {1u, 7u}) {
+      ASSERT_EQ(snap->KNearest(q, k), oracle::Knn(live, q, k))
+          << "round " << round << " k=" << k;
     }
   };
 
@@ -332,16 +327,15 @@ TEST(TwinIdOrderTest, MirroredRegionTwinsPickOneMaxDistFilter) {
     const double w = rng.Uniform(0.01, 0.2), h = rng.Uniform(0.01, 0.2);
     const Rect cloak(corner.x, corner.y, corner.x + w, corner.y + h);
     const auto want_probe =
-        PrivateTargetStore::Snapshot(stores[0]).NearestByMaxDist(corner);
-    ASSERT_TRUE(want_probe.ok());
+        PrivateTargetStore::Snapshot(stores[0]).KNearest(corner, 1);
+    ASSERT_EQ(want_probe.size(), 1u);
     const std::string want = Wire(
         QueryKind::kNearestPrivate,
         processor::PrivateNearestNeighborOverPrivate(stores[0], cloak));
     for (size_t s = 1; s < stores.size(); ++s) {
       const auto probe =
-          PrivateTargetStore::Snapshot(stores[s]).NearestByMaxDist(corner);
-      ASSERT_TRUE(probe.ok());
-      ASSERT_TRUE(*probe == *want_probe)
+          PrivateTargetStore::Snapshot(stores[s]).KNearest(corner, 1);
+      ASSERT_TRUE(probe == want_probe)
           << "trial " << trial << ": " << kBuildOrders[s]
           << " probe a different box than the bulk load";
       ASSERT_TRUE(Wire(QueryKind::kNearestPrivate,

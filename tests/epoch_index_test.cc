@@ -68,12 +68,9 @@ TEST(EpochIndexTest, SnapshotMatchesBruteForceAfterEachMutation) {
     // k at and past the live count: every delta entry must join the
     // answer.
     const Point q = rng.PointIn(kSpace);
-    for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
-      for (const size_t k : {size_t{1}, size_t{2}, size_t{5}, alive.size(),
-                             alive.size() + 3}) {
-        EXPECT_EQ(snap->KNearest(q, k, metric),
-                  oracle::Knn(alive, q, k, metric));
-      }
+    for (const size_t k : {size_t{1}, size_t{2}, size_t{5}, alive.size(),
+                           alive.size() + 3}) {
+      EXPECT_EQ(snap->KNearest(q, k), oracle::Knn(alive, q, k));
     }
   }
 }
@@ -110,17 +107,14 @@ TEST(EpochIndexTest, PyramidCellKnnIsExactOverTombstonesAndDelta) {
     for (int trial = 0; trial < 30; ++trial) {
       const Point q =
           trial % 2 == 0 ? oracle::GridPoint(&rng) : rng.PointIn(kSpace);
-      for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
-        std::vector<size_t> ks = {1, 2, 40};
-        if (trial % 10 == 0) {
-          ks.push_back(live->size());
-          ks.push_back(live->size() + 3);
-        }
-        for (const size_t k : ks) {
-          ASSERT_EQ(snap->KNearest(q, k, metric),
-                    oracle::Knn(*live, q, k, metric))
-              << live->size() << " entries, trial " << trial << " k=" << k;
-        }
+      std::vector<size_t> ks = {1, 2, 40};
+      if (trial % 10 == 0) {
+        ks.push_back(live->size());
+        ks.push_back(live->size() + 3);
+      }
+      for (const size_t k : ks) {
+        ASSERT_EQ(snap->KNearest(q, k), oracle::Knn(*live, q, k))
+            << live->size() << " entries, trial " << trial << " k=" << k;
       }
     }
   }
@@ -232,7 +226,7 @@ TEST(EpochIndexTest, ConcurrentReadersSeeConsistentSnapshots) {
         // equals its size no matter what the writer does meanwhile.
         ASSERT_EQ(oracle::RangeHits(*snap, kSpace).size(), snapshot_size);
         const Point q = reader_rng.PointIn(kSpace);
-        auto nn = snap->KNearest(q, 3, Metric::kMaxDist);
+        auto nn = snap->KNearest(q, 3);
         ASSERT_LE(nn.size(), std::min<size_t>(3, snapshot_size));
         reads.fetch_add(1, std::memory_order_relaxed);
       }

@@ -69,12 +69,8 @@ void ExpectTreesAnswerIdentically(const FlatRTree& original,
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i].id, want[i].id);
 
-    for (const auto metric :
-         {FlatRTree::Metric::kMinDist, FlatRTree::Metric::kMaxDist}) {
-      for (const size_t k : {size_t{1}, size_t{7}}) {
-        EXPECT_EQ(loaded.KNearest(q, k, metric),
-                  original.KNearest(q, k, metric));
-      }
+    for (const size_t k : {size_t{1}, size_t{7}}) {
+      EXPECT_EQ(loaded.KNearest(q, k), original.KNearest(q, k));
     }
   }
 }

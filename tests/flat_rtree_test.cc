@@ -74,8 +74,8 @@ TEST(FlatRTreeTest, InvariantsAcrossSizesAndFanouts) {
   }
 }
 
-/// Every range and k-NN query — under both metrics and several
-/// fan-outs — answers exactly what a linear scan of the entries does.
+/// Every range and k-NN query, under several fan-outs, answers exactly
+/// what a linear scan of the entries does.
 TEST(FlatRTreeTest, DifferentialAgainstBruteForce) {
   Rng rng(42);
   std::vector<Entry> entries = RandomRectEntries(600, &rng, 0.08);
@@ -96,21 +96,18 @@ TEST(FlatRTreeTest, DifferentialAgainstBruteForce) {
                 oracle::RangeIds(entries, window));
 
       const Point q = rng.PointIn(kSpace);
-      for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
-        for (size_t k : {size_t{1}, size_t{2}, size_t{23}, entries.size(),
-                         entries.size() + 3}) {
-          EXPECT_EQ(flat.KNearest(q, k, metric),
-                    oracle::Knn(entries, q, k, metric))
-              << "M=" << fanout << " metric=" << static_cast<int>(metric)
-              << " k=" << k;
-        }
+      for (size_t k : {size_t{1}, size_t{2}, size_t{23}, entries.size(),
+                       entries.size() + 3}) {
+        EXPECT_EQ(flat.KNearest(q, k), oracle::Knn(entries, q, k))
+            << "M=" << fanout << " k=" << k;
       }
     }
   }
 }
 
-/// Point entries: the k-NN answer must match the oracle's exactly,
-/// under both metrics (which coincide for points).
+/// Point entries: the k-NN answer must match the oracle's exactly, and
+/// each MaxDist must equal the point's MinDist bit for bit: for a
+/// degenerate box the two are the ordinary distance.
 TEST(FlatRTreeTest, DifferentialPointEntriesExactIds) {
   Rng rng(1234);
   std::vector<Entry> entries;
@@ -121,11 +118,10 @@ TEST(FlatRTreeTest, DifferentialPointEntriesExactIds) {
   ASSERT_TRUE(flat.CheckInvariants());
   for (int trial = 0; trial < 40; ++trial) {
     const Point q = rng.PointIn(kSpace);
-    for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
-      for (size_t k : {1u, 10u}) {
-        EXPECT_EQ(flat.KNearest(q, k, metric),
-                  oracle::Knn(entries, q, k, metric));
-      }
+    for (size_t k : {1u, 10u}) {
+      const auto knn = flat.KNearest(q, k);
+      EXPECT_EQ(knn, oracle::Knn(entries, q, k));
+      for (const Neighbor& n : knn) EXPECT_EQ(n.distance, MinDist(q, n.box));
     }
   }
 }
@@ -190,14 +186,13 @@ TEST(FlatRTreeTest, VisitorEarlyStopAndFilteredKnn) {
   EXPECT_EQ(odd, tree.size() - even_rows.size());
   const Point q{0.5, 0.5};
   for (const size_t k : {size_t{1}, size_t{8}, tree.size()}) {
-    EXPECT_EQ(tree.KNearest(q, k, Metric::kMinDist, even_rows),
-              oracle::Knn(RowsNotSkipped(tree, even_rows), q, k,
-                          Metric::kMinDist));
+    EXPECT_EQ(tree.KNearest(q, k, even_rows),
+              oracle::Knn(RowsNotSkipped(tree, even_rows), q, k));
   }
 }
 
 /// Many ids share each pyramid cell, so nearly every k-NN answer is
-/// decided by ties, under both metrics and for every k: the walk must
+/// decided by ties, for every k: the walk must
 /// still return exactly the oracle's neighbors, boxes included, also
 /// with rows skipped and with entries competing from outside the tree.
 TEST(FlatRTreeTest, PyramidCellTiesMatchTheOracleExactly) {
@@ -213,21 +208,16 @@ TEST(FlatRTreeTest, PyramidCellTiesMatchTheOracleExactly) {
   for (int trial = 0; trial < 40; ++trial) {
     const Point q =
         trial % 2 == 0 ? oracle::GridPoint(&rng) : rng.PointIn(kSpace);
-    for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
-      for (size_t k : {size_t{1}, size_t{2}, size_t{40}}) {
-        ASSERT_EQ(tree.KNearest(q, k, metric),
-                  oracle::Knn(entries, q, k, metric))
-            << "trial " << trial << " k=" << k;
-        ASSERT_EQ(tree.KNearest(q, k, metric, skip, extra),
-                  oracle::Knn(live, q, k, metric))
-            << "trial " << trial << " k=" << k;
-      }
-      if (trial % 10 != 0) continue;
-      for (size_t k : {entries.size(), entries.size() + 3}) {
-        ASSERT_EQ(tree.KNearest(q, k, metric),
-                  oracle::Knn(entries, q, k, metric))
-            << "trial " << trial << " k=" << k;
-      }
+    for (size_t k : {size_t{1}, size_t{2}, size_t{40}}) {
+      ASSERT_EQ(tree.KNearest(q, k), oracle::Knn(entries, q, k))
+          << "trial " << trial << " k=" << k;
+      ASSERT_EQ(tree.KNearest(q, k, skip, extra), oracle::Knn(live, q, k))
+          << "trial " << trial << " k=" << k;
+    }
+    if (trial % 10 != 0) continue;
+    for (size_t k : {entries.size(), entries.size() + 3}) {
+      ASSERT_EQ(tree.KNearest(q, k), oracle::Knn(entries, q, k))
+          << "trial " << trial << " k=" << k;
     }
   }
 }
@@ -426,10 +416,7 @@ void ExpectBruteForceAnswers(const FlatRTree& tree,
               oracle::RangeIds(entries, window));
 
     const Point q = rng->PointIn(kSpace);
-    for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
-      EXPECT_EQ(tree.KNearest(q, 9, metric),
-                oracle::Knn(entries, q, 9, metric));
-    }
+    EXPECT_EQ(tree.KNearest(q, 9), oracle::Knn(entries, q, 9));
     if (entries.empty()) continue;
     const Entry& e = entries[rng->UniformInt(0, entries.size() - 1)];
     const auto copies = static_cast<size_t>(std::count_if(

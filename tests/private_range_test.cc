@@ -63,21 +63,6 @@ TEST(PrivateRangeTest, ErrorPaths) {
   EXPECT_EQ(
       PrivateRangeOverPublic(store, Rect(0, 0, 1, 1), -0.5).status().code(),
       StatusCode::kInvalidArgument);
-  PrivateTargetStore pstore;
-  EXPECT_EQ(PrivateRangeOverPrivate(pstore, Rect(), 0.1).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(PrivateRangeTest, OverPrivateReturnsOverlappingRegions) {
-  PrivateTargetStore store(std::vector<PrivateTarget>{
-      {0, Rect(0.0, 0.0, 0.25, 0.25)},
-      {1, Rect(0.7, 0.7, 0.8, 0.8)},
-  });
-  auto result =
-      PrivateRangeOverPrivate(store, Rect(0.3, 0.3, 0.4, 0.4), 0.06);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->candidates.size(), 1u);
-  EXPECT_EQ(result->candidates[0].id, 0u);
 }
 
 TEST(PrivateRangeTest, RefineRangeFiltersExactCircle) {

@@ -9,10 +9,11 @@
 #include "tests/spatial_oracle.h"
 
 /// The R-tree contract the spatial layer offers, checked against
-/// brute force: bulk loading, range and NN / k-NN search under both
-/// metrics, and multiset insert / remove. Static-query cases run on the
-/// packed FlatRTree; mutation cases run on EpochIndex, the layer's one
-/// mutable R-tree (a FlatRTree base plus its delta and tombstones).
+/// brute force: bulk loading, range and NN / k-NN search by MaxDist
+/// (MinDist for points), and multiset insert / remove. Static-query
+/// cases run on the packed FlatRTree; mutation cases run on EpochIndex,
+/// the layer's one mutable R-tree (a FlatRTree base plus its delta and
+/// tombstones).
 
 namespace casper::spatial {
 namespace {
@@ -115,8 +116,11 @@ TEST(RTreeTest, NearestMatchesBruteForceMinDist) {
   FlatRTree tree = FlatRTree::Build(entries);
   for (int i = 0; i < 100; ++i) {
     const Point q = rng.PointIn(kSpace);
-    EXPECT_EQ(tree.KNearest(q, 1, Metric::kMinDist),
-              oracle::Knn(entries, q, 1, Metric::kMinDist));
+    const auto nn = tree.KNearest(q, 1);
+    EXPECT_EQ(nn, oracle::Knn(entries, q, 1));
+    // A point is its degenerate box: MaxDist is its MinDist, bit for bit.
+    ASSERT_EQ(nn.size(), 1u);
+    EXPECT_EQ(nn[0].distance, MinDist(q, nn[0].box));
   }
 }
 
@@ -126,8 +130,7 @@ TEST(RTreeTest, NearestMatchesBruteForceMaxDist) {
   FlatRTree tree = FlatRTree::Build(entries);
   for (int i = 0; i < 100; ++i) {
     const Point q = rng.PointIn(kSpace);
-    EXPECT_EQ(tree.KNearest(q, 1, Metric::kMaxDist),
-              oracle::Knn(entries, q, 1, Metric::kMaxDist));
+    EXPECT_EQ(tree.KNearest(q, 1), oracle::Knn(entries, q, 1));
   }
 }
 
@@ -142,7 +145,7 @@ TEST(RTreeTest, KNearestSortedAndComplete) {
   for (size_t i = 1; i < knn.size(); ++i) {
     EXPECT_LE(knn[i - 1].distance, knn[i].distance);
   }
-  EXPECT_EQ(knn, oracle::Knn(entries, q, 10, Metric::kMinDist));
+  EXPECT_EQ(knn, oracle::Knn(entries, q, 10));
 }
 
 TEST(RTreeTest, KNearestMoreThanSizeReturnsAll) {
@@ -176,7 +179,7 @@ TEST(RTreeTest, RemoveExistingAndMissing) {
   const auto snap = index.Acquire();
   for (int i = 0; i < 20; ++i) {
     const Point q = rng.PointIn(kSpace);
-    EXPECT_EQ(snap->KNearest(q, 1), oracle::Knn(rest, q, 1, Metric::kMinDist));
+    EXPECT_EQ(snap->KNearest(q, 1), oracle::Knn(rest, q, 1));
   }
 }
 

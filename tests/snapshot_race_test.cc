@@ -10,7 +10,6 @@
 #include "src/common/rng.h"
 #include "src/processor/private_knn.h"
 #include "src/processor/private_nn.h"
-#include "src/processor/private_nn_private.h"
 
 /// One evaluation reads one store epoch. The cloak sits at the emptiest
 /// spot of a uniform target set, and a writer thread keeps inserting

@@ -37,8 +37,8 @@ inline std::vector<uint64_t> RangeIds(const std::vector<Entry>& entries,
 /// `n` regions the anonymizer would cloak to: pyramid cells on levels
 /// 4 and 5 of the unit square, about eight ids per cell, and every
 /// tenth entry a twin, an earlier id in another cell. Distances tie
-/// everywhere: the ids of one cell tie under both metrics, and so do
-/// the cells around any query point on the level-5 grid.
+/// everywhere: the ids of one cell tie, and so do the cells around any
+/// query point on the level-5 grid.
 template <typename Rng>
 std::vector<Entry> PyramidCells(size_t n, Rng* rng) {
   std::vector<Entry> entries;
@@ -74,19 +74,15 @@ std::vector<Entry> RangeHits(const Index& index, const Rect& window) {
   return hits;
 }
 
-inline double Distance(const Point& q, const Rect& box, Metric metric) {
-  return metric == Metric::kMinDist ? MinDist(q, box) : MaxDist(q, box);
-}
-
-/// The first k entries under NeighborLess, the one order the indexes
-/// promise: whole neighbors, so an answer that picks the wrong twin box
-/// at a tie differs from this one.
+/// The first k entries under NeighborLess, by MaxDist: whole
+/// neighbors, the one order the indexes promise, so an answer that
+/// picks the wrong twin box at a tie differs from this one.
 inline std::vector<Neighbor> Knn(const std::vector<Entry>& entries,
-                                 const Point& q, size_t k, Metric metric) {
+                                 const Point& q, size_t k) {
   std::vector<Neighbor> all;
   all.reserve(entries.size());
   for (const Entry& e : entries) {
-    all.push_back(Neighbor{e.box, e.id, Distance(q, e.box, metric)});
+    all.push_back(Neighbor{e.box, e.id, MaxDist(q, e.box)});
   }
   std::sort(all.begin(), all.end(), NeighborLess);
   if (all.size() > k) all.resize(k);
