@@ -125,70 +125,71 @@ void PutPayload(Writer& w, const ServerPayload& payload) {
   }
 }
 
-/// The one parser of every payload layout. Record blocks are skipped in
-/// place and wrapped in WireSpans; the small fixed trailers are decoded
-/// eagerly.
-Result<ServerPayloadView> GetPayloadView(Reader& r) {
+/// The one parser of every payload layout.
+Result<ServerPayload> GetPayload(Reader& r) {
   const uint8_t index = r.U8();
   if (r.failed()) return Status::InvalidArgument("truncated payload");
   switch (index) {
     case 0: {
-      PublicCandidateListView view;
-      view.candidates = ReadList<processor::PublicTarget>(r);
-      view.area = GetExtendedArea(r);
+      processor::PublicCandidateList p;
+      p.candidates = ReadList<processor::PublicTarget>(r);
+      p.area = GetExtendedArea(r);
       CASPER_ASSIGN_OR_RETURN(policy, GetPolicy(r));
-      view.policy = policy;
-      return ServerPayloadView(view);
+      p.policy = policy;
+      return ServerPayload(std::move(p));
     }
     case 1: {
-      KnnCandidateListView view;
-      view.candidates = ReadList<processor::PublicTarget>(r);
-      view.a_ext = r.R();
-      view.k = r.U64();
-      return ServerPayloadView(view);
+      processor::KnnCandidateList p;
+      p.candidates = ReadList<processor::PublicTarget>(r);
+      p.a_ext = r.R();
+      p.k = static_cast<size_t>(r.U64());
+      return ServerPayload(std::move(p));
     }
     case 2: {
-      PublicRangeCandidatesView view;
-      view.candidates = ReadList<processor::PublicTarget>(r);
-      view.search_window = r.R();
-      return ServerPayloadView(view);
+      processor::PublicRangeCandidates p;
+      p.candidates = ReadList<processor::PublicTarget>(r);
+      p.search_window = r.R();
+      return ServerPayload(std::move(p));
     }
     case 3: {
-      PrivateCandidateListView view;
-      view.candidates = ReadList<processor::PrivateTarget>(r);
-      view.area = GetExtendedArea(r);
+      processor::PrivateCandidateList p;
+      p.candidates = ReadList<processor::PrivateTarget>(r);
+      p.area = GetExtendedArea(r);
       CASPER_ASSIGN_OR_RETURN(policy, GetPolicy(r));
-      view.policy = policy;
-      return ServerPayloadView(view);
+      p.policy = policy;
+      return ServerPayload(std::move(p));
     }
     case 4: {
-      PublicNNCandidatesView view;
-      view.candidates = ReadList<processor::PublicNNCandidates::Candidate>(r);
-      view.minimax_bound = r.F64();
-      return ServerPayloadView(view);
+      processor::PublicNNCandidates p;
+      p.candidates = ReadList<processor::PublicNNCandidates::Candidate>(r);
+      p.minimax_bound = r.F64();
+      return ServerPayload(std::move(p));
     }
     case 5: {
-      RangeCountResultView view;
-      view.certain = r.U64();
-      view.possible = r.U64();
-      view.expected = r.F64();
-      view.overlapping = ReadList<processor::PrivateTarget>(r);
-      return ServerPayloadView(view);
+      processor::RangeCountResult p;
+      p.certain = static_cast<size_t>(r.U64());
+      p.possible = static_cast<size_t>(r.U64());
+      p.expected = r.F64();
+      p.overlapping = ReadList<processor::PrivateTarget>(r);
+      return ServerPayload(std::move(p));
     }
     case 6: {
-      DensityMapView view;
-      view.extent = r.R();
-      view.cols = r.I32();
-      view.rows = r.I32();
-      // DensityMap::FromCells' preconditions, so Materialize cannot fail.
-      if (r.failed() || view.cols < 1 || view.rows < 1 ||
-          static_cast<uint64_t>(view.cols) * static_cast<uint64_t>(view.rows) >
+      const Rect extent = r.R();
+      const int32_t cols = r.I32();
+      const int32_t rows = r.I32();
+      // The cell count is implied, so bound it by the bytes left before
+      // reading (cols * rows * 8 could overflow a size_t).
+      if (r.failed() || cols < 1 || rows < 1 ||
+          static_cast<uint64_t>(cols) * static_cast<uint64_t>(rows) >
               r.Remaining() / WireRecord<double>::kBytes) {
         return Status::InvalidArgument("bad density grid");
       }
-      view.cells = ReadRecords<double>(
-          r, static_cast<size_t>(view.cols) * static_cast<size_t>(view.rows));
-      return ServerPayloadView(view);
+      CASPER_ASSIGN_OR_RETURN(
+          map, processor::DensityMap::FromCells(
+                   extent, cols, rows,
+                   ReadRecords<double>(r, static_cast<size_t>(cols) *
+                                              static_cast<size_t>(rows))));
+      return ServerPayload(std::move(map));
     }
     default:
       return Status::InvalidArgument("unknown payload kind");
@@ -300,6 +301,18 @@ std::string Encode(const SnapshotMsg& msg) {
   return Seal(w.Take());
 }
 
+Result<SnapshotMsg> DecodeSnapshot(std::string_view bytes) {
+  CASPER_ASSIGN_OR_RETURN(body, Unseal(bytes, "Snapshot"));
+  Reader r(body);
+  if (!r.Tag(kTagSnapshot)) {
+    return Status::InvalidArgument("not a SnapshotMsg");
+  }
+  SnapshotMsg msg;
+  msg.regions = ReadList<processor::PrivateTarget>(r);
+  CASPER_RETURN_IF_ERROR(r.Finish("Snapshot"));
+  return msg;
+}
+
 std::string Encode(const CandidateListMsg& msg) {
   const size_t record_bytes = std::visit(
       [](const auto& p) {
@@ -319,8 +332,24 @@ std::string Encode(const CandidateListMsg& msg) {
 }
 
 Result<CandidateListMsg> DecodeCandidateList(std::string_view bytes) {
-  CASPER_ASSIGN_OR_RETURN(view, DecodeCandidateListView(bytes));
-  return view.Materialize();
+  CASPER_ASSIGN_OR_RETURN(body, Unseal(bytes, "CandidateList"));
+  Reader r(body);
+  if (!r.Tag(kTagCandidateList)) {
+    return Status::InvalidArgument("not a CandidateListMsg");
+  }
+  const uint8_t kind = r.U8();
+  if (r.failed() || !ValidKind(kind)) {
+    return Status::InvalidArgument("bad query kind");
+  }
+  CandidateListMsg msg;
+  msg.kind = static_cast<QueryKind>(kind);
+  msg.request_id = r.U64();
+  msg.degraded = r.Bool();
+  msg.processor_seconds = r.F64();
+  CASPER_ASSIGN_OR_RETURN(payload, GetPayload(r));
+  CASPER_RETURN_IF_ERROR(r.Finish("CandidateList"));
+  msg.payload = std::move(payload);
+  return msg;
 }
 
 Status AckMsg::ToStatus() const {
@@ -374,90 +403,6 @@ Result<AckMsg> DecodeAck(std::string_view bytes) {
   msg.message = r.Str();
   CASPER_RETURN_IF_ERROR(r.Finish("Ack"));
   return msg;
-}
-
-processor::PublicCandidateList PublicCandidateListView::Materialize() const {
-  return {candidates.Materialize(), area, policy};
-}
-
-processor::KnnCandidateList KnnCandidateListView::Materialize() const {
-  return {candidates.Materialize(), a_ext, static_cast<size_t>(k)};
-}
-
-processor::PublicRangeCandidates PublicRangeCandidatesView::Materialize()
-    const {
-  return {candidates.Materialize(), search_window};
-}
-
-processor::PrivateCandidateList PrivateCandidateListView::Materialize() const {
-  return {candidates.Materialize(), area, policy};
-}
-
-processor::PublicNNCandidates PublicNNCandidatesView::Materialize() const {
-  return {candidates.Materialize(), minimax_bound};
-}
-
-processor::RangeCountResult RangeCountResultView::Materialize() const {
-  return {static_cast<size_t>(certain), static_cast<size_t>(possible),
-          expected, overlapping.Materialize()};
-}
-
-processor::DensityMap DensityMapView::Materialize() const {
-  // GetPayloadView enforced FromCells' preconditions (cols >= 1,
-  // rows >= 1, cells.size() == cols * rows), so this cannot fail.
-  return processor::DensityMap::FromCells(extent, cols, rows,
-                                          cells.Materialize())
-      .value();
-}
-
-CandidateListMsg CandidateListView::Materialize() const {
-  CandidateListMsg msg;
-  msg.kind = kind;
-  msg.request_id = request_id;
-  msg.degraded = degraded;
-  msg.processor_seconds = processor_seconds;
-  msg.payload = std::visit(
-      [](const auto& p) -> ServerPayload { return p.Materialize(); }, payload);
-  return msg;
-}
-
-SnapshotMsg SnapshotView::Materialize() const {
-  SnapshotMsg msg;
-  msg.regions = regions.Materialize();
-  return msg;
-}
-
-Result<CandidateListView> DecodeCandidateListView(std::string_view frame) {
-  CASPER_ASSIGN_OR_RETURN(body, Unseal(frame, "CandidateList"));
-  Reader r(body);
-  if (!r.Tag(kTagCandidateList)) {
-    return Status::InvalidArgument("not a CandidateListMsg");
-  }
-  const uint8_t kind = r.U8();
-  if (r.failed() || !ValidKind(kind)) {
-    return Status::InvalidArgument("bad query kind");
-  }
-  CandidateListView view;
-  view.kind = static_cast<QueryKind>(kind);
-  view.request_id = r.U64();
-  view.degraded = r.Bool();
-  view.processor_seconds = r.F64();
-  CASPER_ASSIGN_OR_RETURN(payload, GetPayloadView(r));
-  CASPER_RETURN_IF_ERROR(r.Finish("CandidateList"));
-  view.payload = payload;
-  return view;
-}
-
-Result<SnapshotView> DecodeSnapshotView(std::string_view frame) {
-  CASPER_ASSIGN_OR_RETURN(body, Unseal(frame, "Snapshot"));
-  Reader r(body);
-  if (!r.Tag(kTagSnapshot)) {
-    return Status::InvalidArgument("not a SnapshotMsg");
-  }
-  SnapshotView view;
-  view.regions = ReadList<processor::PrivateTarget>(r);
-  CASPER_RETURN_IF_ERROR(r.Finish("Snapshot"));
-  return view;
 }
 
 Result<MessageTag> TagOf(std::string_view bytes) {

@@ -290,13 +290,10 @@ class PrivateStoreSink {
 // prefix and enum, and that the buffer is fully consumed, so truncated
 // or mistyped buffers fail with InvalidArgument instead of crashing.
 //
-// The two messages that carry repeated records — candidate lists and
-// snapshots — have exactly one parser each, and it is a view:
-// DecodeCandidateListView / DecodeSnapshotView validate the frame and
-// leave the records in place, addressed by WireSpans. Materialize()
-// copies them out; DecodeCandidateList is that view plus Materialize().
-// Views borrow the frame — it must outlive the view — while any value
-// read *out* of a view is an independent copy.
+// Every decoder parses straight into its owning message: a record
+// block is validated in place, then copied out once (one memcpy where
+// the host layout is the wire layout). Nothing decoded borrows the
+// frame.
 
 std::string Encode(const CloakedQueryMsg& msg);
 std::string Encode(const RegionUpsertMsg& msg);
@@ -308,6 +305,7 @@ std::string Encode(const AckMsg& msg);
 Result<CloakedQueryMsg> DecodeCloakedQuery(std::string_view bytes);
 Result<RegionUpsertMsg> DecodeRegionUpsert(std::string_view bytes);
 Result<RegionRemoveMsg> DecodeRegionRemove(std::string_view bytes);
+Result<SnapshotMsg> DecodeSnapshot(std::string_view bytes);
 Result<CandidateListMsg> DecodeCandidateList(std::string_view bytes);
 Result<AckMsg> DecodeAck(std::string_view bytes);
 
@@ -334,7 +332,7 @@ Result<MessageTag> TagOf(std::string_view bytes);
 uint64_t RequestIdOf(std::string_view bytes);
 
 // ---------------------------------------------------------------------------
-// Record layouts and decode views
+// Record layouts
 // ---------------------------------------------------------------------------
 
 /// Wire layout of one repeated record type: its fixed stride and the
@@ -418,42 +416,6 @@ inline constexpr bool kBulkRecords =
     std::endian::native == std::endian::little &&
     sizeof(T) == WireRecord<T>::kBytes && std::is_trivially_copyable_v<T>;
 
-/// Lazily-decoded span of fixed-stride records inside a validated
-/// frame. Indexing decodes record i on the fly; nothing is copied until
-/// the caller asks for it.
-template <typename T>
-class WireSpan {
- public:
-  WireSpan() = default;
-  WireSpan(const char* data, size_t count) : data_(data), count_(count) {}
-
-  size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-
-  /// Decode record i out of the frame (an independent copy).
-  T operator[](size_t i) const {
-    return WireRecord<T>::Read(data_ + i * WireRecord<T>::kBytes);
-  }
-
-  /// Copy every record into an owning vector.
-  std::vector<T> Materialize() const {
-    if constexpr (kBulkRecords<T>) {
-      std::vector<T> out(count_);
-      if (count_ > 0) std::memcpy(out.data(), data_, count_ * sizeof(T));
-      return out;
-    } else {
-      std::vector<T> out;
-      out.reserve(count_);
-      for (size_t i = 0; i < count_; ++i) out.push_back((*this)[i]);
-      return out;
-    }
-  }
-
- private:
-  const char* data_ = nullptr;
-  size_t count_ = 0;
-};
-
 /// Append `records` back to back, WireRecord<T>::kBytes each.
 template <typename T>
 void WriteRecords(wire::Writer& w, const std::vector<T>& records) {
@@ -470,12 +432,25 @@ void WriteRecords(wire::Writer& w, const std::vector<T>& records) {
   }
 }
 
-/// The next `n` records, left in place. Empty, with `r` failed, when
-/// fewer bytes remain.
+/// The next `n` records, copied out of the frame: one memcpy when
+/// kBulkRecords<T>, the per-field Read loop otherwise. Empty, with `r`
+/// failed, when fewer bytes remain.
 template <typename T>
-WireSpan<T> ReadRecords(wire::Reader& r, size_t n) {
-  const char* data = r.Skip(n * WireRecord<T>::kBytes);
-  return data != nullptr ? WireSpan<T>(data, n) : WireSpan<T>();
+std::vector<T> ReadRecords(wire::Reader& r, size_t n) {
+  const char* p = r.Skip(n * WireRecord<T>::kBytes);
+  if (p == nullptr) return {};
+  if constexpr (kBulkRecords<T>) {
+    std::vector<T> out(n);
+    if (n > 0) std::memcpy(out.data(), p, n * sizeof(T));
+    return out;
+  } else {
+    std::vector<T> out;
+    out.reserve(n);
+    for (size_t i = 0; i < n; ++i, p += WireRecord<T>::kBytes) {
+      out.push_back(WireRecord<T>::Read(p));
+    }
+    return out;
+  }
 }
 
 /// A record block behind its u64 count: the layout of every repeated
@@ -487,96 +462,22 @@ void WriteList(wire::Writer& w, const std::vector<T>& records) {
 }
 
 template <typename T>
-WireSpan<T> ReadList(wire::Reader& r) {
+std::vector<T> ReadList(wire::Reader& r) {
   return ReadRecords<T>(r, r.Count(WireRecord<T>::kBytes));
 }
 
-// One view per ServerPayload alternative (same order). The small
-// fixed-size trailers (extended area, policy, bounds) are decoded
-// eagerly — they are a few dozen bytes; only the repeated records stay
-// lazy.
-
-struct PublicCandidateListView {
-  WireSpan<processor::PublicTarget> candidates;
-  processor::ExtendedArea area;
-  processor::FilterPolicy policy = processor::FilterPolicy::kFourFilters;
-  processor::PublicCandidateList Materialize() const;
-};
-
-struct KnnCandidateListView {
-  WireSpan<processor::PublicTarget> candidates;
-  Rect a_ext;
-  uint64_t k = 1;
-  processor::KnnCandidateList Materialize() const;
-};
-
-struct PublicRangeCandidatesView {
-  WireSpan<processor::PublicTarget> candidates;
-  Rect search_window;
-  processor::PublicRangeCandidates Materialize() const;
-};
-
-struct PrivateCandidateListView {
-  WireSpan<processor::PrivateTarget> candidates;
-  processor::ExtendedArea area;
-  processor::FilterPolicy policy = processor::FilterPolicy::kFourFilters;
-  processor::PrivateCandidateList Materialize() const;
-};
-
-struct PublicNNCandidatesView {
-  WireSpan<processor::PublicNNCandidates::Candidate> candidates;
-  double minimax_bound = 0.0;
-  processor::PublicNNCandidates Materialize() const;
-};
-
-struct RangeCountResultView {
-  uint64_t certain = 0;
-  uint64_t possible = 0;
-  double expected = 0.0;
-  WireSpan<processor::PrivateTarget> overlapping;
-  processor::RangeCountResult Materialize() const;
-};
-
-struct DensityMapView {
-  Rect extent;
-  int32_t cols = 0;
-  int32_t rows = 0;
-  WireSpan<double> cells;  ///< Row-major, rows * cols records.
-  processor::DensityMap Materialize() const;
-};
-
-using ServerPayloadView =
-    std::variant<PublicCandidateListView, KnnCandidateListView,
-                 PublicRangeCandidatesView, PrivateCandidateListView,
-                 PublicNNCandidatesView, RangeCountResultView, DensityMapView>;
-
-/// Zero-copy counterpart of CandidateListMsg. Scalar header fields are
-/// decoded eagerly; the payload's candidate records stay in the frame.
-struct CandidateListView {
-  QueryKind kind = QueryKind::kNearestPublic;
-  uint64_t request_id = 0;
-  bool degraded = false;
-  double processor_seconds = 0.0;
-  ServerPayloadView payload;
-  CandidateListMsg Materialize() const;
-};
-
-/// Zero-copy counterpart of SnapshotMsg: the (handle, region) records
-/// stay in the frame until consumed.
-struct SnapshotView {
-  WireSpan<processor::PrivateTarget> regions;
-  SnapshotMsg Materialize() const;
-};
-
-/// CloakedQueryMsg is all fixed-width scalars, so its eager decode
-/// already allocates nothing: the message doubles as its own view.
+/// Names the benchmark replay (casperbench/tracing.cc) still uses:
+/// each decoder returns its owning message, so the view names alias
+/// it.
 using CloakedQueryView = CloakedQueryMsg;
-
-Result<CandidateListView> DecodeCandidateListView(std::string_view frame);
-Result<SnapshotView> DecodeSnapshotView(std::string_view frame);
+using CandidateListView = CandidateListMsg;
 inline Result<CloakedQueryView> DecodeCloakedQueryView(
     std::string_view frame) {
   return DecodeCloakedQuery(frame);
+}
+inline Result<CandidateListView> DecodeCandidateListView(
+    std::string_view frame) {
+  return DecodeCandidateList(frame);
 }
 
 }  // namespace casper

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 namespace casper::processor {
 
@@ -87,6 +88,19 @@ Result<TargetStore<Target>> TargetStore<Target>::LoadFrom(
     storage::IStorageManager* sm, storage::PageId root) {
   TargetStore store;
   CASPER_ASSIGN_OR_RETURN(index, spatial::EpochIndex::Restore(sm, root));
+  // Every entry must map to a record and back. A public store holds
+  // only points, so a root that names a region store is refused rather
+  // than serving region corners as targets.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  bool fits = true;
+  index.Acquire()->RangeQuery(
+      Rect(-kInf, -kInf, kInf, kInf), [&fits](const spatial::Entry& e) {
+        fits = Target::FromEntry(e).box() == e.box;
+        return fits;
+      });
+  if (!fits) {
+    return Status::InvalidArgument("checkpoint entry is not a store record");
+  }
   store.index_ = std::move(index);
   return store;
 }

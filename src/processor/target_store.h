@@ -279,7 +279,9 @@ class TargetStore {
     return index_.Checkpoint(sm);
   }
 
-  /// Rebuild a store from a SaveTo root page.
+  /// Rebuild a store from a SaveTo root page. A checkpoint holding a
+  /// box that is not a record of this kind (a region in a public store)
+  /// fails kInvalidArgument.
   static Result<TargetStore> LoadFrom(storage::IStorageManager* sm,
                                       storage::PageId root);
 

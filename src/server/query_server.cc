@@ -1,6 +1,7 @@
 #include "src/server/query_server.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/common/codec.h"
 #include "src/common/stopwatch.h"
@@ -149,20 +150,20 @@ Status QueryServer::ApplyRemove(const RegionRemoveMsg& msg) {
   return Status::OK();
 }
 
-Status QueryServer::Load(const SnapshotView& snapshot) {
-  const std::vector<processor::PrivateTarget> regions =
-      snapshot.regions.Materialize();
-  for (const processor::PrivateTarget& target : regions) {
+Status QueryServer::Load(const SnapshotMsg& snapshot) {
+  std::unordered_map<uint64_t, Rect> regions;
+  regions.reserve(snapshot.regions.size());
+  for (const processor::PrivateTarget& target : snapshot.regions) {
     if (!spatial::Storable(target.region)) {
       return Status::InvalidArgument("snapshot region is empty or NaN");
     }
+    // One region per handle, or the handle map and the store disagree.
+    if (!regions.emplace(target.id, target.region).second) {
+      return Status::InvalidArgument("snapshot repeats a handle");
+    }
   }
-  stored_regions_.clear();
-  stored_regions_.reserve(regions.size());
-  for (const processor::PrivateTarget& target : regions) {
-    stored_regions_[target.id] = target.region;
-  }
-  private_store_ = processor::PrivateTargetStore(regions);
+  stored_regions_ = std::move(regions);
+  private_store_ = processor::PrivateTargetStore(snapshot.regions);
   // A snapshot replaces the whole store, so outcomes recorded for the
   // incremental stream no longer describe current state; retries of
   // pre-snapshot maintenance must re-apply against the new store.
@@ -230,14 +231,27 @@ Status QueryServer::Open(storage::IStorageManager* sm) {
   std::string region_bytes;
   CASPER_RETURN_IF_ERROR(sm->Load(regions_id, &region_bytes));
   wire::Reader rr(region_bytes);
-  const WireSpan<processor::PrivateTarget> records =
+  std::vector<processor::PrivateTarget> records =
       ReadList<processor::PrivateTarget>(rr);
   CASPER_RETURN_IF_ERROR(rr.Finish("server regions page"));
+  // The page indexes the private store by handle, so it must hold
+  // exactly the store's entries, one per handle: a handle whose region
+  // the store lacks would fail its remove, and a replace would leave
+  // the stale region in the store for good.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  processor::Canonicalize(&records);
+  std::vector<processor::PrivateTarget> stored =
+      processor::PrivateTargetStore::Snapshot(private_store)
+          .Overlapping(Rect(-kInf, -kInf, kInf, kInf));
+  processor::Canonicalize(&stored);
   std::unordered_map<uint64_t, Rect> regions;
   regions.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    const processor::PrivateTarget record = records[i];
-    regions[record.id] = record.region;
+  for (const processor::PrivateTarget& record : records) {
+    regions.emplace(record.id, record.region);
+  }
+  if (records != stored || regions.size() != records.size()) {
+    return Status::InvalidArgument(
+        "server regions page disagrees with the private store");
   }
 
   // Only swap state in once every piece loaded: a failed Open leaves

@@ -72,11 +72,11 @@ class QueryServer : public PrivateStoreSink {
   Status Apply(const RegionRemoveMsg& msg) override;
 
   /// Bulk snapshot replacing the whole private store (the batch
-  /// SyncPrivateData model): the (handle, region) records are copied
-  /// out of the decoded frame once and STR bulk-loaded. A snapshot
-  /// holding an empty or NaN region fails kInvalidArgument and leaves
+  /// SyncPrivateData model): the decoded (handle, region) records are
+  /// STR bulk-loaded. A snapshot holding an empty or NaN region, or
+  /// two regions under one handle, fails kInvalidArgument and leaves
   /// the store as it was.
-  Status Load(const SnapshotView& snapshot);
+  Status Load(const SnapshotMsg& snapshot);
 
   // --- Query evaluation -----------------------------------------------
 
@@ -99,7 +99,10 @@ class QueryServer : public PrivateStoreSink {
 
   /// Replace this server's state with the last committed checkpoint on
   /// `sm`. The idempotency window resets: a reopen is a new process
-  /// lifetime, the same contract as a bulk snapshot Load.
+  /// lifetime, the same contract as a bulk snapshot Load. A checkpoint
+  /// whose handle -> region page does not hold exactly the private
+  /// store's entries, one per handle, fails kInvalidArgument; a failed
+  /// Open leaves the server as it was.
   Status Open(storage::IStorageManager* sm);
 
   /// Root slot holding the server manifest page.

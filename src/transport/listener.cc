@@ -83,11 +83,6 @@ SocketListener::SocketListener(int listen_fd, std::string bound_address,
 
 SocketListener::~SocketListener() { Shutdown(); }
 
-ListenerStats SocketListener::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
-}
-
 void SocketListener::Wake() {
   if (wake_fds_[1] >= 0) {
     const char byte = 'w';
@@ -199,34 +194,16 @@ void SocketListener::FlushTo(const std::shared_ptr<Conn>& conn) {
 
 void SocketListener::CloseConn(const std::shared_ptr<Conn>& conn,
                                CloseReason reason) {
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    if (conns_.erase(conn->id) == 0) return;  // Already closed.
-  }
   // Book-keeping strictly before close(): the close is the only signal
   // some peers get, and a peer reacting to its EOF must already see the
   // matching counters.
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    if (conns_.erase(conn->id) == 0) return;  // Already closed.
+    metrics_->net_connections_active->Set(static_cast<double>(conns_.size()));
+  }
   metrics_->net_connections_closed_total[static_cast<size_t>(reason)]
       ->Increment();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    --stats_.active;
-    metrics_->net_connections_active->Set(
-        static_cast<double>(stats_.active));
-    switch (reason) {
-      case CloseReason::kIdle:
-        ++stats_.idle_closed;
-        break;
-      case CloseReason::kSlowLoris:
-        ++stats_.slowloris_closed;
-        break;
-      case CloseReason::kFrameError:
-        ++stats_.frame_errors;
-        break;
-      default:
-        break;
-    }
-  }
   close(conn->fd);
 }
 
@@ -235,10 +212,6 @@ void SocketListener::BanPeer(const std::shared_ptr<Conn>& conn) {
   strikes_.erase(conn->peer_key);
   metrics_->net_bans_total->Increment();
   metrics_->net_banned_peers->Set(static_cast<double>(bans_.size()));
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.bans;
-  }
   CloseConn(conn, CloseReason::kBanned);
 }
 
@@ -247,10 +220,6 @@ void SocketListener::BanPeer(const std::shared_ptr<Conn>& conn) {
 bool SocketListener::AdmitFrame(const std::shared_ptr<Conn>& conn,
                                 std::string payload) {
   const uint64_t request_id = RequestIdOf(payload);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.frames;
-  }
   metrics_->net_frames_read_total->Increment();
 
   // Per-peer rate limits, oldest gate first: a flooder's frames are
@@ -266,10 +235,6 @@ bool SocketListener::AdmitFrame(const std::shared_ptr<Conn>& conn,
       conn->window_bytes > options_.max_bytes_per_window;
   if (over_rate || over_bytes) {
     metrics_->net_rate_limited_total->Increment();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.rate_limited;
-    }
     QueueAck(conn, request_id,
              Status::Unavailable(over_rate ? "rate limit exceeded"
                                            : "byte limit exceeded"));
@@ -290,10 +255,6 @@ bool SocketListener::AdmitFrame(const std::shared_ptr<Conn>& conn,
   if (conn->in_flight.load(std::memory_order_acquire) >=
       options_.inbound_queue_watermark) {
     metrics_->net_shed_total->Increment();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.shed;
-    }
     QueueAck(conn, request_id,
              Status::Unavailable("server overloaded; request shed"));
     return false;
@@ -374,10 +335,6 @@ void SocketListener::AcceptPending() {
           ->net_connections_closed_total[static_cast<size_t>(
               CloseReason::kCap)]
           ->Increment();
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.cap_rejects;
-      }
       close(fd);  // After the counters: the close is the peer's signal.
       continue;
     }
@@ -392,25 +349,15 @@ void SocketListener::AcceptPending() {
           ->net_connections_closed_total[static_cast<size_t>(
               CloseReason::kBanned)]
           ->Increment();
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.ban_rejects;
-      }
       close(fd);  // After the counters: the close is the peer's signal.
       continue;
     }
     conn->last_activity = Now();
     conn->window_start = conn->last_activity;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_[conn->id] = conn;
-    }
     metrics_->net_connections_accepted_total->Increment();
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.accepted;
-    ++stats_.active;
-    metrics_->net_connections_active->Set(
-        static_cast<double>(stats_.active));
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    conns_[conn->id] = conn;
+    metrics_->net_connections_active->Set(static_cast<double>(conns_.size()));
   }
 }
 

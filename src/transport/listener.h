@@ -88,21 +88,9 @@ struct ListenerOptions {
   /// Server-side candidate-list cache handed to the handler (the
   /// socket deployment's home for what CallContext carried in-process).
   processor::ConcurrentQueryCache* cache = nullptr;
-  obs::CasperMetrics* metrics = nullptr;  ///< null -> Default().
-};
-
-struct ListenerStats {
-  uint64_t accepted = 0;
-  uint64_t active = 0;
-  uint64_t frames = 0;
-  uint64_t frame_errors = 0;
-  uint64_t shed = 0;
-  uint64_t rate_limited = 0;
-  uint64_t bans = 0;
-  uint64_t ban_rejects = 0;
-  uint64_t cap_rejects = 0;
-  uint64_t idle_closed = 0;
-  uint64_t slowloris_closed = 0;
+  /// Receives every admission and close count (the `net_*` instruments);
+  /// null -> Default().
+  obs::CasperMetrics* metrics = nullptr;
 };
 
 class SocketListener {
@@ -125,7 +113,6 @@ class SocketListener {
   void Shutdown();
 
   const std::string& bound_address() const { return bound_address_; }
-  ListenerStats stats() const;
 
  private:
   struct Conn;
@@ -200,8 +187,6 @@ class SocketListener {
   bool stop_workers_ = false;
   std::atomic<size_t> pending_{0};  ///< Admitted, not yet answered.
 
-  mutable std::mutex stats_mu_;
-  ListenerStats stats_;
   std::atomic<bool> shut_down_{false};
 };
 

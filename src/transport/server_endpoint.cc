@@ -15,7 +15,7 @@ Result<std::string> ServerEndpoint::Handle(std::string_view request,
   }
   switch (tag.value()) {
     case MessageTag::kCloakedQuery: {
-      Result<CloakedQueryView> query = DecodeCloakedQueryView(request);
+      Result<CloakedQueryMsg> query = DecodeCloakedQuery(request);
       if (!query.ok()) {
         return Encode(AckMsg::For(0, Status::DataLoss("undecodable request")));
       }
@@ -43,9 +43,7 @@ Result<std::string> ServerEndpoint::Handle(std::string_view request,
       return Encode(AckMsg::For(msg->request_id, server_->Apply(msg.value())));
     }
     case MessageTag::kSnapshot: {
-      // Zero-copy: the (handle, region) records flow from the frame
-      // straight into the store's bulk-load vector.
-      Result<SnapshotView> msg = DecodeSnapshotView(request);
+      Result<SnapshotMsg> msg = DecodeSnapshot(request);
       if (!msg.ok()) {
         return Encode(AckMsg::For(0, Status::DataLoss("undecodable request")));
       }

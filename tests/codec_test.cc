@@ -16,7 +16,7 @@
 ///    vectors and to known answers across the lane, tail and stripe
 ///    boundaries; and the seal it backs rejects every single-bit flip,
 ///    truncation and extension of a big candidate-list frame.
-///  * WriteRecords / WireSpan::Materialize copy a block with one memcpy
+///  * WriteRecords / ReadList copy a block with one memcpy
 ///    where the in-memory record is the wire record; that path must be
 ///    byte-identical to the per-field WireRecord<T> loop, also for
 ///    -0.0 and NaN payloads.
@@ -72,7 +72,7 @@ std::string BigCandidateListFrame() {
 
 TEST(Checksum64Test, SealRejectsEverySingleBitFlipOfABigFrame) {
   std::string frame = BigCandidateListFrame();
-  ASSERT_TRUE(DecodeCandidateListView(frame).ok());
+  ASSERT_TRUE(DecodeCandidateList(frame).ok());
   size_t accepted = 0;
   for (size_t byte = 0; byte < frame.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -86,12 +86,12 @@ TEST(Checksum64Test, SealRejectsEverySingleBitFlipOfABigFrame) {
 
 TEST(Checksum64Test, SealRejectsEveryOneByteTruncationOrExtension) {
   const std::string frame = BigCandidateListFrame();
-  EXPECT_FALSE(DecodeCandidateListView(frame.substr(0, frame.size() - 1)).ok());
-  EXPECT_FALSE(DecodeCandidateListView(frame.substr(1)).ok());
+  EXPECT_FALSE(DecodeCandidateList(frame.substr(0, frame.size() - 1)).ok());
+  EXPECT_FALSE(DecodeCandidateList(frame.substr(1)).ok());
   for (int byte = 0; byte < 256; ++byte) {
     const char c = static_cast<char>(byte);
-    EXPECT_FALSE(DecodeCandidateListView(frame + c).ok()) << "append " << byte;
-    EXPECT_FALSE(DecodeCandidateListView(c + frame).ok()) << "prepend " << byte;
+    EXPECT_FALSE(DecodeCandidateList(frame + c).ok()) << "append " << byte;
+    EXPECT_FALSE(DecodeCandidateList(c + frame).ok()) << "prepend " << byte;
   }
 }
 
@@ -192,8 +192,14 @@ TYPED_TEST(BulkRecordsTest, BlockCopyMatchesPerFieldLoop) {
   }
   EXPECT_EQ(block, fields);
 
-  const std::vector<T> copied =
-      WireSpan<T>(block.data(), records.size()).Materialize();
+  // The same block behind its count, read back through ReadList.
+  wire::Writer lw;
+  WriteList(lw, records);
+  const std::string list = lw.Take();
+  ASSERT_EQ(list.substr(8), block);
+  wire::Reader r(list);
+  const std::vector<T> copied = ReadList<T>(r);
+  ASSERT_TRUE(r.Finish("list").ok());
   ASSERT_EQ(copied.size(), records.size());
   for (size_t i = 0; i < records.size(); ++i) {
     const T read = Layout::Read(block.data() + i * Layout::kBytes);
@@ -206,7 +212,12 @@ TYPED_TEST(BulkRecordsTest, BlockCopyMatchesPerFieldLoop) {
   wire::Writer empty;
   WriteRecords(empty, std::vector<T>{});
   EXPECT_TRUE(empty.Take().empty());
-  EXPECT_TRUE(WireSpan<T>().Materialize().empty());
+  wire::Writer empty_list;
+  WriteList(empty_list, std::vector<T>{});
+  const std::string empty_bytes = empty_list.Take();
+  wire::Reader er(empty_bytes);
+  EXPECT_TRUE(ReadList<T>(er).empty());
+  EXPECT_TRUE(er.Finish("empty list").ok());
 }
 
 }  // namespace

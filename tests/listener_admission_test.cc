@@ -6,6 +6,7 @@
 #include <chrono>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -40,6 +41,19 @@ using transport::SocketListener;
 std::string TempSocketPath(const char* tag) {
   return "unix:/tmp/casper_" + std::string(tag) + "_" +
          std::to_string(getpid()) + ".sock";
+}
+
+/// Connections the listener closed for `reason`, one of
+/// obs::kNetCloseReasonLabels.
+uint64_t ClosedFor(const obs::CasperMetrics& metrics,
+                   std::string_view reason) {
+  for (size_t i = 0; i < obs::kNetCloseReasonCount; ++i) {
+    if (reason == obs::kNetCloseReasonLabels[i]) {
+      return metrics.net_connections_closed_total[i]->Value();
+    }
+  }
+  ADD_FAILURE() << "unknown close reason " << reason;
+  return 0;
 }
 
 std::string QueryBytes(uint64_t request_id) {
@@ -192,11 +206,10 @@ TEST(ListenerAdmissionTest, ShedsAboveWatermarkWhileGoodPeerSucceeds) {
       << "load shedding leaked onto the well-behaved peer";
   EXPECT_EQ(good_ok.load(), 30);
 
-  const transport::ListenerStats stats = (*listener)->stats();
-  EXPECT_EQ(stats.shed, shed_acks);
+  EXPECT_EQ(metrics.net_shed_total->Value(), shed_acks);
   (*listener)->Shutdown();
 
-  // The shed shows up in both exporters, not just the stats struct.
+  // The shed shows up in both exporters, not just the counter.
   const obs::MetricsSnapshot snapshot = registry.Scrape();
   const std::string prom = obs::ExportPrometheus(snapshot);
   const std::string json = obs::ExportJson(snapshot);
@@ -247,12 +260,9 @@ TEST(ListenerAdmissionTest, RateLimitStrikesEscalateToBan) {
     saw_ban_reject = retry.WaitForClose(0.5);
   }
   EXPECT_TRUE(saw_ban_reject);
-  {
-    const transport::ListenerStats stats = (*listener)->stats();
-    EXPECT_GE(stats.rate_limited, 3u);
-    EXPECT_GE(stats.bans, 1u);
-    EXPECT_GE(stats.ban_rejects, 1u);
-  }
+  EXPECT_GE(metrics.net_rate_limited_total->Value(), 3u);
+  EXPECT_GE(metrics.net_bans_total->Value(), 1u);
+  EXPECT_GE(metrics.net_ban_rejects_total->Value(), 1u);
 
   // After expiry the same peer is clean again.
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
@@ -273,8 +283,11 @@ TEST(ListenerAdmissionTest, RateLimitStrikesEscalateToBan) {
 }
 
 TEST(ListenerAdmissionTest, ConnectionCapRejectsTheOverflow) {
+  obs::MetricsRegistry registry;
+  obs::CasperMetrics metrics(&registry);
   ListenerOptions options;
   options.max_connections = 2;
+  options.metrics = &metrics;
   const std::string address = TempSocketPath("cap");
   auto listener = SocketListener::Start(
       address,
@@ -297,13 +310,18 @@ TEST(ListenerAdmissionTest, ConnectionCapRejectsTheOverflow) {
   RawPeer third(address);
   ASSERT_TRUE(third.connected());  // The kernel accepts; the loop closes.
   EXPECT_TRUE(third.WaitForClose());
-  EXPECT_GE((*listener)->stats().cap_rejects, 1u);
+  EXPECT_GE(ClosedFor(metrics, "cap"), 1u);
+  // The refused connection was never registered.
+  EXPECT_EQ(metrics.net_connections_active->Value(), 2.0);
   (*listener)->Shutdown();
 }
 
 TEST(ListenerAdmissionTest, IdleConnectionsAreReaped) {
+  obs::MetricsRegistry registry;
+  obs::CasperMetrics metrics(&registry);
   ListenerOptions options;
   options.idle_timeout_seconds = 0.2;
+  options.metrics = &metrics;
   const std::string address = TempSocketPath("idle");
   auto listener = SocketListener::Start(
       address,
@@ -318,14 +336,17 @@ TEST(ListenerAdmissionTest, IdleConnectionsAreReaped) {
   ASSERT_TRUE(idler.Send(EncodeFrame(QueryBytes(1))));
   ASSERT_EQ(idler.ReadPayloads(1).size(), 1u);
   EXPECT_TRUE(idler.WaitForClose()) << "idle conn outlived its timeout";
-  EXPECT_GE((*listener)->stats().idle_closed, 1u);
+  EXPECT_GE(ClosedFor(metrics, "idle"), 1u);
   (*listener)->Shutdown();
 }
 
 TEST(ListenerAdmissionTest, SlowLorisIsCutOffMidFrame) {
+  obs::MetricsRegistry registry;
+  obs::CasperMetrics metrics(&registry);
   ListenerOptions options;
   options.idle_timeout_seconds = 60.0;
   options.partial_frame_timeout_seconds = 0.2;
+  options.metrics = &metrics;
   const std::string address = TempSocketPath("loris");
   auto listener = SocketListener::Start(
       address,
@@ -342,25 +363,29 @@ TEST(ListenerAdmissionTest, SlowLorisIsCutOffMidFrame) {
   // clock, must cut this off.
   ASSERT_TRUE(loris.Send(std::string_view(frame).substr(0, 6)));
   EXPECT_TRUE(loris.WaitForClose(5.0));
-  EXPECT_GE((*listener)->stats().slowloris_closed, 1u);
+  EXPECT_GE(ClosedFor(metrics, "slow_loris"), 1u);
   (*listener)->Shutdown();
 }
 
 TEST(ListenerAdmissionTest, FramingViolationClosesTheConnection) {
+  obs::MetricsRegistry registry;
+  obs::CasperMetrics metrics(&registry);
+  ListenerOptions options;
+  options.metrics = &metrics;
   const std::string address = TempSocketPath("frame_err");
   auto listener = SocketListener::Start(
       address,
       [](std::string_view request, const CallContext&) {
         return Result<std::string>(std::string(request));
       },
-      ListenerOptions{});
+      options);
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
 
   RawPeer garbler(address);
   ASSERT_TRUE(garbler.connected());
   ASSERT_TRUE(garbler.Send("GET / HTTP/1.1\r\nHost: casper\r\n\r\n"));
   EXPECT_TRUE(garbler.WaitForClose());
-  EXPECT_GE((*listener)->stats().frame_errors, 1u);
+  EXPECT_GE(ClosedFor(metrics, "frame_error"), 1u);
 
   // A framing violation is one peer's problem: the listener still
   // serves the next connection.

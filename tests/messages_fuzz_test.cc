@@ -6,7 +6,6 @@
 
 #include "src/casper/messages.h"
 #include "src/common/rng.h"
-#include "tests/messages_test_util.h"
 
 /// Randomized byte-flip / truncation fuzz smoke over every messages.h
 /// codec (~10k seeded mutations per message type). Three properties:
@@ -29,8 +28,6 @@ namespace {
 
 constexpr int kCorpusSize = 40;
 constexpr int kMutationsPerMessage = 256;  // 40 * 256 = 10240 per type.
-
-using testing_util::DecodeSnapshotMsg;
 
 Rect RandomRect(Rng* rng) {
   const Point a = rng->PointIn(Rect(0, 0, 1, 1));
@@ -259,7 +256,7 @@ TEST(MessagesFuzzTest, Snapshot) {
     msg.regions = RandomPrivateTargets(&rng);
     corpus.push_back(Encode(msg));
   }
-  FuzzCodec<SnapshotMsg>(0xFC4D, corpus, DecodeSnapshotMsg);
+  FuzzCodec<SnapshotMsg>(0xFC4D, corpus, DecodeSnapshot);
 }
 
 TEST(MessagesFuzzTest, CandidateList) {

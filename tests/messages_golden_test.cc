@@ -243,9 +243,9 @@ TEST(MessagesGoldenTest, RegionRemove) {
 TEST(MessagesGoldenTest, Snapshot) {
   const std::string golden = FromHex(kSnapshotHex);
   EXPECT_EQ(Encode(GoldenSnapshot()), golden);
-  auto decoded = DecodeSnapshotView(golden);
+  auto decoded = DecodeSnapshot(golden);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(decoded->Materialize() == GoldenSnapshot());
+  EXPECT_TRUE(*decoded == GoldenSnapshot());
   EXPECT_EQ(RequestIdOf(golden), 0u);
 }
 

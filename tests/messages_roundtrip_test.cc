@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/casper/messages.h"
 #include "src/common/rng.h"
-#include "tests/messages_test_util.h"
 
 /// Property tests for the wire-message binary codec: for randomized
 /// instances of every message type, Decode(Encode(msg)) == msg exactly
@@ -17,8 +17,6 @@ namespace casper {
 namespace {
 
 constexpr int kRounds = 200;
-
-using testing_util::DecodeSnapshotMsg;
 
 Rect RandomRect(Rng* rng) {
   const Point a = rng->PointIn(Rect(0, 0, 1, 1));
@@ -208,7 +206,7 @@ TEST(MessagesRoundtripTest, Snapshot) {
   for (int i = 0; i < kRounds; ++i) {
     SnapshotMsg msg;
     msg.regions = RandomPrivateTargets(&rng, 32);
-    auto decoded = DecodeSnapshotMsg(Encode(msg));
+    auto decoded = DecodeSnapshot(Encode(msg));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_TRUE(*decoded == msg) << "round " << i;
   }
@@ -297,16 +295,80 @@ TEST(MessagesRoundtripTest, RecordCountSurvivesTheWire) {
   }
 }
 
+/// Every proper prefix of `bytes` fails `decode` with kInvalidArgument.
+template <typename Decode>
+void ExpectEveryPrefixRejected(const std::string& bytes, Decode decode) {
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    auto decoded = decode(std::string_view(bytes).substr(0, cut));
+    ASSERT_FALSE(decoded.ok()) << "cut " << cut << " of " << bytes.size();
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(MessagesRoundtripTest, TruncationFailsCleanly) {
   Rng rng(0xACE);
   for (int i = 0; i < 50; ++i) {
-    const std::string bytes = Encode(RandomCloakedQuery(&rng));
-    for (size_t cut = 0; cut < bytes.size(); ++cut) {
-      auto decoded = DecodeCloakedQuery(std::string_view(bytes).substr(0, cut));
-      EXPECT_FALSE(decoded.ok());
-      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    ExpectEveryPrefixRejected(Encode(RandomCloakedQuery(&rng)),
+                              DecodeCloakedQuery);
+
+    RegionUpsertMsg upsert;
+    upsert.request_id = rng.Next();
+    upsert.handle = rng.Next();
+    upsert.has_replaces = rng.Bernoulli(0.5);
+    upsert.replaces = rng.Next();
+    upsert.region = RandomRect(&rng);
+    ExpectEveryPrefixRejected(Encode(upsert), DecodeRegionUpsert);
+
+    RegionRemoveMsg remove;
+    remove.request_id = rng.Next();
+    remove.handle = rng.Next();
+    ExpectEveryPrefixRejected(Encode(remove), DecodeRegionRemove);
+
+    SnapshotMsg snapshot;
+    snapshot.regions = RandomPrivateTargets(&rng, 8);
+    ExpectEveryPrefixRejected(Encode(snapshot), DecodeSnapshot);
+
+    for (int kind = 0; kind <= 6; ++kind) {
+      CandidateListMsg list;
+      list.kind = static_cast<QueryKind>(kind);
+      list.request_id = rng.Next();
+      list.payload = RandomPayload(&rng, list.kind);
+      ExpectEveryPrefixRejected(Encode(list), DecodeCandidateList);
     }
+
+    const AckMsg ack = AckMsg::For(
+        rng.Next(), Status::Unavailable("retry " + std::to_string(i)));
+    ExpectEveryPrefixRejected(Encode(ack), DecodeAck);
+    if (HasFatalFailure()) return;
   }
+}
+
+/// Decoded messages own their records: scribbling over the frame after
+/// the decode leaves them intact.
+TEST(MessagesRoundtripTest, DecodedRecordsSurviveFrameMutation) {
+  Rng rng(0xA11A5);
+  SnapshotMsg snapshot;
+  while (snapshot.regions.empty()) {
+    snapshot.regions = RandomPrivateTargets(&rng, 32);
+  }
+  std::string snapshot_frame = Encode(snapshot);
+  auto decoded_snapshot = DecodeSnapshot(snapshot_frame);
+  ASSERT_TRUE(decoded_snapshot.ok());
+  for (char& b : snapshot_frame) b = '\x5a';
+  EXPECT_TRUE(*decoded_snapshot == snapshot);
+
+  CandidateListMsg list;
+  list.kind = QueryKind::kPublicNearest;
+  list.request_id = 77;
+  while (RecordCount(list.payload) == 0) {
+    list.payload = RandomPayload(&rng, list.kind);
+  }
+  std::string list_frame = Encode(list);
+  auto decoded_list = DecodeCandidateList(list_frame);
+  ASSERT_TRUE(decoded_list.ok());
+  for (char& b : list_frame) b = '\0';
+  EXPECT_TRUE(*decoded_list == list);
+  EXPECT_EQ(decoded_list->request_id, 77u);
 }
 
 TEST(MessagesRoundtripTest, TrailingGarbageRejected) {
@@ -327,7 +389,7 @@ TEST(MessagesRoundtripTest, MistypedBufferRejected) {
   // Feed a remove message to every other decoder.
   EXPECT_FALSE(DecodeCloakedQuery(bytes).ok());
   EXPECT_FALSE(DecodeRegionUpsert(bytes).ok());
-  EXPECT_FALSE(DecodeSnapshotMsg(bytes).ok());
+  EXPECT_FALSE(DecodeSnapshot(bytes).ok());
   EXPECT_FALSE(DecodeCandidateList(bytes).ok());
   EXPECT_FALSE(DecodeAck(bytes).ok());
 }
@@ -344,7 +406,7 @@ TEST(MessagesRoundtripTest, CorruptLengthPrefixRejected) {
   bytes[2] = '\xff';
   bytes[3] = '\xff';
   bytes[4] = '\x7f';
-  auto decoded = DecodeSnapshotMsg(bytes);
+  auto decoded = DecodeSnapshot(bytes);
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -353,7 +415,7 @@ TEST(MessagesRoundtripTest, EmptyBufferRejected) {
   EXPECT_FALSE(DecodeCloakedQuery("").ok());
   EXPECT_FALSE(DecodeRegionUpsert("").ok());
   EXPECT_FALSE(DecodeRegionRemove("").ok());
-  EXPECT_FALSE(DecodeSnapshotMsg("").ok());
+  EXPECT_FALSE(DecodeSnapshot("").ok());
   EXPECT_FALSE(DecodeCandidateList("").ok());
   EXPECT_FALSE(DecodeAck("").ok());
 }

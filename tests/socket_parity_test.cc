@@ -109,9 +109,9 @@ TEST(SocketParityTest, AllSevenKindsByteIdenticalToDirectChannel) {
     snapshot.regions.push_back(region);
   }
   const std::string snapshot_frame = Encode(snapshot);
-  auto snapshot_view = DecodeSnapshotView(snapshot_frame);
-  ASSERT_TRUE(snapshot_view.ok());
-  ASSERT_TRUE(server.Load(snapshot_view.value()).ok());
+  auto decoded_snapshot = DecodeSnapshot(snapshot_frame);
+  ASSERT_TRUE(decoded_snapshot.ok());
+  ASSERT_TRUE(server.Load(decoded_snapshot.value()).ok());
 
   transport::ServerEndpoint endpoint(&server);
   DirectChannel direct(&endpoint);

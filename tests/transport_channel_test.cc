@@ -152,6 +152,12 @@ TEST_F(EndpointTest, EmptyOrNaNRegionsAckInvalidArgumentAndStoreIsKept) {
     EXPECT_EQ(ack.code, StatusCode::kInvalidArgument);
     EXPECT_EQ(ack.request_id, 0u);
   }
+  // Two good regions under one handle are refused the same way: the
+  // handle map could keep only one of them.
+  SnapshotMsg twins;
+  twins.regions = {{42, Rect(0.1, 0.1, 0.2, 0.2)},
+                   {42, Rect(0.5, 0.5, 0.6, 0.6)}};
+  EXPECT_EQ(ack_of(Encode(twins)).code, StatusCode::kInvalidArgument);
 
   // Nothing was applied: handle 5 is still the one stored region, and
   // the server keeps answering queries and maintenance.

@@ -304,15 +304,24 @@ int RunServe(int argc, char** argv) {
   std::fflush(stdout);
   while (!g_stop) usleep(100 * 1000);
   (*listener)->Shutdown();
-  const transport::ListenerStats s = (*listener)->stats();
+  // The listener counts into the default bundle (net.metrics is unset).
+  const obs::CasperMetrics& m = *obs::CasperMetrics::Default();
+  uint64_t frame_errors = 0;
+  for (size_t i = 0; i < obs::kNetCloseReasonCount; ++i) {
+    if (std::strcmp(obs::kNetCloseReasonLabels[i], "frame_error") == 0) {
+      frame_errors = m.net_connections_closed_total[i]->Value();
+    }
+  }
   std::printf("drained: accepted=%llu frames=%llu shed=%llu "
               "rate_limited=%llu bans=%llu frame_errors=%llu\n",
-              static_cast<unsigned long long>(s.accepted),
-              static_cast<unsigned long long>(s.frames),
-              static_cast<unsigned long long>(s.shed),
-              static_cast<unsigned long long>(s.rate_limited),
-              static_cast<unsigned long long>(s.bans),
-              static_cast<unsigned long long>(s.frame_errors));
+              static_cast<unsigned long long>(
+                  m.net_connections_accepted_total->Value()),
+              static_cast<unsigned long long>(m.net_frames_read_total->Value()),
+              static_cast<unsigned long long>(m.net_shed_total->Value()),
+              static_cast<unsigned long long>(
+                  m.net_rate_limited_total->Value()),
+              static_cast<unsigned long long>(m.net_bans_total->Value()),
+              static_cast<unsigned long long>(frame_errors));
   return 0;
 }
 
