@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the hot paths underneath every
 // experiment: packed R-tree and epoch-index operations, pyramid maintenance, cloaking, the
-// Algorithm 2 geometry, the wire codec, and the moving-object simulator.
+// Algorithm 2 geometry, the wire codec, the moving-object simulator, and
+// the server checkpoint.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "src/processor/private_nn.h"
 #include "src/processor/public_nn_private.h"
 #include "src/processor/query_cache.h"
+#include "src/server/query_server.h"
 #include "src/spatial/epoch_index.h"
 #include "src/spatial/flat_rtree.h"
 #include "src/storage/memory_storage.h"
@@ -434,37 +436,57 @@ void BM_SimulatorTick(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorTick)->Arg(1000)->Arg(10000);
 
-// --- Storage tier: page codec ------------------------------------------------
+// --- Server checkpoint -------------------------------------------------------
 
-spatial::FlatRTree BuildFlatTree(size_t n, uint64_t seed) {
-  return spatial::FlatRTree::Build(RandomEntries(n, seed));
+/// A server holding `targets` public targets (ids 1..targets) and
+/// 10,000 regions under random handles.
+server::QueryServer CheckpointServer(size_t targets) {
+  Rng rng(23);
+  server::QueryServer server{server::QueryServerOptions{}};
+  std::vector<processor::PublicTarget> publics;
+  publics.reserve(targets);
+  for (uint64_t id = 1; id <= targets; ++id) {
+    publics.push_back({id, rng.PointIn(Rect(0, 0, 1, 1))});
+  }
+  server.SetPublicTargets(publics);
+  SnapshotMsg snapshot;
+  for (int i = 0; i < 10000; ++i) {
+    const Point c = rng.PointIn(Rect(0, 0, 1, 1));
+    snapshot.regions.push_back(
+        {rng.Next(), Rect(c.x, c.y, c.x + 0.01, c.y + 0.01)});
+  }
+  const Status loaded = server.Load(snapshot);
+  CASPER_DCHECK(loaded.ok());
+  return server;
 }
 
-void BM_FlatTreeSerialize(benchmark::State& state) {
-  const auto tree = BuildFlatTree(static_cast<size_t>(state.range(0)), 23);
+void BM_ServerSave(benchmark::State& state) {
+  const server::QueryServer server =
+      CheckpointServer(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     storage::MemoryStorageManager sm;
-    auto root = tree.SaveTo(&sm);
-    CASPER_DCHECK(root.ok());
-    benchmark::DoNotOptimize(*root);
+    const Status saved = server.Save(&sm);
+    CASPER_DCHECK(saved.ok());
+    benchmark::DoNotOptimize(sm);
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() * (state.range(0) + 10000));
 }
-BENCHMARK(BM_FlatTreeSerialize)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_ServerSave)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-void BM_FlatTreeDeserialize(benchmark::State& state) {
-  const auto tree = BuildFlatTree(static_cast<size_t>(state.range(0)), 23);
+void BM_ServerOpen(benchmark::State& state) {
   storage::MemoryStorageManager sm;
-  const auto root = tree.SaveTo(&sm);
-  CASPER_DCHECK(root.ok());
+  const Status saved =
+      CheckpointServer(static_cast<size_t>(state.range(0))).Save(&sm);
+  CASPER_DCHECK(saved.ok());
   for (auto _ : state) {
-    auto loaded = spatial::FlatRTree::LoadFrom(&sm, *root);
-    CASPER_DCHECK(loaded.ok());
-    benchmark::DoNotOptimize(loaded->size());
+    server::QueryServer server{server::QueryServerOptions{}};
+    const Status opened = server.Open(&sm);
+    CASPER_DCHECK(opened.ok());
+    benchmark::DoNotOptimize(server);
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() * (state.range(0) + 10000));
 }
-BENCHMARK(BM_FlatTreeDeserialize)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_ServerOpen)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace casper

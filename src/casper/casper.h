@@ -193,7 +193,7 @@ class CasperService {
 
   // --- Persistence ------------------------------------------------------
 
-  /// Checkpoint the server tier (public targets + stored cloaked
+  /// Save the server tier (public targets + stored cloaked
   /// regions) to `sm` and commit. Anonymizer state — the pyramid, user
   /// registrations, pseudonyms — is deliberately not persisted: exact
   /// locations never leave the trusted tier, on disk or off.

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/common/geometry.h"
-#include "src/common/result.h"
 #include "src/spatial/epoch_index.h"
 
 /// \file
@@ -273,17 +272,6 @@ class TargetStore {
   /// Epoch/reclamation counters of the backing index (exported through
   /// obs by the server tier).
   spatial::EpochIndex::Stats epoch_stats() const { return index_.stats(); }
-
-  /// Checkpoint the store to `sm`; returns the checkpoint root page.
-  Result<storage::PageId> SaveTo(storage::IStorageManager* sm) const {
-    return index_.Checkpoint(sm);
-  }
-
-  /// Rebuild a store from a SaveTo root page. A checkpoint holding a
-  /// box that is not a record of this kind (a region in a public store)
-  /// fails kInvalidArgument.
-  static Result<TargetStore> LoadFrom(storage::IStorageManager* sm,
-                                      storage::PageId root);
 
  private:
   spatial::EpochIndex index_;

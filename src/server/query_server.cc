@@ -1,7 +1,9 @@
 #include "src/server/query_server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <string>
 
 #include "src/common/codec.h"
 #include "src/common/stopwatch.h"
@@ -150,119 +152,111 @@ Status QueryServer::ApplyRemove(const RegionRemoveMsg& msg) {
   return Status::OK();
 }
 
-Status QueryServer::Load(const SnapshotMsg& snapshot) {
-  std::unordered_map<uint64_t, Rect> regions;
-  regions.reserve(snapshot.regions.size());
-  for (const processor::PrivateTarget& target : snapshot.regions) {
-    if (!spatial::Storable(target.region)) {
-      return Status::InvalidArgument("snapshot region is empty or NaN");
-    }
-    // One region per handle, or the handle map and the store disagree.
-    if (!regions.emplace(target.id, target.region).second) {
-      return Status::InvalidArgument("snapshot repeats a handle");
-    }
-  }
-  stored_regions_ = std::move(regions);
-  private_store_ = processor::PrivateTargetStore(snapshot.regions);
-  // A snapshot replaces the whole store, so outcomes recorded for the
-  // incremental stream no longer describe current state; retries of
-  // pre-snapshot maintenance must re-apply against the new store.
-  ForgetOutcomes();
-  ExportEpochStats();
-  return Status::OK();
-}
-
 namespace {
 
-// "SRV1": rejects a page that is not a server-tier manifest.
-constexpr uint32_t kManifestMagic = 0x31565253u;
+/// The handle -> region map of a private record list: every region
+/// Storable and one region per handle, or the handle map and the store
+/// would disagree. `what` names the list in the error.
+Result<std::unordered_map<uint64_t, Rect>> IndexHandles(
+    const std::vector<processor::PrivateTarget>& records,
+    const std::string& what) {
+  std::unordered_map<uint64_t, Rect> regions;
+  regions.reserve(records.size());
+  for (const processor::PrivateTarget& target : records) {
+    if (!spatial::Storable(target.region)) {
+      return Status::InvalidArgument(what + " region is empty or NaN");
+    }
+    if (!regions.emplace(target.id, target.region).second) {
+      return Status::InvalidArgument(what + " repeats a handle");
+    }
+  }
+  return regions;
+}
+
+/// Every record of `store`, in canonical order: a function of the
+/// stored multiset alone, whatever the tree's shape.
+template <typename Target>
+std::vector<Target> CanonicalRecords(
+    const typename processor::TargetStore<Target>::Snapshot& store) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<Target> records;
+  records.reserve(store.size());
+  store.ForEachOverlapping(
+      Rect(-kInf, -kInf, kInf, kInf),
+      [&records](const Target& t) { records.push_back(t); });
+  processor::Canonicalize(&records);
+  return records;
+}
+
+// "SRV2": the server checkpoint page. "SRV1" named the stores' own tree
+// pages, a format that no longer exists.
+constexpr uint32_t kPageMagic = 0x32565253u;
+constexpr uint32_t kPageMagicV1 = 0x31565253u;
 
 }  // namespace
 
+Status QueryServer::Load(const SnapshotMsg& snapshot) {
+  CASPER_ASSIGN_OR_RETURN(regions, IndexHandles(snapshot.regions, "snapshot"));
+  LoadRegions(snapshot.regions, std::move(regions));
+  return Status::OK();
+}
+
+void QueryServer::LoadRegions(
+    const std::vector<processor::PrivateTarget>& records,
+    std::unordered_map<uint64_t, Rect> regions) {
+  stored_regions_ = std::move(regions);
+  private_store_ = processor::PrivateTargetStore(records);
+  // The private store was replaced wholesale, so outcomes recorded for
+  // the incremental stream no longer describe current state; retries
+  // of earlier maintenance must re-apply against the new store.
+  ForgetOutcomes();
+  ExportEpochStats();
+}
+
 Status QueryServer::Save(storage::IStorageManager* sm) const {
-  CASPER_ASSIGN_OR_RETURN(public_root, public_store_.SaveTo(sm));
-  CASPER_ASSIGN_OR_RETURN(private_root, private_store_.SaveTo(sm));
-
-  // The handle -> region map, in the snapshot's record layout.
-  std::vector<processor::PrivateTarget> regions;
-  regions.reserve(stored_regions_.size());
-  for (const auto& [handle, region] : stored_regions_) {
-    regions.push_back({handle, region});
-  }
-  wire::Writer rw;
-  WriteList(rw, regions);
-  const std::string regions_page = rw.Take();
-  CASPER_ASSIGN_OR_RETURN(regions_id,
-                          sm->Store(storage::kNoPage, regions_page));
-
   wire::Writer w;
-  w.U32(kManifestMagic);
-  w.U64(public_root);
-  w.U64(private_root);
-  w.U64(regions_id);
-  const std::string manifest = w.Take();
-  CASPER_ASSIGN_OR_RETURN(manifest_id, sm->Store(storage::kNoPage, manifest));
-  CASPER_RETURN_IF_ERROR(sm->SetRoot(kManifestRootSlot, manifest_id));
+  w.U32(kPageMagic);
+  WriteList(w, CanonicalRecords<processor::PublicTarget>(public_store_));
+  WriteList(w, CanonicalRecords<processor::PrivateTarget>(private_store_));
+  const std::string page = w.Take();
+  CASPER_ASSIGN_OR_RETURN(page_id, sm->Store(storage::kNoPage, page));
+  CASPER_RETURN_IF_ERROR(sm->SetRoot(kRootSlot, page_id));
   return sm->Flush();
 }
 
 Status QueryServer::Open(storage::IStorageManager* sm) {
-  CASPER_ASSIGN_OR_RETURN(manifest_id, sm->Root(kManifestRootSlot));
-  if (manifest_id == storage::kNoPage) {
+  CASPER_ASSIGN_OR_RETURN(page_id, sm->Root(kRootSlot));
+  if (page_id == storage::kNoPage) {
     return Status::NotFound("no server checkpoint in storage");
   }
   std::string bytes;
-  CASPER_RETURN_IF_ERROR(sm->Load(manifest_id, &bytes));
+  CASPER_RETURN_IF_ERROR(sm->Load(page_id, &bytes));
   wire::Reader r(bytes);
-  if (r.U32() != kManifestMagic || r.failed()) {
-    return Status::InvalidArgument("not a server manifest page");
-  }
-  const storage::PageId public_root = r.U64();
-  const storage::PageId private_root = r.U64();
-  const storage::PageId regions_id = r.U64();
-  CASPER_RETURN_IF_ERROR(r.Finish("server manifest page"));
-
-  CASPER_ASSIGN_OR_RETURN(
-      public_store, processor::PublicTargetStore::LoadFrom(sm, public_root));
-  CASPER_ASSIGN_OR_RETURN(
-      private_store,
-      processor::PrivateTargetStore::LoadFrom(sm, private_root));
-
-  std::string region_bytes;
-  CASPER_RETURN_IF_ERROR(sm->Load(regions_id, &region_bytes));
-  wire::Reader rr(region_bytes);
-  std::vector<processor::PrivateTarget> records =
-      ReadList<processor::PrivateTarget>(rr);
-  CASPER_RETURN_IF_ERROR(rr.Finish("server regions page"));
-  // The page indexes the private store by handle, so it must hold
-  // exactly the store's entries, one per handle: a handle whose region
-  // the store lacks would fail its remove, and a replace would leave
-  // the stale region in the store for good.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  processor::Canonicalize(&records);
-  std::vector<processor::PrivateTarget> stored =
-      processor::PrivateTargetStore::Snapshot(private_store)
-          .Overlapping(Rect(-kInf, -kInf, kInf, kInf));
-  processor::Canonicalize(&stored);
-  std::unordered_map<uint64_t, Rect> regions;
-  regions.reserve(records.size());
-  for (const processor::PrivateTarget& record : records) {
-    regions.emplace(record.id, record.region);
-  }
-  if (records != stored || regions.size() != records.size()) {
+  const uint32_t magic = r.U32();
+  if (!r.failed() && magic == kPageMagicV1) {
     return Status::InvalidArgument(
-        "server regions page disagrees with the private store");
+        "unsupported server checkpoint version 1 (want 2)");
   }
+  if (r.failed() || magic != kPageMagic) {
+    return Status::InvalidArgument("not a server checkpoint page");
+  }
+  std::vector<processor::PublicTarget> targets =
+      ReadList<processor::PublicTarget>(r);
+  std::vector<processor::PrivateTarget> records =
+      ReadList<processor::PrivateTarget>(r);
+  CASPER_RETURN_IF_ERROR(r.Finish("server checkpoint page"));
+  for (const processor::PublicTarget& target : targets) {
+    if (!spatial::Storable(target.box())) {
+      return Status::InvalidArgument("checkpoint target is NaN");
+    }
+  }
+  CASPER_ASSIGN_OR_RETURN(regions, IndexHandles(records, "checkpoint"));
 
-  // Only swap state in once every piece loaded: a failed Open leaves
-  // the server untouched.
-  public_store_ = std::move(public_store);
-  private_store_ = std::move(private_store);
-  stored_regions_ = std::move(regions);
-  // A reopen is a new process lifetime; recorded maintenance outcomes
-  // do not survive it (same contract as a bulk snapshot Load).
-  ForgetOutcomes();
-  ExportEpochStats();
+  // Everything validated: a failed Open has left the server untouched.
+  // A reopen is a new process lifetime, so recorded maintenance
+  // outcomes do not survive it (same contract as a bulk snapshot Load).
+  public_store_ = processor::PublicTargetStore(targets);
+  LoadRegions(records, std::move(regions));
   return Status::OK();
 }
 
@@ -284,9 +278,31 @@ Result<CandidateListMsg> QueryServer::Execute(
   return result;
 }
 
+namespace {
+
+bool Finite(const Point& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y);
+}
+bool Finite(const Rect& r) { return Finite(r.min) && Finite(r.max); }
+
+/// Whether every coordinate the query carries is finite. A NaN defeats
+/// the index walks' comparisons and distance keys, and an infinity
+/// turns the filter bounds into NaN. Kinds that do not read a field get
+/// it zeroed or default-constructed, so checking all of them turns away
+/// only a malformed frame.
+bool FiniteGeometry(const CloakedQueryMsg& query) {
+  return Finite(query.cloak) && std::isfinite(query.radius) &&
+         Finite(query.point) && Finite(query.region);
+}
+
+}  // namespace
+
 Result<CandidateListMsg> QueryServer::ExecuteImpl(
     const CloakedQueryMsg& query,
     processor::ConcurrentQueryCache* cache) const {
+  if (!FiniteGeometry(query)) {
+    return Status::InvalidArgument("query geometry is NaN or infinite");
+  }
   CandidateListMsg response;
   response.kind = query.kind;
   Stopwatch watch;

@@ -85,28 +85,34 @@ class QueryServer : public PrivateStoreSink {
   /// plus the server-side processing cost (Figure 17's processor
   /// share). `cache`, when non-null, memoizes kNearestPublic candidate
   /// lists by cloak rectangle (answers identical to the direct path).
+  /// A query carrying a NaN or infinite cloak, point, region or radius
+  /// fails kInvalidArgument before evaluation.
   Result<CandidateListMsg> Execute(
       const CloakedQueryMsg& query,
       processor::ConcurrentQueryCache* cache = nullptr) const;
 
   // --- Persistence ------------------------------------------------------
 
-  /// Checkpoint the whole server tier — both target stores and the
-  /// handle -> region map — to `sm`, record the manifest in root slot
-  /// kManifestRootSlot, and Flush() (the durable commit point on a
-  /// disk-backed manager).
+  /// Save the server tier to `sm` as one page: the "SRV2" magic, then
+  /// the public records and the private (handle, region) records, each
+  /// a WriteList in canonical order. The page depends only on the
+  /// stored multisets, not on tree shape or mutation history. Records
+  /// the page in root slot kRootSlot, then Flush()es (the durable
+  /// commit point on a disk-backed manager).
   Status Save(storage::IStorageManager* sm) const;
 
   /// Replace this server's state with the last committed checkpoint on
-  /// `sm`. The idempotency window resets: a reopen is a new process
-  /// lifetime, the same contract as a bulk snapshot Load. A checkpoint
-  /// whose handle -> region page does not hold exactly the private
-  /// store's entries, one per handle, fails kInvalidArgument; a failed
-  /// Open leaves the server as it was.
+  /// `sm`: both stores are STR bulk-loaded from the page's records and
+  /// the handle map is derived from the private ones. The idempotency
+  /// window resets: a reopen is a new process lifetime, the same
+  /// contract as a bulk snapshot Load. A page that does not decode, an
+  /// "SRV1" page (an unsupported version), a NaN or empty box, or two
+  /// regions under one handle fails kInvalidArgument; a failed Open
+  /// leaves the server as it was.
   Status Open(storage::IStorageManager* sm);
 
-  /// Root slot holding the server manifest page.
-  static constexpr size_t kManifestRootSlot = 0;
+  /// Root slot holding the server's saved page.
+  static constexpr size_t kRootSlot = 0;
 
   // --- Introspection ----------------------------------------------------
 
@@ -128,6 +134,11 @@ class QueryServer : public PrivateStoreSink {
 
   Status ApplyUpsert(const RegionUpsertMsg& msg);
   Status ApplyRemove(const RegionRemoveMsg& msg);
+
+  /// Replace the private store with `records` (STR bulk load) and the
+  /// handle map with `regions`, their validated index.
+  void LoadRegions(const std::vector<processor::PrivateTarget>& records,
+                   std::unordered_map<uint64_t, Rect> regions);
 
   /// Mirror both stores' epoch/reclamation counters into the obs
   /// gauges. Called after every mutation (the read path never touches

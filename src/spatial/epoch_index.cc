@@ -4,7 +4,6 @@
 #include <iterator>
 #include <utility>
 
-#include "src/common/codec.h"
 #include "src/common/status.h"
 
 namespace casper::spatial {
@@ -13,34 +12,8 @@ namespace {
 
 /// Source of every snapshot's epoch, shared by all indexes in the
 /// process, so a stamp is never reused — not even by a new index that
-/// replaces an old one in place (bulk load, restore).
+/// replaces an old one in place (bulk load).
 std::atomic<uint64_t> next_epoch{1};
-
-// "EPX1": rejects a page that is not an epoch-index checkpoint root.
-constexpr uint32_t kCheckpointMagic = 0x31585045u;
-
-constexpr size_t kEntryBytes = 4 * 8 + 8;  // Rect + id.
-
-void PutEntries(wire::Writer& w, const std::vector<Entry>& entries) {
-  w.Count(entries.size());
-  for (const Entry& e : entries) {
-    w.R(e.box);
-    w.U64(e.id);
-  }
-}
-
-std::vector<Entry> GetEntries(wire::Reader& r) {
-  const size_t n = r.Count(kEntryBytes);
-  std::vector<Entry> entries;
-  entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Entry e;
-    e.box = r.R();
-    e.id = r.U64();
-    entries.push_back(e);
-  }
-  return entries;
-}
 
 /// Tombstone the first base copy of (box, id), in FindExact order,
 /// whose row `dead` does not hold yet, keeping `dead` sorted. Returns
@@ -172,69 +145,6 @@ void EpochIndex::Publish() {
 
 std::shared_ptr<const EpochIndex::Snapshot> EpochIndex::Acquire() const {
   return published_.Load();
-}
-
-Result<storage::PageId> EpochIndex::Checkpoint(
-    storage::IStorageManager* sm) const {
-  storage::PageId base_root = storage::kNoPage;
-  if (base_) {
-    CASPER_ASSIGN_OR_RETURN(saved, base_->SaveTo(sm));
-    base_root = saved;
-  }
-  wire::Writer w;
-  w.U32(kCheckpointMagic);
-  w.I32(max_entries_);
-  w.U64(rebuild_threshold_);
-  w.U64(base_root);
-  PutEntries(w, delta_);
-  // Tombstones go out as the (box, id) values of their rows, so the
-  // page does not depend on the base's row order.
-  std::vector<Entry> dead;
-  dead.reserve(dead_.size());
-  for (const uint32_t row : dead_) dead.push_back(base_->entry(row));
-  PutEntries(w, dead);
-  const std::string page = w.Take();
-  return sm->Store(storage::kNoPage, page);
-}
-
-Result<EpochIndex> EpochIndex::Restore(storage::IStorageManager* sm,
-                                       storage::PageId root) {
-  std::string bytes;
-  CASPER_RETURN_IF_ERROR(sm->Load(root, &bytes));
-  wire::Reader r(bytes);
-  if (r.U32() != kCheckpointMagic || r.failed()) {
-    return Status::InvalidArgument("not an epoch-index checkpoint page");
-  }
-  const int32_t max_entries = r.I32();
-  const uint64_t rebuild_threshold = r.U64();
-  const storage::PageId base_root = r.U64();
-  std::vector<Entry> delta = GetEntries(r);
-  std::vector<Entry> dead = GetEntries(r);
-  CASPER_RETURN_IF_ERROR(r.Finish("epoch-index checkpoint page"));
-  const auto storable = [](const Entry& e) { return Storable(e.box); };
-  if (max_entries < 4 || !std::all_of(delta.begin(), delta.end(), storable)) {
-    return Status::InvalidArgument("malformed epoch-index checkpoint");
-  }
-
-  EpochIndex index(max_entries,
-                   static_cast<size_t>(std::max<uint64_t>(
-                       rebuild_threshold, 1)));
-  if (base_root != storage::kNoPage) {
-    CASPER_ASSIGN_OR_RETURN(base, FlatRTree::LoadFrom(sm, base_root));
-    index.base_ = std::make_shared<const FlatRTree>(std::move(base));
-  }
-  for (const Entry& d : dead) {
-    if (!HideRow(index.base_.get(), d.box, d.id, &index.dead_)) {
-      return Status::InvalidArgument(
-          "epoch-index checkpoint tombstone has no base entry");
-    }
-  }
-  index.size_ = (index.base_ ? index.base_->size() : 0) - dead.size() +
-                delta.size();
-  index.delta_ = std::move(delta);
-  if (index.base_) ++index.rebuilds_;
-  index.Publish();
-  return index;
 }
 
 EpochIndex::Stats EpochIndex::stats() const {

@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "src/common/geometry.h"
-#include "src/common/result.h"
 #include "src/spatial/flat_rtree.h"
-#include "src/storage/storage_manager.h"
 
 /// \file
 /// Epoch-published read snapshots over a mutable spatial index. The
@@ -35,10 +33,9 @@
 /// search. When the overlay grows past `rebuild_threshold`, the writer
 /// repacks the next base with FlatRTree::Repack, and the overlay resets
 /// to empty. Repack merges the delta into the base's STR slabs, which
-/// it derives from the row order alone, so a restored index repacks in
-/// lockstep with the one it was checkpointed from; when the slabs have
-/// drifted too far from the STR shape for the new size it falls back to
-/// a full Build.
+/// it derives from the row order alone; when the slabs have drifted too
+/// far from the STR shape for the new size it falls back to a full
+/// Build.
 ///
 /// Threading contract: mutations are single-writer (same as the target
 /// stores); Acquire() and all Snapshot queries are safe from any number
@@ -126,22 +123,6 @@ class EpochIndex {
   bool empty() const { return size() == 0; }
 
   Stats stats() const;
-
-  /// Checkpoint to `sm`: the packed base tree's pages (FlatRTree::
-  /// SaveTo) plus the delta/tombstone overlay and the index parameters,
-  /// all reachable from the returned root page. The overlay is bounded
-  /// by `rebuild_threshold`, so a checkpoint right after a repack is
-  /// almost entirely the packed base.
-  Result<storage::PageId> Checkpoint(storage::IStorageManager* sm) const;
-
-  /// Rebuild an index from a Checkpoint root page. Each checkpointed
-  /// tombstone, a (box, id) value, hides a base row by the same rule
-  /// Remove uses, so the restored index publishes the same base/delta/
-  /// tombstone overlay the checkpointed one had and queries answer
-  /// identically. A tombstone with no unhidden base copy left, or a
-  /// delta box that is not Storable, fails kInvalidArgument.
-  static Result<EpochIndex> Restore(storage::IStorageManager* sm,
-                                    storage::PageId root);
 
  private:
   /// Publication slot: a shared_ptr behind a tiny test-and-set

@@ -6,7 +6,6 @@
 #include <tuple>
 #include <utility>
 
-#include "src/common/codec.h"
 #include "src/common/status.h"
 
 namespace casper::spatial {
@@ -462,159 +461,6 @@ bool FlatRTree::CheckInvariants() const {
     for (bool seen : entry_seen) ok = ok && seen;
   }
   return ok;
-}
-
-// --- Persistence -----------------------------------------------------------
-
-namespace {
-
-// "FRT1": rejects a page that is not a flat-rtree root.
-constexpr uint32_t kTreeMagic = 0x31545246u;
-
-// Rows per page, sized so a page lands near the disk backend's 4 KB
-// slot: a node row is 12 bytes of offsets + 32 bytes of MBR, an entry
-// row 8 bytes of id + 32 bytes of box. A million-entry tree therefore
-// spans ~10k entry pages.
-constexpr size_t kNodeRowBytes = 3 * 4 + 4 * 8;
-constexpr size_t kEntryRowBytes = 8 + 4 * 8;
-constexpr size_t kNodesPerPage = 92;
-constexpr size_t kEntriesPerPage = 100;
-
-}  // namespace
-
-Result<storage::PageId> FlatRTree::SaveTo(storage::IStorageManager* sm) const {
-  std::vector<storage::PageId> node_pages;
-  std::vector<storage::PageId> entry_pages;
-  for (size_t begin = 0; begin < nodes_.size(); begin += kNodesPerPage) {
-    const size_t end = std::min(begin + kNodesPerPage, nodes_.size());
-    wire::Writer w;
-    w.Count(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      w.I32(nodes_[i].first);
-      w.I32(nodes_[i].count);
-      w.I32(nodes_[i].level);
-      w.F64(node_xlo_[i]);
-      w.F64(node_ylo_[i]);
-      w.F64(node_xhi_[i]);
-      w.F64(node_yhi_[i]);
-    }
-    const std::string page = w.Take();
-    CASPER_ASSIGN_OR_RETURN(id, sm->Store(storage::kNoPage, page));
-    node_pages.push_back(id);
-  }
-  for (size_t begin = 0; begin < entry_ids_.size();
-       begin += kEntriesPerPage) {
-    const size_t end = std::min(begin + kEntriesPerPage, entry_ids_.size());
-    wire::Writer w;
-    w.Count(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      w.U64(entry_ids_[i]);
-      w.F64(entry_xlo_[i]);
-      w.F64(entry_ylo_[i]);
-      w.F64(entry_xhi_[i]);
-      w.F64(entry_yhi_[i]);
-    }
-    const std::string page = w.Take();
-    CASPER_ASSIGN_OR_RETURN(id, sm->Store(storage::kNoPage, page));
-    entry_pages.push_back(id);
-  }
-
-  wire::Writer w;
-  w.U32(kTreeMagic);
-  w.I32(max_entries_);
-  w.I32(height_);
-  w.U64(nodes_.size());
-  w.U64(entry_ids_.size());
-  w.Count(node_pages.size());
-  for (const storage::PageId id : node_pages) w.U64(id);
-  w.Count(entry_pages.size());
-  for (const storage::PageId id : entry_pages) w.U64(id);
-  const std::string page = w.Take();
-  return sm->Store(storage::kNoPage, page);
-}
-
-Result<FlatRTree> FlatRTree::LoadFrom(storage::IStorageManager* sm,
-                                      storage::PageId root) {
-  std::string bytes;
-  CASPER_RETURN_IF_ERROR(sm->Load(root, &bytes));
-  wire::Reader r(bytes);
-  if (r.U32() != kTreeMagic || r.failed()) {
-    return Status::InvalidArgument("not a flat-rtree root page");
-  }
-  FlatRTree tree;
-  tree.max_entries_ = r.I32();
-  tree.height_ = r.I32();
-  const uint64_t node_count = r.U64();
-  const uint64_t entry_count = r.U64();
-  const size_t n_node_pages = r.Count(8);
-  std::vector<storage::PageId> node_pages(n_node_pages);
-  for (storage::PageId& id : node_pages) id = r.U64();
-  const size_t n_entry_pages = r.Count(8);
-  std::vector<storage::PageId> entry_pages(n_entry_pages);
-  for (storage::PageId& id : entry_pages) id = r.U64();
-  CASPER_RETURN_IF_ERROR(r.Finish("flat-rtree root page"));
-
-  constexpr uint64_t kMaxRows = 0x7fffffffull;  // int32 offsets.
-  if (node_count > kMaxRows || entry_count > kMaxRows ||
-      tree.max_entries_ < 4 || tree.max_entries_ > kMaxFanout ||
-      tree.height_ < 0) {
-    return Status::InvalidArgument("malformed flat-rtree root page");
-  }
-  // The arrays grow with the rows actually read, never from the root
-  // page's counts, which are checked against them afterwards.
-  for (const storage::PageId id : node_pages) {
-    std::string page;
-    CASPER_RETURN_IF_ERROR(sm->Load(id, &page));
-    wire::Reader pr(page);
-    const size_t n = pr.Count(kNodeRowBytes);
-    for (size_t i = 0; i < n; ++i) {
-      Node node;
-      node.first = pr.I32();
-      node.count = pr.I32();
-      node.level = pr.I32();
-      tree.nodes_.push_back(node);
-      tree.node_xlo_.push_back(pr.F64());
-      tree.node_ylo_.push_back(pr.F64());
-      tree.node_xhi_.push_back(pr.F64());
-      tree.node_yhi_.push_back(pr.F64());
-    }
-    CASPER_RETURN_IF_ERROR(pr.Finish("flat-rtree node page"));
-  }
-  for (const storage::PageId id : entry_pages) {
-    std::string page;
-    CASPER_RETURN_IF_ERROR(sm->Load(id, &page));
-    wire::Reader pr(page);
-    const size_t n = pr.Count(kEntryRowBytes);
-    for (size_t i = 0; i < n; ++i) {
-      tree.entry_ids_.push_back(pr.U64());
-      tree.entry_xlo_.push_back(pr.F64());
-      tree.entry_ylo_.push_back(pr.F64());
-      tree.entry_xhi_.push_back(pr.F64());
-      tree.entry_yhi_.push_back(pr.F64());
-    }
-    CASPER_RETURN_IF_ERROR(pr.Finish("flat-rtree entry page"));
-  }
-  if (tree.nodes_.size() != node_count ||
-      tree.entry_ids_.size() != entry_count) {
-    return Status::InvalidArgument(
-        "flat-rtree page rows disagree with root counts");
-  }
-  // Child runs must stay in bounds, or queries would index out of the
-  // packed arrays.
-  for (const Node& node : tree.nodes_) {
-    const auto limit = static_cast<int64_t>(
-        node.level == 0 ? tree.entry_ids_.size() : tree.nodes_.size());
-    if (node.first < 0 || node.count < 0 ||
-        int64_t{node.first} + node.count > limit) {
-      return Status::InvalidArgument("flat-rtree node run out of bounds");
-    }
-  }
-  // Fan-out within max_entries (the k-NN scratch is sized by it), and
-  // child runs that form a tree, or walks would overrun or never end.
-  if (!tree.CheckInvariants()) {
-    return Status::InvalidArgument("flat-rtree pages do not form a tree");
-  }
-  return tree;
 }
 
 }  // namespace casper::spatial

@@ -8,8 +8,6 @@
 #include <vector>
 
 #include "src/common/geometry.h"
-#include "src/common/result.h"
-#include "src/storage/storage_manager.h"
 
 /// \file
 /// The spatial index under the query processor: the "traditional
@@ -27,7 +25,7 @@
 /// Entry rows are in STR leaf order: slab-major, and non-decreasing in
 /// center y inside each slab. Nothing else records the slabs; a slab is
 /// a maximal run of rows whose center y does not decrease, so they can
-/// be derived again from the rows alone, also after LoadFrom.
+/// be derived again from the rows alone.
 ///
 /// RangeQuery stacks only nodes whose MBR intersects the window, and
 /// marks one the window also contains. It tests each child box once,
@@ -54,8 +52,7 @@ struct Entry {
 };
 
 /// Whether a box may be stored: non-empty and free of NaN. Build,
-/// Repack and EpochIndex::Insert refuse any other box, and LoadFrom
-/// rejects one.
+/// Repack and EpochIndex::Insert refuse any other box.
 inline bool Storable(const Rect& box) {
   return box.min.x <= box.max.x && box.min.y <= box.max.y;
 }
@@ -86,9 +83,8 @@ class FlatRTree {
   using Entry = spatial::Entry;
   using Neighbor = spatial::Neighbor;
 
-  /// The largest fan-out a tree may have. Build clamps to it and
-  /// LoadFrom rejects a root page above it: the k-NN scratch is sized by
-  /// the fan-out.
+  /// The largest fan-out a tree may have; Build clamps to it. The k-NN
+  /// scratch is sized by the fan-out.
   static constexpr int kMaxFanout = 4096;
 
   /// Empty tree; all queries return nothing.
@@ -155,19 +151,6 @@ class FlatRTree {
   /// child runs in bounds, every node and entry reached at most once
   /// and every entry reached.
   bool CheckInvariants() const;
-
-  /// Serialize the packed arrays to pages on `sm` — node and entry rows
-  /// chunked into ~4 KB pages plus one root page listing the chunks —
-  /// and return the root page id. The tree is immutable, so the pages
-  /// are a complete, self-contained image.
-  Result<storage::PageId> SaveTo(storage::IStorageManager* sm) const;
-
-  /// Rebuild a tree previously written by SaveTo. Row counts, child-run
-  /// bounds and CheckInvariants() are re-validated; pages that decode
-  /// but violate them fail kInvalidArgument rather than producing a
-  /// tree that would crash or loop on query.
-  static Result<FlatRTree> LoadFrom(storage::IStorageManager* sm,
-                                    storage::PageId root);
 
  private:
   /// One packed node. Children of an internal node are

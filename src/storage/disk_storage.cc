@@ -21,6 +21,11 @@ constexpr size_t kHeaderVersionEnd = 8 + 4;  // Magic, then version.
 
 constexpr size_t kPageRecordMinBytes = 8 + 8 + 8 + 8;  // id, len, sum, count.
 
+// Slot sizes a store may have. The cap bounds what one slot read
+// allocates, whatever a header says.
+constexpr size_t kMinPageSize = 64;
+constexpr size_t kMaxPageSize = size_t{1} << 20;
+
 std::string IdxPath(const std::string& base) { return base + ".idx"; }
 std::string DatPath(const std::string& base) { return base + ".dat"; }
 std::string TmpPath(const std::string& base) { return base + ".idx.tmp"; }
@@ -43,7 +48,7 @@ Result<std::string> ReadFile(const std::string& path) {
 DiskStorageManager::DiskStorageManager(std::string base_path,
                                        const DiskStorageOptions& options)
     : base_path_(std::move(base_path)),
-      page_size_(std::max<size_t>(options.page_size, 64)),
+      page_size_(std::clamp(options.page_size, kMinPageSize, kMaxPageSize)),
       metrics_(options.metrics ? options.metrics
                                : obs::CasperMetrics::Default()) {
   roots_.fill(kNoPage);
@@ -151,7 +156,11 @@ Status DiskStorageManager::ReadHeader() {
     return Status::DataLoss("not a casper storage header: " +
                             IdxPath(base_path_));
   }
-  page_size_ = std::max<size_t>(r.U64(), 64);
+  page_size_ = r.U64();
+  if (page_size_ < kMinPageSize || page_size_ > kMaxPageSize) {
+    return Status::DataLoss("storage header page size out of range: " +
+                            IdxPath(base_path_));
+  }
   next_id_ = r.U64();
   next_slot_ = r.U64();
   for (PageId& root : roots_) root = r.U64();
@@ -172,6 +181,12 @@ Status DiskStorageManager::ReadHeader() {
     rec.slots.resize(n_slots);
     for (uint64_t& s : rec.slots) s = r.U64();
     if (r.failed()) break;
+    // Store cuts a page into exactly this many slots, so a length that
+    // disagrees cannot make Load read or allocate past them.
+    if (n_slots != rec.length / page_size_ + (rec.length % page_size_ != 0)) {
+      return Status::DataLoss("storage header page length disagrees with "
+                              "its slots: " + IdxPath(base_path_));
+    }
     pages_.emplace(id, std::move(rec));
   }
   if (!r.Finish("storage header").ok()) {

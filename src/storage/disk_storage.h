@@ -35,8 +35,8 @@
 namespace casper::storage {
 
 struct DiskStorageOptions {
-  /// Physical slot size in the data file. Pages longer than this chain
-  /// across multiple slots.
+  /// Physical slot size in the data file, clamped to [64 B, 1 MiB].
+  /// Pages longer than this chain across multiple slots.
   size_t page_size = 4096;
 
   /// Instrument bundle for casper_storage_* counters; null resolves to

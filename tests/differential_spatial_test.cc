@@ -10,7 +10,6 @@
 #include "src/processor/private_nn.h"
 #include "src/processor/private_range.h"
 #include "src/spatial/epoch_index.h"
-#include "src/storage/memory_storage.h"
 #include "tests/spatial_oracle.h"
 
 /// Differential testing of the epoch index against a brute-force
@@ -18,8 +17,7 @@
 /// workload over points and rectangles of every size, every snapshot
 /// must answer range and k-NN queries exactly as a scan of the live
 /// multiset does. The workload includes duplicate (box, id) pairs,
-/// removals of absent entries, points on window edges, and a
-/// Checkpoint / Restore round trip in the middle of the churn. A last
+/// removals of absent entries, and points on window edges. A last
 /// case checks that encoded answers do not depend on how the index was
 /// built when ids repeat.
 
@@ -144,17 +142,6 @@ TEST_P(DifferentialSpatialTest, IndexesAgreeUnderChurn) {
       e.box = random_box();
       index.Insert(e.box, e.id);
     } else {
-      check(round);
-    }
-    if (round == params.rounds / 2) {
-      storage::MemoryStorageManager sm;
-      auto root = index.Checkpoint(&sm);
-      ASSERT_TRUE(root.ok()) << root.status().message();
-      auto restored = EpochIndex::Restore(&sm, *root);
-      ASSERT_TRUE(restored.ok()) << restored.status().message();
-      EXPECT_EQ(restored->stats().delta_entries, index.stats().delta_entries);
-      EXPECT_EQ(restored->stats().tombstones, index.stats().tombstones);
-      index = std::move(restored).value();
       check(round);
     }
   }

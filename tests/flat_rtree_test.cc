@@ -7,10 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "src/common/codec.h"
 #include "src/common/rng.h"
 #include "src/spatial/epoch_index.h"
-#include "src/storage/memory_storage.h"
 #include "tests/spatial_oracle.h"
 
 namespace casper::spatial {
@@ -558,120 +556,16 @@ TEST(FlatRTreeRepackTest, DriftFallsBackToBuild) {
   expect_build(big, {}, crowd);
 }
 
-/// `tree` with entry row i moved to row perm[i], through its own pages:
-/// each leaf's rows must land on one contiguous run, which the leaf then
-/// points at. The result is a tree LoadFrom accepts.
-FlatRTree PermuteRows(const FlatRTree& tree,
-                      const std::vector<uint32_t>& perm) {
-  storage::MemoryStorageManager sm;
-  const auto root = tree.SaveTo(&sm);
-  EXPECT_TRUE(root.ok());
-  std::string bytes;
-  EXPECT_TRUE(sm.Load(*root, &bytes).ok());
-  wire::Reader r(bytes);
-  r.U32();  // Magic.
-  r.I32();  // max_entries.
-  r.I32();  // Height.
-  r.U64();  // Node rows.
-  r.U64();  // Entry rows.
-  std::vector<storage::PageId> node_pages(r.Count(8));
-  for (storage::PageId& id : node_pages) id = r.U64();
-  std::vector<storage::PageId> entry_pages(r.Count(8));
-  for (storage::PageId& id : entry_pages) id = r.U64();
-  EXPECT_TRUE(r.Finish("root").ok());
-
-  for (const storage::PageId id : node_pages) {
-    std::string page;
-    EXPECT_TRUE(sm.Load(id, &page).ok());
-    wire::Reader pr(page);
-    wire::Writer w;
-    const size_t n = pr.Count(44);
-    w.Count(n);
-    for (size_t i = 0; i < n; ++i) {
-      int32_t first = pr.I32();
-      const int32_t count = pr.I32();
-      const int32_t level = pr.I32();
-      if (level == 0) {
-        first = static_cast<int32_t>(*std::min_element(
-            perm.begin() + first, perm.begin() + first + count));
-      }
-      w.I32(first);
-      w.I32(count);
-      w.I32(level);
-      for (int c = 0; c < 4; ++c) w.F64(pr.F64());
-    }
-    EXPECT_TRUE(sm.Store(id, w.Take()).ok());
-  }
-  std::vector<Entry> rows(tree.size());
-  for (size_t i = 0; i < tree.size(); ++i) rows[perm[i]] = tree.entry(i);
-  size_t next = 0;
-  for (const storage::PageId id : entry_pages) {
-    std::string page;
-    EXPECT_TRUE(sm.Load(id, &page).ok());
-    wire::Reader pr(page);
-    const size_t n = pr.Count(40);
-    wire::Writer w;
-    w.Count(n);
-    for (size_t i = 0; i < n; ++i, ++next) {
-      w.U64(rows[next].id);
-      w.R(rows[next].box);
-    }
-    EXPECT_TRUE(sm.Store(id, w.Take()).ok());
-  }
-  auto loaded = FlatRTree::LoadFrom(&sm, *root);
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  return loaded.ok() ? std::move(*loaded) : FlatRTree();
-}
-
-/// Repack holds for any row order LoadFrom accepts: slabs in reverse x
-/// order (unsorted routing keys, still merged) and rows shuffled inside
-/// each leaf (no center-y order left, so it falls back).
-TEST(FlatRTreeRepackTest, PermutedRowsStillRepackCorrectly) {
-  Rng rng(34);
-  const FlatRTree tree =
-      FlatRTree::Build(RandomRectEntries(1500, &rng, 0.02), 8);
-  std::vector<size_t> starts = SlabStarts(tree);
-  const size_t slabs = starts.size();
-  ASSERT_GT(slabs, 4u);
-  starts.push_back(tree.size());
-
-  // Whole slabs in reverse order.
-  std::vector<uint32_t> reversed(tree.size());
-  uint32_t at = 0;
-  for (size_t s = slabs; s-- > 0;) {
-    for (size_t row = starts[s]; row < starts[s + 1]; ++row) {
-      reversed[row] = at++;
-    }
-  }
-  // Rows shuffled inside each leaf of 8 (leaves are cut in slabs, so a
-  // leaf is a run of at most 8 rows from a slab start).
-  std::vector<uint32_t> shuffled(tree.size());
-  for (size_t s = 0; s < slabs; ++s) {
-    for (size_t leaf = starts[s]; leaf < starts[s + 1]; leaf += 8) {
-      const size_t end = std::min(leaf + 8, starts[s + 1]);
-      for (size_t row = leaf; row < end; ++row) {
-        shuffled[row] = static_cast<uint32_t>(row);
-      }
-      for (size_t row = end - 1; row > leaf; --row) {
-        std::swap(shuffled[row], shuffled[rng.UniformInt(leaf, row)]);
-      }
-    }
-  }
-
-  for (const auto* perm : {&reversed, &shuffled}) {
-    const FlatRTree permuted = PermuteRows(tree, *perm);
-    ASSERT_EQ(permuted.size(), tree.size());
-    FlatRTree current = permuted;
-    for (int round = 0; round < 5; ++round) {
-      const std::vector<uint32_t> dead = RandomDeadRows(current, 40, &rng);
-      std::vector<Entry> added = RandomRectEntries(40, &rng, 0.02);
-      for (Entry& e : added) e.id += 100000 * (round + 1);
-      const std::vector<Entry> want = LiveEntries(current, dead, added);
-      FlatRTree next = current.Repack(dead, added);
-      ExpectBruteForceAnswers(next, want, &rng);
-      current = std::move(next);
-    }
-  }
+/// Build clamps a fan-out of 2^30 to kMaxFanout: 5,000 entries then
+/// need two leaves under a root, where the unclamped fan-out would put
+/// them all in one leaf (every k-NN sizes its scratch by the fan-out).
+TEST(FlatRTreeTest, FanoutIsCappedOnBuild) {
+  Rng rng(53);
+  const std::vector<Entry> entries = RandomRectEntries(5000, &rng, 0.01);
+  ASSERT_GT(entries.size(), static_cast<size_t>(FlatRTree::kMaxFanout));
+  const FlatRTree tree = FlatRTree::Build(entries, 1 << 30);
+  EXPECT_EQ(tree.height(), 2);
+  ExpectBruteForceAnswers(tree, entries, &rng);
 }
 
 }  // namespace

@@ -218,6 +218,79 @@ TEST_F(EndpointTest, OversizeDensityGridsAckInvalidArgumentAndServerAnswers) {
   EXPECT_TRUE(DecodeCandidateList(bytes.value()).ok());
 }
 
+/// A NaN or infinite coordinate in any geometry field of any kind's
+/// frame acks kInvalidArgument before evaluation; at kinds 1 and 4 it
+/// used to abort the server, and at the others it answered wrongly.
+/// The endpoint then still answers every kind.
+TEST_F(EndpointTest, NonFiniteQueriesAckInvalidArgumentAndServerAnswers) {
+  // Bulk-loaded stores, so every read walks a packed tree.
+  Rng rng(5);
+  std::vector<processor::PublicTarget> targets;
+  for (uint64_t id = 1; id <= 1000; ++id) {
+    targets.push_back({id, rng.PointIn(Rect(0, 0, 1, 1))});
+  }
+  server_.SetPublicTargets(targets);
+  SnapshotMsg snapshot;
+  for (uint64_t handle = 1; handle <= 500; ++handle) {
+    const Point c = rng.PointIn(Rect(0, 0, 0.9, 0.9));
+    snapshot.regions.push_back(
+        {handle, Rect(c.x, c.y, c.x + 0.05, c.y + 0.05)});
+  }
+  ASSERT_TRUE(server_.Load(snapshot).ok());
+
+  const auto valid = [](QueryKind kind, uint64_t request_id) {
+    CloakedQueryMsg query;
+    query.kind = kind;
+    query.request_id = request_id;
+    query.cloak = Rect(0.2, 0.2, 0.5, 0.5);
+    query.k = 3;
+    query.radius = 0.1;
+    query.has_exclude = kind == QueryKind::kNearestPrivate;
+    query.exclude_handle = 7;
+    query.point = Point{0.4, 0.6};
+    query.region = Rect(0.1, 0.1, 0.6, 0.7);
+    query.cols = 8;
+    query.rows = 8;
+    return query;
+  };
+  const double bads[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()};
+  const std::vector<void (*)(CloakedQueryMsg*, double)> poisons = {
+      [](CloakedQueryMsg* q, double v) { q->cloak.max.x = v; },
+      [](CloakedQueryMsg* q, double v) { q->cloak.min.y = v; },
+      [](CloakedQueryMsg* q, double v) { q->radius = v; },
+      [](CloakedQueryMsg* q, double v) { q->point.x = v; },
+      [](CloakedQueryMsg* q, double v) { q->region.max.y = v; }};
+  uint64_t request_id = 100;
+  for (size_t kind = 0; kind < obs::kQueryKindCount; ++kind) {
+    for (const double bad : bads) {
+      for (size_t field = 0; field < poisons.size(); ++field) {
+        CloakedQueryMsg query =
+            valid(static_cast<QueryKind>(kind), ++request_id);
+        poisons[field](&query, bad);
+        Result<std::string> bytes =
+            endpoint_.Handle(Encode(query), CallContext{});
+        ASSERT_TRUE(bytes.ok());
+        Result<AckMsg> ack = DecodeAck(bytes.value());
+        ASSERT_TRUE(ack.ok()) << "kind " << kind << " field " << field;
+        EXPECT_EQ(ack->code, StatusCode::kInvalidArgument)
+            << "kind " << kind << " field " << field << " value " << bad;
+        EXPECT_EQ(ack->request_id, request_id);
+      }
+    }
+  }
+  for (size_t kind = 0; kind < obs::kQueryKindCount; ++kind) {
+    const CloakedQueryMsg query =
+        valid(static_cast<QueryKind>(kind), ++request_id);
+    Result<std::string> bytes = endpoint_.Handle(Encode(query), CallContext{});
+    ASSERT_TRUE(bytes.ok());
+    Result<CandidateListMsg> answer = DecodeCandidateList(bytes.value());
+    ASSERT_TRUE(answer.ok()) << "kind " << kind << ": "
+                             << answer.status().ToString();
+    EXPECT_EQ(answer->request_id, request_id);
+  }
+}
+
 TEST_F(EndpointTest, QueryErrorTravelsAsTypedAck) {
   CloakedQueryMsg bad;
   bad.kind = QueryKind::kDensity;
